@@ -8,7 +8,8 @@ round-trip float formatting, reruns byte-identical except wall_s) and a
 JSON summary whose echoed configuration reproduces the run.
 
 Exit codes: 0 success, 1 configuration error, 2 solver or projection
-nonconvergence, 3 failed check.
+nonconvergence (including a diverging iterate or a numerical overflow),
+3 failed check.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .proxlib import SquaredNormTerm
 from .reductions import (
     Chi2Config,
     KlConfig,
-    NumericalRangeError,
     WassersteinConfig,
     brute_force_penalized_max,
     build_chi2,
@@ -413,16 +413,17 @@ def write_summary_json(path, cfg, exp, report):
             exp.fairness_spec.eps_slack)
         summary["error_rate"] = error_rate(exp.dataset, exp.family,
                                            report.final_x)
-    Path(path).write_text(json.dumps(summary, indent=2) + "\n",
-                          encoding="utf-8")
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_solve(cfg):
     exp = Experiment(cfg)
     try:
         report = exp.run()
-    except (ProjectionError, NumericalRangeError) as exc:
-        print(f"solver nonconvergence: {exc}", file=sys.stderr)
+    except (ProjectionError, ArithmeticError) as exc:
+        print(f"solver nonconvergence: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = exp.out_dir / exp.trajectory_csv
@@ -525,8 +526,9 @@ def cmd_bench(cfg):
     exp = Experiment(cfg)
     try:
         report = exp.run()
-    except (ProjectionError, NumericalRangeError) as exc:
-        print(f"solver nonconvergence: {exc}", file=sys.stderr)
+    except (ProjectionError, ArithmeticError) as exc:
+        print(f"solver nonconvergence: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     if exp.family is None:
         raise ConfigError("bench needs a loss-family problem")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composite import OracleCounter, batch_estimates, evaluate_psi, \
-    full_phi_gradient, gradient_mapping
-from .solver import SolverReport, TrajectoryRecord
+    full_phi_gradient
+from .solver import SolverReport, record_step
 
 
 @dataclass
@@ -150,13 +150,7 @@ def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
             grad = z.T @ fprime + w
         x = problem.r_term.prox(x - eta * grad, eta)
         counter.prox_calls += 1
-        _, gm = gradient_mapping(problem, eta, x)
-        records.append(TrajectoryRecord(
-            stage=1, epoch=it, step=0,
-            psi=evaluate_psi(problem, x), grad_map_sq=gm, max_violation=None,
-            g_calls=counter.g_value_calls, h_calls=counter.h_gradient_calls,
-            wall_s=time.perf_counter() - start,
-        ))
+        records.append(record_step(problem, x, eta, 1, it, 0, [counter], start))
     return SolverReport(
         trajectory=records, counters=counter, final_x=x,
         wall_time=time.perf_counter() - start,

@@ -7,33 +7,37 @@ fixed worker order), takes the proximal step, and broadcasts the
 iterate.  The simulation is a synchronous round model: no networking,
 no failures, and results are independent of worker execution order.
 
-With p = 1 the sampling stream, the arithmetic, and hence the whole
-trajectory coincide bit for bit with the centralized solver under the
-same seed.
+The epoch loop and the stage driver live in the solver module; this
+module supplies the partition, the per-worker streams and the
+per-device accounting.  The centralized solver is the p = 1 case of the
+same loop, so with p = 1 the sampling stream, the arithmetic, and hence
+the whole trajectory coincide bit for bit with it under the same seed.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .composite import (
-    CompositeProblem,
-    OracleCounter,
+from .composite import OracleCounter
+# Bound but unused: the benchmark's tracer patches these names in this module.
+from .composite import (  # noqa: F401
     batch_estimates,
     delta_update,
     evaluate_psi,
     gradient_mapping,
 )
-from .constraints import max_violation
+from .constraints import max_violation  # noqa: F401
 from .solver import (
     SolverConfig,
     SolverReport,
-    TrajectoryRecord,
-    _select_rng,
+    _run_stage,
+    _run_stages,
+    _sharded_epoch,
+    split_batch,
 )
 
 
@@ -74,30 +78,6 @@ class DistConfig(SolverConfig):
         return shards
 
 
-def split_batch(total, shard_sizes):
-    """Largest-remainder split of a batch across shards, proportional to size."""
-    sizes = np.asarray(shard_sizes, dtype=float)
-    m = sizes.sum()
-    if total < len(shard_sizes):
-        raise ValueError(
-            f"batch of {total} cannot cover {len(shard_sizes)} workers; "
-            "delay the ramp (larger zeta) or reduce the worker count"
-        )
-    exact = total * sizes / m
-    shares = np.floor(exact).astype(int)
-    shares = np.maximum(shares, 1)
-    while shares.sum() > total:
-        k = int(np.argmax(shares))
-        shares[k] -= 1
-    remainder = exact - shares
-    order = np.argsort(-remainder)
-    i = 0
-    while shares.sum() < total:
-        shares[order[i % len(order)]] += 1
-        i += 1
-    return [int(s) for s in shares]
-
-
 def dist_expected_oracle_calls(schedule, T, m, p, K=1, partition_sizes=None):
     """Per-device oracle calls per family under the sharded schedule.
 
@@ -121,24 +101,6 @@ def dist_expected_oracle_calls(schedule, T, m, p, K=1, partition_sizes=None):
     return [K * t for t in totals]
 
 
-@dataclass
-class DistState:
-    """Broadcast iterate plus the per-worker estimator triples."""
-
-    x: np.ndarray
-    x_prev: np.ndarray
-    ys: list
-    zs: list
-    ws: list
-
-
-def _aggregate(parts, weights):
-    total = weights[0] * parts[0]
-    for w, part in zip(weights[1:], parts[1:]):
-        total = total + w * part
-    return total
-
-
 def _merge_counters(device_counters, server_counter):
     total = OracleCounter()
     for c in device_counters:
@@ -151,98 +113,20 @@ def _merge_counters(device_counters, server_counter):
     return total
 
 
-def dist_run_epoch(problem, state: DistState, t, dcfg: DistConfig, shards,
+def dist_run_epoch(problem, state, t, dcfg: DistConfig, shards,
                    worker_rngs, device_counters, server_counter, *,
                    stage=1, start_time=None, violation_set=None,
                    exec_order=None, candidates=None, probe=None):
-    """One synchronous distributed epoch.
-
-    Workers (visited in exec_order, results reduced in fixed index
-    order) refresh their shard estimators from their own batches, the
-    server forms the global estimate, steps, and broadcasts.  Inner
-    steps repeat the pattern with sampled shard deltas.
+    """One synchronous distributed epoch: the solver's sharded epoch with
+    one shard per worker, visited in exec_order and reduced in fixed
+    index order.  Returns (state, records); the state carries the
+    server-averaged estimators.
     """
-    m = problem.m
-    p = dcfg.p
-    tau, S, B = dcfg.schedule.params(t, m)
-    t0 = start_time if start_time is not None else time.perf_counter()
-    order = list(exec_order) if exec_order is not None else list(range(p))
-    sizes = [len(s) for s in shards]
-    weights = [size / m for size in sizes]
-
-    x_cur = np.asarray(state.x, dtype=float)
-    x_prev = x_cur
-    ys = [None] * p
-    zs = [None] * p
-    ws = [None] * p
-    if B >= m:
-        b_shares = None
-    else:
-        b_shares = split_batch(B, sizes)
-    for i in order:
-        if b_shares is None:
-            idx = shards[i]
-        else:
-            local = worker_rngs[i].integers(0, sizes[i], size=b_shares[i])
-            idx = shards[i][local]
-        ys[i], zs[i], ws[i] = batch_estimates(problem, idx, x_cur,
-                                              device_counters[i])
-
-    records = []
-    for j in range(tau):
-        if j > 0:
-            new_ys = [None] * p
-            new_zs = [None] * p
-            new_ws = [None] * p
-            for i in order:
-                if S >= m:
-                    y_new, z_new, w_new = batch_estimates(
-                        problem, shards[i], x_cur, device_counters[i])
-                    y_old, z_old, w_old = batch_estimates(
-                        problem, shards[i], x_prev, device_counters[i])
-                    new_ys[i] = y_new + (ys[i] - y_old)
-                    new_zs[i] = z_new + (zs[i] - z_old)
-                    new_ws[i] = w_new + (ws[i] - w_old)
-                else:
-                    local = worker_rngs[i].integers(0, sizes[i], size=S)
-                    idx = shards[i][local]
-                    new_ys[i], new_zs[i], new_ws[i] = delta_update(
-                        problem, idx, x_cur, x_prev,
-                        ys[i], zs[i], ws[i], device_counters[i])
-            ys, zs, ws = new_ys, new_zs, new_ws
-
-        y_glob = _aggregate(ys, weights)
-        z_glob = _aggregate(zs, weights)
-        w_glob = _aggregate(ws, weights)
-        _, fprime = problem.f(y_glob, server_counter)
-        grad_est = z_glob.T @ fprime + w_glob
-        if probe is not None:
-            probe(stage, t, j, x_cur, grad_est)
-        x_prev = x_cur
-        x_cur = problem.r_term.prox(x_cur - dcfg.eta * grad_est, dcfg.eta)
-        server_counter.prox_calls += 1
-        if candidates is not None:
-            candidates.append(x_cur.copy())
-
-        gm = None
-        if dcfg.eta > 0:
-            at_cadence = (dcfg.grad_map_every > 0
-                          and (j + 1) % dcfg.grad_map_every == 0)
-            if at_cadence or (dcfg.grad_map_every == 0 and j == tau - 1):
-                _, gm = gradient_mapping(problem, dcfg.eta, x_cur)
-        viol = None
-        if violation_set is not None:
-            viol = max_violation(violation_set, x_cur)
-        records.append(TrajectoryRecord(
-            stage=stage, epoch=t, step=j,
-            psi=evaluate_psi(problem, x_cur),
-            grad_map_sq=gm, max_violation=viol,
-            g_calls=sum(c.g_value_calls for c in device_counters),
-            h_calls=sum(c.h_gradient_calls for c in device_counters),
-            wall_s=time.perf_counter() - t0,
-        ))
-
-    return DistState(x=x_cur, x_prev=x_prev, ys=ys, zs=zs, ws=ws), records
+    return _sharded_epoch(
+        problem, state.x, t, dcfg.schedule, dcfg.eta, shards, worker_rngs,
+        device_counters, server_counter, stage=stage, start_time=start_time,
+        grad_map_every=dcfg.grad_map_every, violation_set=violation_set,
+        probe=probe, candidates=candidates, order=exec_order)
 
 
 def dist_solve(problem_builder, x0, dcfg: DistConfig, *,
@@ -253,54 +137,19 @@ def dist_solve(problem_builder, x0, dcfg: DistConfig, *,
     evaluations) alongside the merged totals; the server-side outer-map
     and prox calls live only in the totals.
     """
-    if isinstance(problem_builder, CompositeProblem):
-        fixed = problem_builder
-        builder = lambda k, x_start: fixed
-    else:
-        builder = problem_builder
-
     worker_rngs = [np.random.default_rng(dcfg.seed ^ i) for i in range(dcfg.p)]
-    select_rng = _select_rng(dcfg.seed)
     device_counters = [OracleCounter() for _ in range(dcfg.p)]
     server_counter = OracleCounter()
-    start = time.perf_counter()
 
-    x = np.asarray(x0, dtype=float)
-    records = []
-    stage_outputs = []
-    problem = None
-    for k in range(1, dcfg.K + 1):
-        problem = builder(k, x)
-        shards = dcfg.resolve_partition(problem.m)
-        collect = dcfg.output_rule == "uniform_random_iterate"
-        candidates = [x.copy()] if collect else None
-        state = DistState(
-            x=x, x_prev=x,
-            ys=[np.zeros(problem.dim_g)] * dcfg.p,
-            zs=[np.zeros((problem.dim_g, problem.dim_x))] * dcfg.p,
-            ws=[np.zeros(problem.dim_x)] * dcfg.p,
-        )
-        for t in range(1, dcfg.T + 1):
-            state, recs = dist_run_epoch(
-                problem, state, t, dcfg, shards, worker_rngs,
-                device_counters, server_counter, stage=k, start_time=start,
-                violation_set=violation_set, exec_order=exec_order,
-                candidates=candidates, probe=probe,
-            )
-            records.extend(recs)
-        if collect:
-            pick = int(select_rng.integers(0, len(candidates)))
-            x = candidates[pick]
-        else:
-            x = state.x
-        stage_outputs.append(x.copy())
+    def run(problem, x_start, **kwargs):
+        epoch = partial(
+            dist_run_epoch, dcfg=dcfg,
+            shards=dcfg.resolve_partition(problem.m), worker_rngs=worker_rngs,
+            device_counters=device_counters, server_counter=server_counter,
+            violation_set=violation_set, exec_order=exec_order, probe=probe)
+        return _run_stage(problem, x_start, dcfg, epoch, **kwargs)
 
-    return SolverReport(
-        trajectory=records,
-        counters=_merge_counters(device_counters, server_counter),
-        final_x=x,
-        wall_time=time.perf_counter() - start,
-        final_psi=evaluate_psi(problem, x),
-        stage_outputs=stage_outputs,
-        per_device_counters=device_counters,
-    )
+    report = _run_stages(problem_builder, x0, dcfg, run)
+    report.counters = _merge_counters(device_counters, server_counter)
+    report.per_device_counters = device_counters
+    return report

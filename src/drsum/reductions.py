@@ -28,7 +28,8 @@ EXP_LIMIT = 700.0  # largest exponent fed to np.exp after shifting
 
 
 class NumericalRangeError(FloatingPointError):
-    """An exponent escaped the representable range despite shifting."""
+    """A value left the floating-point range: an exponent despite
+    shifting, or a solver iterate that diverged."""
 
 
 @dataclass

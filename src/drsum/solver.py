@@ -6,6 +6,13 @@ three estimators with sampled deltas before every proximal step.  A
 restart driver chains stages, warm-starting each from the last output;
 constrained runs finish with a single feasibility projection.
 
+The epoch loop exists once, in sharded form (_sharded_epoch), and so
+does the stage/restart driver (_run_stage, _run_stages).  The centralized
+solver (run_epoch, run_stage, solve_restarted) is their 1-worker case:
+one shard holding every index, sampled from the solver's stream with
+weight 1.0.  The simulated multi-worker solver in the distributed module
+runs the same loop with one shard per worker.
+
 Determinism contract: a run is fully determined by (problem, config,
 seed).  Full passes (batch or inner sample size equal to m) never touch
 the random stream and reproduce deterministic proximal gradient bit for
@@ -18,6 +25,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +40,7 @@ from .composite import (
     gradient_mapping,
 )
 from .constraints import ConstraintSet, max_violation, project_feasible
+from .reductions import NumericalRangeError
 
 FIXED_SQRT_M = "fixed_sqrt_m"
 ADAPTIVE = "adaptive"
@@ -191,22 +200,142 @@ def _select_rng(seed):
     return np.random.default_rng(int(seed) ^ _SELECT_SALT)
 
 
-def _estimator_step(problem, x_new, x_old, y, z, w, indices, full_pass, counter):
-    """Advance the three estimators across the move x_old -> x_new.
+def split_batch(total, shard_sizes):
+    """Largest-remainder split of a batch across shards, proportional to size."""
+    sizes = np.asarray(shard_sizes, dtype=float)
+    m = sizes.sum()
+    if total < len(shard_sizes):
+        raise ValueError(
+            f"batch of {total} cannot cover {len(shard_sizes)} workers; "
+            "delay the ramp (larger zeta) or reduce the worker count"
+        )
+    exact = total * sizes / m
+    shares = np.floor(exact).astype(int)
+    shares = np.maximum(shares, 1)
+    while shares.sum() > total:
+        k = int(np.argmax(shares))
+        shares[k] -= 1
+    remainder = exact - shares
+    order = np.argsort(-remainder)
+    i = 0
+    while shares.sum() < total:
+        shares[order[i % len(order)]] += 1
+        i += 1
+    return [int(s) for s in shares]
 
-    The sampled path applies the literal delta recursion.  A full inner
-    pass uses the algebraically identical association
-        exact_mean(x_new) + (estimate - exact_mean(x_old)),
-    whose correction term vanishes bit-exactly once the estimators track
-    the exact means, so full-batch runs reproduce plain proximal
-    gradient bit for bit.  Both paths evaluate every index at the two
-    points, keeping the per-family cost at 2*S.
+
+def _sample(shard, rng, n):
+    """n uniform draws, with replacement, from the shard's indices."""
+    return shard[rng.integers(0, len(shard), size=n)]
+
+
+def _weighted_sum(parts, weights):
+    total = weights[0] * parts[0]
+    for w, part in zip(weights[1:], parts[1:]):
+        total = total + w * part
+    return total
+
+
+def record_step(problem, x, eta, stage, epoch, step, counters, start_time, *,
+                gradient_map=True, violation_set=None):
+    """TrajectoryRecord of iterate x.  The counter snapshots sum the
+    given counters (None counts as zero); the diagnostics (objective
+    value, exact gradient mapping, constraint violation) bypass them."""
+    gm = gradient_mapping(problem, eta, x)[1] if gradient_map else None
+    viol = (max_violation(violation_set, x)
+            if violation_set is not None else None)
+    return TrajectoryRecord(
+        stage=stage, epoch=epoch, step=step,
+        psi=evaluate_psi(problem, x),
+        grad_map_sq=gm, max_violation=viol,
+        g_calls=sum(c.g_value_calls for c in counters if c is not None),
+        h_calls=sum(c.h_gradient_calls for c in counters if c is not None),
+        wall_s=time.perf_counter() - start_time,
+    )
+
+
+def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
+                   server_counter, *, stage, start_time, grad_map_every,
+                   violation_set, probe, candidates, order=None):
+    """The epoch loop, over components split into shards.
+
+    Shard i keeps its own estimator triple, samples from shards[i] with
+    rngs[i] and charges its oracle calls to counters[i]; shards are
+    visited in `order` and reduced in index order.  The opening batch of
+    B_t splits across the shards by size (every shard in full when
+    B_t = m).  Each of the tau proximal steps uses the size-weighted
+    mean of the shard estimators and charges its outer-map and prox
+    calls to server_counter.
+
+    A full inner pass (S_t = m) corrects the estimators with the
+    association exact_mean(x_new) + (estimate - exact_mean(x_old)),
+    algebraically identical to the delta recursion, whose correction
+    term vanishes bit-exactly once the estimators track the exact
+    means, so full-batch runs reproduce plain proximal gradient bit for
+    bit.  Both paths evaluate every index at the two points, keeping the
+    per-family cost at 2*S.
+
+    Returns (state with the averaged estimators, records).  A non-finite
+    iterate raises NumericalRangeError naming its stage, epoch and step.
     """
-    if full_pass:
-        y_new, z_new, w_new = batch_estimates(problem, indices, x_new, counter)
-        y_old, z_old, w_old = batch_estimates(problem, indices, x_old, counter)
-        return y_new + (y - y_old), z_new + (z - z_old), w_new + (w - w_old)
-    return delta_update(problem, indices, x_new, x_old, y, z, w, counter)
+    m = problem.m
+    tau, S, B = schedule.params(t, m)
+    if S < 1 or B < 1:
+        raise ValueError("schedule produced an empty batch")
+    t0 = start_time if start_time is not None else time.perf_counter()
+    order = range(len(shards)) if order is None else order
+    sizes = [len(shard) for shard in shards]
+    weights = [size / m for size in sizes]
+    b_shares = None if B >= m else split_batch(B, sizes)
+
+    x_cur = np.asarray(x, dtype=float)
+    x_prev = x_cur
+    est = [None] * len(shards)
+    for i in order:
+        batch = (shards[i] if b_shares is None
+                 else _sample(shards[i], rngs[i], b_shares[i]))
+        est[i] = batch_estimates(problem, batch, x_cur, counters[i])
+
+    records = []
+    for j in range(tau):
+        if j > 0:
+            for i in order:
+                if S >= m:
+                    new, old = (batch_estimates(problem, shards[i], point,
+                                                counters[i])
+                                for point in (x_cur, x_prev))
+                    est[i] = tuple(a + (e - b)
+                                   for a, e, b in zip(new, est[i], old))
+                else:
+                    est[i] = delta_update(
+                        problem, _sample(shards[i], rngs[i], S),
+                        x_cur, x_prev, *est[i], counters[i])
+        y, z, w = (_weighted_sum(parts, weights) for parts in zip(*est))
+        _, fprime = problem.f(y, server_counter)
+        grad_est = z.T @ fprime + w
+        if probe is not None:
+            probe(stage, t, j, x_cur, grad_est)
+        x_prev = x_cur
+        x_cur = problem.r_term.prox(x_cur - eta * grad_est, eta)
+        if server_counter is not None:
+            server_counter.prox_calls += 1
+        if not np.all(np.isfinite(x_cur)):
+            raise NumericalRangeError(
+                f"non-finite iterate at stage {stage}, epoch {t}, step {j}")
+        if candidates is not None:
+            candidates.append(x_cur.copy())
+
+        if grad_map_every > 0:
+            at_cadence = (j + 1) % grad_map_every == 0
+        else:  # 0: at epoch ends only
+            at_cadence = grad_map_every == 0 and j == tau - 1
+        records.append(record_step(
+            problem, x_cur, eta, stage, t, j, counters, t0,
+            gradient_map=eta > 0 and at_cadence,
+            violation_set=violation_set))
+
+    return EpochState(x=x_cur, est_g_value=y, est_g_jac=z,
+                      est_h_grad=w, x_prev=x_prev), records
 
 
 def run_epoch(problem, state, t, schedule, eta, rng, counter=None, *,
@@ -215,77 +344,23 @@ def run_epoch(problem, state, t, schedule, eta, rng, counter=None, *,
               probe: Optional[Callable] = None, candidates=None):
     """One epoch: batch estimates at the carried-in iterate, then tau
     proximal steps (the first from the batch estimators, the remaining
-    tau-1 after sampled estimator corrections).
-
-    Returns (state, records).  Diagnostics (objective values, exact
-    gradient mapping, constraint violations) bypass the counters.
+    tau-1 after sampled estimator corrections).  The 1-worker case of
+    _sharded_epoch: one shard of every index, sampled with rng, all of
+    whose calls go to counter.  Returns (state, records).
     """
-    m = problem.m
-    tau, S, B = schedule.params(t, m)
-    if S < 1 or B < 1:
-        raise ValueError("schedule produced an empty batch")
-    t0 = start_time if start_time is not None else time.perf_counter()
-
-    if B >= m:
-        batch = range(m)
-    else:
-        batch = rng.integers(0, m, size=B)
-    x_cur = np.asarray(state.x, dtype=float)
-    x_prev = x_cur
-    y, z, w = batch_estimates(problem, batch, x_cur, counter)
-
-    records = []
-    for j in range(tau):
-        if j > 0:
-            if S >= m:
-                inner, full_pass = range(m), True
-            else:
-                inner, full_pass = rng.integers(0, m, size=S), False
-            y, z, w = _estimator_step(problem, x_cur, x_prev, y, z, w,
-                                      inner, full_pass, counter)
-        _, fprime = problem.f(y, counter)
-        grad_est = z.T @ fprime + w
-        if probe is not None:
-            probe(stage, t, j, x_cur, grad_est)
-        x_prev = x_cur
-        x_cur = problem.r_term.prox(x_cur - eta * grad_est, eta)
-        if counter is not None:
-            counter.prox_calls += 1
-        if candidates is not None:
-            candidates.append(x_cur.copy())
-
-        gm = None
-        if eta > 0:
-            at_cadence = (grad_map_every > 0 and (j + 1) % grad_map_every == 0)
-            if at_cadence or (grad_map_every == 0 and j == tau - 1):
-                _, gm = gradient_mapping(problem, eta, x_cur)
-        viol = None
-        if violation_set is not None:
-            viol = max_violation(violation_set, x_cur)
-        records.append(TrajectoryRecord(
-            stage=stage, epoch=t, step=j,
-            psi=evaluate_psi(problem, x_cur),
-            grad_map_sq=gm, max_violation=viol,
-            g_calls=counter.g_value_calls if counter else 0,
-            h_calls=counter.h_gradient_calls if counter else 0,
-            wall_s=time.perf_counter() - t0,
-        ))
-
-    return EpochState(x=x_cur, est_g_value=y, est_g_jac=z,
-                      est_h_grad=w, x_prev=x_prev), records
+    return _sharded_epoch(
+        problem, state.x, t, schedule, eta, [np.arange(problem.m)], [rng],
+        [counter], counter, stage=stage, start_time=start_time,
+        grad_map_every=grad_map_every, violation_set=violation_set,
+        probe=probe, candidates=candidates)
 
 
-def run_stage(problem, x0, config: SolverConfig, counter=None, *, stage=1,
-              rng=None, select_rng=None, start_time=None,
-              violation_set=None, probe=None):
-    """T epochs from x0; returns (x_out, records) with x_out chosen by
-    the configured output rule (last iterate, or a uniform-random
-    iterate drawn from the dedicated selection stream)."""
+def _run_stage(problem, x0, config, epoch, select_rng, stage, start_time):
+    """T epochs from x0, each epoch(problem, state, t, stage=...,
+    start_time=..., candidates=...); returns (x_out, records) with x_out
+    chosen by the configured output rule (last iterate, or a
+    uniform-random iterate drawn from select_rng)."""
     x0 = np.asarray(x0, dtype=float)
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    select_rng = select_rng if select_rng is not None else _select_rng(config.seed)
-    start_time = start_time if start_time is not None else time.perf_counter()
-
     collect = config.output_rule == "uniform_random_iterate"
     candidates = [x0.copy()] if collect else None
     state = EpochState(
@@ -297,12 +372,8 @@ def run_stage(problem, x0, config: SolverConfig, counter=None, *, stage=1,
     )
     records = []
     for t in range(1, config.T + 1):
-        state, recs = run_epoch(
-            problem, state, t, config.schedule, config.eta, rng, counter,
-            stage=stage, start_time=start_time,
-            grad_map_every=config.grad_map_every,
-            violation_set=violation_set, probe=probe, candidates=candidates,
-        )
+        state, recs = epoch(problem, state, t, stage=stage,
+                            start_time=start_time, candidates=candidates)
         records.extend(recs)
     if collect:
         pick = int(select_rng.integers(0, len(candidates)))
@@ -310,44 +381,68 @@ def run_stage(problem, x0, config: SolverConfig, counter=None, *, stage=1,
     return state.x, records
 
 
-def solve_restarted(problem_builder, x0, config: SolverConfig, *,
-                    violation_set=None, probe=None) -> SolverReport:
-    """K warm-started stages.  problem_builder is either a fixed
-    CompositeProblem or a callable (stage_index, x_start) -> problem,
-    which lets parameterized objectives re-anchor per stage."""
+def _run_stages(problem_builder, x0, config, run) -> SolverReport:
+    """K warm-started stages, each run(problem, x_start, stage=...,
+    select_rng=..., start_time=...) -> (x_out, records).  problem_builder
+    is either a fixed CompositeProblem or a callable (stage_index,
+    x_start) -> problem.  The caller attaches the report's counters."""
     if isinstance(problem_builder, CompositeProblem):
         fixed = problem_builder
         builder = lambda k, x_start: fixed
     else:
         builder = problem_builder
 
-    counter = OracleCounter()
-    rng = np.random.default_rng(config.seed)
     select_rng = _select_rng(config.seed)
     start = time.perf_counter()
-
     x = np.asarray(x0, dtype=float)
     records = []
     stage_outputs = []
-    problem = None
     for k in range(1, config.K + 1):
         problem = builder(k, x)
-        x, recs = run_stage(
-            problem, x, config, counter, stage=k, rng=rng,
-            select_rng=select_rng, start_time=start,
-            violation_set=violation_set, probe=probe,
-        )
+        x, recs = run(problem, x, stage=k, select_rng=select_rng,
+                      start_time=start)
         records.extend(recs)
         stage_outputs.append(x.copy())
-
+    final_psi = evaluate_psi(problem, x)
     return SolverReport(
         trajectory=records,
-        counters=counter,
+        counters=None,
         final_x=x,
         wall_time=time.perf_counter() - start,
-        final_psi=evaluate_psi(problem, x),
+        final_psi=final_psi,
         stage_outputs=stage_outputs,
     )
+
+
+def run_stage(problem, x0, config: SolverConfig, counter=None, *, stage=1,
+              rng=None, select_rng=None, start_time=None,
+              violation_set=None, probe=None):
+    """T epochs from x0; returns (x_out, records) with x_out chosen by
+    the configured output rule (last iterate, or a uniform-random
+    iterate drawn from the dedicated selection stream)."""
+    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    select_rng = select_rng if select_rng is not None else _select_rng(config.seed)
+    start_time = start_time if start_time is not None else time.perf_counter()
+    epoch = partial(run_epoch, schedule=config.schedule, eta=config.eta,
+                    rng=rng, counter=counter,
+                    grad_map_every=config.grad_map_every,
+                    violation_set=violation_set, probe=probe)
+    return _run_stage(problem, x0, config, epoch, select_rng, stage,
+                      start_time)
+
+
+def solve_restarted(problem_builder, x0, config: SolverConfig, *,
+                    violation_set=None, probe=None) -> SolverReport:
+    """K warm-started stages.  problem_builder is either a fixed
+    CompositeProblem or a callable (stage_index, x_start) -> problem,
+    which lets parameterized objectives re-anchor per stage."""
+    counter = OracleCounter()
+    run = partial(run_stage, config=config, counter=counter,
+                  rng=np.random.default_rng(config.seed),
+                  violation_set=violation_set, probe=probe)
+    report = _run_stages(problem_builder, x0, config, run)
+    report.counters = counter
+    return report
 
 
 def _objective_value(objective, x):
@@ -407,6 +502,7 @@ def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverCo
                                  shift_anchor=np.asarray(x_start, dtype=float),
                                  dim=dim)
 
+    start = time.perf_counter()
     report = solve_restarted(builder, x0, config, violation_set=constraints)
 
     x_raw = report.final_x
@@ -422,4 +518,5 @@ def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverCo
     report.projection_gap = report.objective_after - report.objective_before
     report.projection_residual = residual
     report.projection_iterations = iterations
+    report.wall_time = time.perf_counter() - start
     return report

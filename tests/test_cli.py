@@ -1,6 +1,12 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from drsum.cli import config_to_ini, main
+
+CHI2_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
+                  / "chi2_quadratic.ini")
 
 QUAD_CHI2 = """
 [problem]
@@ -181,6 +187,22 @@ class TestDrLogisticSolve:
         cfg = write_cfg(tmp_path, text)
         assert main(["solve", cfg]) == 2
         assert "nonconvergence" in capsys.readouterr().err
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("overrides, error", [
+        ({"DRSUM_SOLVER__ETA": "0.3"}, "non-finite iterate at stage"),
+        ({"DRSUM_SOLVER__ETA": "0.5", "DRSUM_PROBLEM__M": "256"},
+         "OverflowError"),
+    ], ids=["diverging_iterate", "outer_map_overflow"])
+    def test_exit_2_and_no_nan_summary(self, tmp_path, monkeypatch, capsys,
+                                       overrides, error):
+        for key, value in overrides.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / "run"
+        assert main(["solve", CHI2_CONFIG, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 class TestConfigErrors:

@@ -1,5 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+
+from drsum.constraints import ConstraintSet
 
 from drsum.distributed import (
     DistConfig,
@@ -29,6 +33,39 @@ class TestSingleWorkerEquivalence:
 
         assert np.array_equal(central.final_x, dist.final_x)
         assert [r.psi for r in central.trajectory] == [r.psi for r in dist.trajectory]
+        dev = dist.per_device_counters[0]
+        assert dev.g_value_calls == central.counters.g_value_calls
+        assert dev.g_jacobian_calls == central.counters.g_jacobian_calls
+        assert dev.h_gradient_calls == central.counters.h_gradient_calls
+        assert dist.counters.as_dict() == central.counters.as_dict()
+
+    @pytest.mark.parametrize("schedule", [
+        Schedule(mode="fixed_sqrt_m"),
+        Schedule(mode="adaptive", beta=1.0, zeta=1.0),  # B_t < m early on
+        Schedule(mode="full_batch", tau=3),
+    ], ids=lambda s: s.mode)
+    @pytest.mark.parametrize("grad_map_every", [0, 2])
+    def test_bit_identical_every_record_field(self, schedule,
+                                              grad_map_every):
+        prob, d = chi2_problem()
+        cset = ConstraintSet.affine(np.eye(d), np.full(d, -0.1))
+        common = dict(eta=0.05, T=4, K=2, seed=11, schedule=schedule,
+                      grad_map_every=grad_map_every)
+        central_cfg = SolverConfig(**common)
+        dist_cfg = DistConfig(**common, p=1)
+
+        central = solve_restarted(prob, np.zeros(d), central_cfg,
+                                  violation_set=cset)
+        dist = dist_solve(prob, np.zeros(d), dist_cfg, violation_set=cset)
+
+        assert np.array_equal(central.final_x, dist.final_x)
+
+        def fields(report):
+            return [{k: v for k, v in asdict(r).items() if k != "wall_s"}
+                    for r in report.trajectory]
+
+        assert fields(central) == fields(dist)
+        assert any(r.max_violation for r in central.trajectory)
         dev = dist.per_device_counters[0]
         assert dev.g_value_calls == central.counters.g_value_calls
         assert dev.g_jacobian_calls == central.counters.g_jacobian_calls

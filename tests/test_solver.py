@@ -398,6 +398,25 @@ class TestConstrainedSolve:
         assert report.projection_gap == 0.0
         assert report.projection_iterations == 0
 
+    def test_wall_time_covers_projection(self, monkeypatch):
+        import time
+
+        import drsum.solver
+
+        project = drsum.solver.project_feasible
+
+        def slow_projection(*args, **kwargs):
+            time.sleep(0.05)
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(drsum.solver, "project_feasible", slow_projection)
+        objective, cset = self.toy()
+        wcfg = WassersteinConfig(alpha=2.0, gamma=0.1)
+        cfg = SolverConfig(eta=0.05, T=1, K=1, seed=0)
+        report = solve_constrained_wasserstein(objective, cset, wcfg, cfg,
+                                               x0=np.zeros(2))
+        assert report.wall_time >= 0.05
+
     def test_alpha_condition_warning(self):
         objective, cset = self.toy()
         wcfg = WassersteinConfig(alpha=0.5, gamma=0.1)

@@ -181,8 +181,6 @@ class Experiment:
                 self.family = make_synthetic(
                     synthetic or "strongly_convex_quadratic", m=m, d=d,
                     seed=seed, cond=_get(cfg, "problem", "cond", 10.0, float))
-                if synthetic == "nonconvex_toy":
-                    self.family = make_synthetic("nonconvex_toy", m=m, d=d, seed=seed)
                 return
             if synthetic == "xor" or (synthetic is None and self.kind == "mlp2"):
                 self.dataset = make_xor_dataset(m=m, seed=seed)
@@ -522,14 +520,10 @@ def _metrics_at(exp, problem, x):
     return psi, gm, viol, err
 
 
-def cmd_bench(cfg):
-    exp = Experiment(cfg)
-    try:
-        report = exp.run()
-    except (ProjectionError, ArithmeticError) as exc:
-        print(f"solver nonconvergence: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 2
+def _bench_rows(exp):
+    """One row per (method, oracle-budget checkpoint): the configured
+    solver's stage outputs, then the baselines at the same budgets."""
+    report = exp.run()
     if exp.family is None:
         raise ConfigError("bench needs a loss-family problem")
     primary_name = "vr" if exp.reduction == "none" else f"vr_{exp.reduction}"
@@ -573,7 +567,17 @@ def cmd_bench(cfg):
             psi, gm, viol, err = _metrics_at(exp, exp.problem, base.final_x)
             rows.append(("biased_sgd", base.counters.g_value_calls,
                          psi, gm, viol, err))
+    return rows
 
+
+def cmd_bench(cfg):
+    exp = Experiment(cfg)
+    try:
+        rows = _bench_rows(exp)
+    except (ProjectionError, ArithmeticError) as exc:
+        print(f"solver nonconvergence: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     path = exp.out_dir / exp.bench_csv
     lines = ["method,budget,psi,grad_map_sq,max_violation,error_rate"]

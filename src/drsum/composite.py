@@ -17,7 +17,7 @@ increments it once per single-component evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,24 +37,15 @@ class OracleCounter:
     projection_calls: int = 0
 
     def copy(self):
-        return OracleCounter(
-            self.g_value_calls,
-            self.g_jacobian_calls,
-            self.h_gradient_calls,
-            self.f_outer_calls,
-            self.prox_calls,
-            self.projection_calls,
-        )
+        return replace(self)
 
     def as_dict(self):
-        return {
-            "g_value_calls": self.g_value_calls,
-            "g_jacobian_calls": self.g_jacobian_calls,
-            "h_gradient_calls": self.h_gradient_calls,
-            "f_outer_calls": self.f_outer_calls,
-            "prox_calls": self.prox_calls,
-            "projection_calls": self.projection_calls,
-        }
+        return asdict(self)
+
+    def __add__(self, other):
+        """Field-wise sum."""
+        return OracleCounter(*(a + b for a, b in
+                               zip(astuple(self), astuple(other))))
 
 
 @dataclass

@@ -15,6 +15,7 @@ import numpy as np
 
 from .composite import OracleCounter, batch_estimates, evaluate_psi, \
     full_phi_gradient
+from .reductions import NumericalRangeError
 from .solver import SolverReport, record_step
 
 
@@ -130,6 +131,7 @@ def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
     derivative; the batch couples the value and jacobian estimates, so
     the composite gradient estimate is biased whenever the outer map is
     curved, and the loop stalls at the bias floor.
+    A non-finite iterate raises NumericalRangeError.
     """
     if kind not in ("full_prox_gradient", "naive_biased_sgd"):
         raise ValueError(f"unknown baseline {kind!r}")
@@ -150,6 +152,8 @@ def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
             grad = z.T @ fprime + w
         x = problem.r_term.prox(x - eta * grad, eta)
         counter.prox_calls += 1
+        if not np.all(np.isfinite(x)):
+            raise NumericalRangeError(f"non-finite iterate at iteration {it}")
         records.append(record_step(problem, x, eta, 1, it, 0, [counter], start))
     return SolverReport(
         trajectory=records, counters=counter, final_x=x,

@@ -7,17 +7,18 @@ fixed worker order), takes the proximal step, and broadcasts the
 iterate.  The simulation is a synchronous round model: no networking,
 no failures, and results are independent of worker execution order.
 
-The epoch loop and the stage driver live in the solver module; this
-module supplies the partition, the per-worker streams and the
-per-device accounting.  The centralized solver is the p = 1 case of the
-same loop, so with p = 1 the sampling stream, the arithmetic, and hence
-the whole trajectory coincide bit for bit with it under the same seed.
+The epoch loop and the stage driver live in the solver module: the
+loop reports each proximal step through one hook, and the driver
+records steps and applies the output rule.  This module supplies the
+partition, the per-worker streams and the per-device accounting.  The
+centralized solver is the p = 1 case of the same loop, so with p = 1
+the sampling stream, the arithmetic, and hence the whole trajectory
+coincide bit for bit with it under the same seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,6 @@ from .constraints import max_violation  # noqa: F401
 from .solver import (
     SolverConfig,
     SolverReport,
-    _run_stage,
     _run_stages,
     _sharded_epoch,
     split_batch,
@@ -101,32 +101,18 @@ def dist_expected_oracle_calls(schedule, T, m, p, K=1, partition_sizes=None):
     return [K * t for t in totals]
 
 
-def _merge_counters(device_counters, server_counter):
-    total = OracleCounter()
-    for c in device_counters:
-        total.g_value_calls += c.g_value_calls
-        total.g_jacobian_calls += c.g_jacobian_calls
-        total.h_gradient_calls += c.h_gradient_calls
-    total.f_outer_calls = server_counter.f_outer_calls
-    total.prox_calls = server_counter.prox_calls
-    total.projection_calls = server_counter.projection_calls
-    return total
-
-
 def dist_run_epoch(problem, state, t, dcfg: DistConfig, shards,
                    worker_rngs, device_counters, server_counter, *,
-                   stage=1, start_time=None, violation_set=None,
-                   exec_order=None, candidates=None, probe=None):
+                   stage=1, exec_order=None, on_step=None):
     """One synchronous distributed epoch: the solver's sharded epoch with
     one shard per worker, visited in exec_order and reduced in fixed
-    index order.  Returns (state, records); the state carries the
-    server-averaged estimators.
+    index order.  Returns the state, which carries the server-averaged
+    estimators.
     """
     return _sharded_epoch(
         problem, state.x, t, dcfg.schedule, dcfg.eta, shards, worker_rngs,
-        device_counters, server_counter, stage=stage, start_time=start_time,
-        grad_map_every=dcfg.grad_map_every, violation_set=violation_set,
-        probe=probe, candidates=candidates, order=exec_order)
+        device_counters, server_counter, stage=stage, on_step=on_step,
+        order=exec_order)
 
 
 def dist_solve(problem_builder, x0, dcfg: DistConfig, *,
@@ -140,16 +126,14 @@ def dist_solve(problem_builder, x0, dcfg: DistConfig, *,
     worker_rngs = [np.random.default_rng(dcfg.seed ^ i) for i in range(dcfg.p)]
     device_counters = [OracleCounter() for _ in range(dcfg.p)]
     server_counter = OracleCounter()
-
-    def run(problem, x_start, **kwargs):
-        epoch = partial(
-            dist_run_epoch, dcfg=dcfg,
-            shards=dcfg.resolve_partition(problem.m), worker_rngs=worker_rngs,
-            device_counters=device_counters, server_counter=server_counter,
-            violation_set=violation_set, exec_order=exec_order, probe=probe)
-        return _run_stage(problem, x_start, dcfg, epoch, **kwargs)
-
-    report = _run_stages(problem_builder, x0, dcfg, run)
-    report.counters = _merge_counters(device_counters, server_counter)
+    # looked up per call, so wrappers of the module name see every epoch
+    epoch = lambda problem, state, t, **hook: dist_run_epoch(
+        problem, state, t, dcfg, dcfg.resolve_partition(problem.m),
+        worker_rngs, device_counters, server_counter,
+        exec_order=exec_order, **hook)
+    report = _run_stages(problem_builder, x0, dcfg, epoch, device_counters,
+                         violation_set=violation_set, probe=probe)
+    # devices count only g/h calls, the server only outer-map and prox calls
+    report.counters = sum(device_counters, server_counter)
     report.per_device_counters = device_counters
     return report

@@ -6,12 +6,13 @@ three estimators with sampled deltas before every proximal step.  A
 restart driver chains stages, warm-starting each from the last output;
 constrained runs finish with a single feasibility projection.
 
-The epoch loop exists once, in sharded form (_sharded_epoch), and so
-does the stage/restart driver (_run_stage, _run_stages).  The centralized
-solver (run_epoch, run_stage, solve_restarted) is their 1-worker case:
-one shard holding every index, sampled from the solver's stream with
-weight 1.0.  The simulated multi-worker solver in the distributed module
-runs the same loop with one shard per worker.
+The epoch loop exists once, in sharded form (_sharded_epoch), and
+reports each proximal step through one hook; the one stage/restart
+driver (_run_stages) records the steps and applies the output rule.
+The centralized solver (run_epoch, run_stage, solve_restarted) is their
+1-worker case: one shard holding every index, sampled from the solver's
+stream with weight 1.0.  The simulated multi-worker solver in the
+distributed module runs the same loop with one shard per worker.
 
 Determinism contract: a run is fully determined by (problem, config,
 seed).  Full passes (batch or inner sample size equal to m) never touch
@@ -24,8 +25,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ from .composite import (
     evaluate_psi,
     gradient_mapping,
 )
-from .constraints import ConstraintSet, max_violation, project_feasible
+from .constraints import max_violation, project_feasible
 from .reductions import NumericalRangeError
 
 FIXED_SQRT_M = "fixed_sqrt_m"
@@ -196,10 +196,6 @@ class SolverReport:
     projection_iterations: Optional[int] = None
 
 
-def _select_rng(seed):
-    return np.random.default_rng(int(seed) ^ _SELECT_SALT)
-
-
 def split_batch(total, shard_sizes):
     """Largest-remainder split of a batch across shards, proportional to size."""
     sizes = np.asarray(shard_sizes, dtype=float)
@@ -255,8 +251,7 @@ def record_step(problem, x, eta, stage, epoch, step, counters, start_time, *,
 
 
 def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
-                   server_counter, *, stage, start_time, grad_map_every,
-                   violation_set, probe, candidates, order=None):
+                   server_counter, *, stage, on_step, order=None):
     """The epoch loop, over components split into shards.
 
     Shard i keeps its own estimator triple, samples from shards[i] with
@@ -275,14 +270,16 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     bit.  Both paths evaluate every index at the two points, keeping the
     per-family cost at 2*S.
 
-    Returns (state with the averaged estimators, records).  A non-finite
-    iterate raises NumericalRangeError naming its stage, epoch and step.
+    After each step it passes (stage, t, j, tau, x, grad_est, x_new) to
+    the on_step hook, if given: the step's start point, estimate and new
+    iterate.  It returns the state with the averaged estimators.  A
+    non-finite iterate or an ArithmeticError in a step (the opening
+    batch is step 0) raises NumericalRangeError naming stage, epoch, step.
     """
     m = problem.m
     tau, S, B = schedule.params(t, m)
     if S < 1 or B < 1:
         raise ValueError("schedule produced an empty batch")
-    t0 = start_time if start_time is not None else time.perf_counter()
     order = range(len(shards)) if order is None else order
     sizes = [len(shard) for shard in shards]
     weights = [size / m for size in sizes]
@@ -291,117 +288,115 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     x_cur = np.asarray(x, dtype=float)
     x_prev = x_cur
     est = [None] * len(shards)
-    for i in order:
-        batch = (shards[i] if b_shares is None
-                 else _sample(shards[i], rngs[i], b_shares[i]))
-        est[i] = batch_estimates(problem, batch, x_cur, counters[i])
+    j = 0
+    try:
+        for i in order:
+            batch = (shards[i] if b_shares is None
+                     else _sample(shards[i], rngs[i], b_shares[i]))
+            est[i] = batch_estimates(problem, batch, x_cur, counters[i])
 
-    records = []
-    for j in range(tau):
-        if j > 0:
-            for i in order:
-                if S >= m:
-                    new, old = (batch_estimates(problem, shards[i], point,
-                                                counters[i])
-                                for point in (x_cur, x_prev))
-                    est[i] = tuple(a + (e - b)
-                                   for a, e, b in zip(new, est[i], old))
-                else:
-                    est[i] = delta_update(
-                        problem, _sample(shards[i], rngs[i], S),
-                        x_cur, x_prev, *est[i], counters[i])
-        y, z, w = (_weighted_sum(parts, weights) for parts in zip(*est))
-        _, fprime = problem.f(y, server_counter)
-        grad_est = z.T @ fprime + w
-        if probe is not None:
-            probe(stage, t, j, x_cur, grad_est)
-        x_prev = x_cur
-        x_cur = problem.r_term.prox(x_cur - eta * grad_est, eta)
-        if server_counter is not None:
-            server_counter.prox_calls += 1
-        if not np.all(np.isfinite(x_cur)):
-            raise NumericalRangeError(
-                f"non-finite iterate at stage {stage}, epoch {t}, step {j}")
-        if candidates is not None:
-            candidates.append(x_cur.copy())
-
-        if grad_map_every > 0:
-            at_cadence = (j + 1) % grad_map_every == 0
-        else:  # 0: at epoch ends only
-            at_cadence = grad_map_every == 0 and j == tau - 1
-        records.append(record_step(
-            problem, x_cur, eta, stage, t, j, counters, t0,
-            gradient_map=eta > 0 and at_cadence,
-            violation_set=violation_set))
-
-    return EpochState(x=x_cur, est_g_value=y, est_g_jac=z,
-                      est_h_grad=w, x_prev=x_prev), records
+        for j in range(tau):
+            if j > 0:
+                for i in order:
+                    if S >= m:
+                        new, old = (batch_estimates(problem, shards[i], point,
+                                                    counters[i])
+                                    for point in (x_cur, x_prev))
+                        est[i] = tuple(a + (e - b)
+                                       for a, e, b in zip(new, est[i], old))
+                    else:
+                        est[i] = delta_update(
+                            problem, _sample(shards[i], rngs[i], S),
+                            x_cur, x_prev, *est[i], counters[i])
+            y, z, w = (_weighted_sum(parts, weights) for parts in zip(*est))
+            _, fprime = problem.f(y, server_counter)
+            grad_est = z.T @ fprime + w
+            x_prev = x_cur
+            x_cur = problem.r_term.prox(x_cur - eta * grad_est, eta)
+            if server_counter is not None:
+                server_counter.prox_calls += 1
+            if not np.all(np.isfinite(x_cur)):
+                break
+            if on_step is not None:
+                on_step(stage, t, j, tau, x_prev, grad_est, x_cur)
+        else:
+            return EpochState(x=x_cur, est_g_value=y, est_g_jac=z,
+                              est_h_grad=w, x_prev=x_prev)
+    except ArithmeticError as exc:
+        raise NumericalRangeError(
+            f"{type(exc).__name__}: {exc} at stage {stage}, epoch {t}, "
+            f"step {j}") from exc
+    # reached only through the break on a non-finite iterate
+    raise NumericalRangeError(
+        f"non-finite iterate at stage {stage}, epoch {t}, step {j}")
 
 
 def run_epoch(problem, state, t, schedule, eta, rng, counter=None, *,
-              stage=1, start_time=None, grad_map_every=0,
-              violation_set: Optional[ConstraintSet] = None,
-              probe: Optional[Callable] = None, candidates=None):
+              stage=1, on_step: Optional[Callable] = None):
     """One epoch: batch estimates at the carried-in iterate, then tau
     proximal steps (the first from the batch estimators, the remaining
     tau-1 after sampled estimator corrections).  The 1-worker case of
     _sharded_epoch: one shard of every index, sampled with rng, all of
-    whose calls go to counter.  Returns (state, records).
+    whose calls go to counter.  Returns the state.
     """
     return _sharded_epoch(
         problem, state.x, t, schedule, eta, [np.arange(problem.m)], [rng],
-        [counter], counter, stage=stage, start_time=start_time,
-        grad_map_every=grad_map_every, violation_set=violation_set,
-        probe=probe, candidates=candidates)
+        [counter], counter, stage=stage, on_step=on_step)
 
 
-def _run_stage(problem, x0, config, epoch, select_rng, stage, start_time):
-    """T epochs from x0, each epoch(problem, state, t, stage=...,
-    start_time=..., candidates=...); returns (x_out, records) with x_out
-    chosen by the configured output rule (last iterate, or a
-    uniform-random iterate drawn from select_rng)."""
-    x0 = np.asarray(x0, dtype=float)
-    collect = config.output_rule == "uniform_random_iterate"
-    candidates = [x0.copy()] if collect else None
-    state = EpochState(
-        x=x0,
-        est_g_value=np.zeros(problem.dim_g),
-        est_g_jac=np.zeros((problem.dim_g, problem.dim_x)),
-        est_h_grad=np.zeros(problem.dim_x),
-        x_prev=x0,
-    )
-    records = []
-    for t in range(1, config.T + 1):
-        state, recs = epoch(problem, state, t, stage=stage,
-                            start_time=start_time, candidates=candidates)
-        records.extend(recs)
-    if collect:
-        pick = int(select_rng.integers(0, len(candidates)))
-        return candidates[pick], records
-    return state.x, records
+def _run_stages(problem_builder, x0, config, epoch, counters, *,
+                violation_set=None, probe=None) -> SolverReport:
+    """K warm-started stages of T epochs, each epoch(problem, state, t,
+    stage=..., on_step=...) -> state; problem_builder is a fixed
+    CompositeProblem or a callable (stage_index, x_start) -> problem.
 
-
-def _run_stages(problem_builder, x0, config, run) -> SolverReport:
-    """K warm-started stages, each run(problem, x_start, stage=...,
-    select_rng=..., start_time=...) -> (x_out, records).  problem_builder
-    is either a fixed CompositeProblem or a callable (stage_index,
-    x_start) -> problem.  The caller attaches the report's counters."""
+    After every proximal step the driver calls probe(stage, t, j, x,
+    grad_est), records the new iterate (counter snapshots summed over
+    `counters`, the gradient mapping at the grad_map_every cadence) and
+    keeps it as an output candidate.  Each stage outputs its last
+    iterate, or a uniform-random one drawn from the selection stream.
+    The caller attaches the report's counters.
+    """
+    builder = problem_builder
     if isinstance(problem_builder, CompositeProblem):
-        fixed = problem_builder
-        builder = lambda k, x_start: fixed
-    else:
-        builder = problem_builder
+        builder = lambda k, x_start: problem_builder
 
-    select_rng = _select_rng(config.seed)
+    select_rng = np.random.default_rng(int(config.seed) ^ _SELECT_SALT)
+    collect = config.output_rule == "uniform_random_iterate"
+    every = config.grad_map_every
     start = time.perf_counter()
-    x = np.asarray(x0, dtype=float)
     records = []
+
+    def on_step(stage, t, j, tau, x, grad_est, x_new):
+        if probe is not None:
+            probe(stage, t, j, x, grad_est)
+        if collect:
+            candidates.append(x_new.copy())
+        if every > 0:
+            at_cadence = (j + 1) % every == 0
+        else:  # 0: at epoch ends only
+            at_cadence = every == 0 and j == tau - 1
+        records.append(record_step(
+            problem, x_new, config.eta, stage, t, j, counters, start,
+            gradient_map=config.eta > 0 and at_cadence,
+            violation_set=violation_set))
+
+    x = np.asarray(x0, dtype=float)
     stage_outputs = []
     for k in range(1, config.K + 1):
         problem = builder(k, x)
-        x, recs = run(problem, x, stage=k, select_rng=select_rng,
-                      start_time=start)
-        records.extend(recs)
+        candidates = [x.copy()]
+        state = EpochState(
+            x=x,
+            est_g_value=np.zeros(problem.dim_g),
+            est_g_jac=np.zeros((problem.dim_g, problem.dim_x)),
+            est_h_grad=np.zeros(problem.dim_x),
+            x_prev=x,
+        )
+        for t in range(1, config.T + 1):
+            state = epoch(problem, state, t, stage=k, on_step=on_step)
+        x = (candidates[int(select_rng.integers(0, len(candidates)))]
+             if collect else state.x)
         stage_outputs.append(x.copy())
     final_psi = evaluate_psi(problem, x)
     return SolverReport(
@@ -414,21 +409,16 @@ def _run_stages(problem_builder, x0, config, run) -> SolverReport:
     )
 
 
-def run_stage(problem, x0, config: SolverConfig, counter=None, *, stage=1,
-              rng=None, select_rng=None, start_time=None,
+def run_stage(problem, x0, config: SolverConfig, counter=None, *, rng=None,
               violation_set=None, probe=None):
-    """T epochs from x0; returns (x_out, records) with x_out chosen by
-    the configured output rule (last iterate, or a uniform-random
-    iterate drawn from the dedicated selection stream)."""
+    """The K = 1 case of solve_restarted, charging counter and sampling
+    from rng (default: the config's seed); returns (x_out, records)."""
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    select_rng = select_rng if select_rng is not None else _select_rng(config.seed)
-    start_time = start_time if start_time is not None else time.perf_counter()
-    epoch = partial(run_epoch, schedule=config.schedule, eta=config.eta,
-                    rng=rng, counter=counter,
-                    grad_map_every=config.grad_map_every,
-                    violation_set=violation_set, probe=probe)
-    return _run_stage(problem, x0, config, epoch, select_rng, stage,
-                      start_time)
+    epoch = lambda problem, state, t, **hook: run_epoch(
+        problem, state, t, config.schedule, config.eta, rng, counter, **hook)
+    report = _run_stages(problem, x0, replace(config, K=1), epoch, [counter],
+                         violation_set=violation_set, probe=probe)
+    return report.final_x, report.trajectory
 
 
 def solve_restarted(problem_builder, x0, config: SolverConfig, *,
@@ -437,10 +427,12 @@ def solve_restarted(problem_builder, x0, config: SolverConfig, *,
     CompositeProblem or a callable (stage_index, x_start) -> problem,
     which lets parameterized objectives re-anchor per stage."""
     counter = OracleCounter()
-    run = partial(run_stage, config=config, counter=counter,
-                  rng=np.random.default_rng(config.seed),
-                  violation_set=violation_set, probe=probe)
-    report = _run_stages(problem_builder, x0, config, run)
+    rng = np.random.default_rng(config.seed)
+    # run_epoch is looked up per call, so wrappers of the module name see it
+    epoch = lambda problem, state, t, **hook: run_epoch(
+        problem, state, t, config.schedule, config.eta, rng, counter, **hook)
+    report = _run_stages(problem_builder, x0, config, epoch, [counter],
+                         violation_set=violation_set, probe=probe)
     report.counters = counter
     return report
 

@@ -115,6 +115,46 @@ class TestSolve:
         assert summary["seed"] == 123
 
 
+NONCONVEX_TOY = """
+[problem]
+kind = quadratic
+source = synthetic
+synthetic = nonconvex_toy
+m = 9
+d = 2
+data_seed = 4
+reduction = none
+
+[solver]
+method = vr
+eta = 0.1
+t = 3
+k = 2
+seed = 1
+
+[output]
+out_dir = {out}
+"""
+
+
+class TestNonconvexToySolve:
+    def test_solves_the_toy_family(self, tmp_path):
+        import numpy as np
+
+        from drsum.problems import make_synthetic
+        from drsum.reductions import build_mean
+        from drsum.solver import SolverConfig, solve_restarted
+
+        cfg = write_cfg(tmp_path, NONCONVEX_TOY.format(out=tmp_path / "run"))
+        assert main(["solve", cfg]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        family = make_synthetic("nonconvex_toy", m=9, d=2, seed=4)
+        report = solve_restarted(build_mean(family), np.zeros(2),
+                                 SolverConfig(eta=0.1, T=3, K=2, seed=1))
+        assert summary["final_x"] == report.final_x.tolist()
+        assert summary["final_psi"] == report.final_psi
+
+
 DR_LOGISTIC = """
 [problem]
 kind = dr_logistic
@@ -203,6 +243,30 @@ class TestNumericalFailure:
         assert main(["solve", CHI2_CONFIG, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+
+    def test_diverging_baseline_exit_2_and_no_files(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", "full_prox_gradient")
+        monkeypatch.setenv("DRSUM_SOLVER__ETA", "0.5")
+        out = tmp_path / "run"
+        assert main(["solve", CHI2_CONFIG, "--out", str(out)]) == 2
+        assert "non-finite iterate at iteration" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_baseline_failure_exit_2(self, tmp_path, monkeypatch,
+                                           capsys):
+        import drsum.cli
+        from drsum.reductions import NumericalRangeError
+
+        def diverging(*args, **kwargs):
+            raise NumericalRangeError("non-finite iterate at iteration 1")
+
+        monkeypatch.setattr(drsum.cli, "baseline_solve", diverging)
+        out = tmp_path / "bench"
+        assert main(["bench", CHI2_CONFIG, "--out", str(out)]) == 2
+        assert "non-finite iterate" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigErrors:

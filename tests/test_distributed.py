@@ -146,6 +146,20 @@ class TestPerDeviceCounters:
             assert dev.g_jacobian_calls == want
             assert dev.h_gradient_calls == want
 
+    def test_devices_count_components_server_counts_steps(self):
+        prob, d = chi2_problem()
+        dcfg = DistConfig(eta=0.05, T=2, K=2, seed=3, p=4)
+        report = dist_solve(prob, np.zeros(d), dcfg)
+        steps = len(report.trajectory)
+        for dev in report.per_device_counters:
+            assert (dev.f_outer_calls, dev.prox_calls,
+                    dev.projection_calls) == (0, 0, 0)
+        totals = report.counters
+        assert (totals.f_outer_calls, totals.prox_calls) == (steps, steps)
+        for name in ("g_value_calls", "g_jacobian_calls", "h_gradient_calls"):
+            assert getattr(totals, name) == sum(
+                getattr(dev, name) for dev in report.per_device_counters)
+
     def test_batch_term_scales_inner_term_fixed(self):
         schedule = Schedule(mode="fixed_sqrt_m")
         m, T = 16, 3

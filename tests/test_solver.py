@@ -147,9 +147,9 @@ class TestRunEpoch:
         prob = CompositeProblem(1, 1, 2, g_oracle, h_oracle, f_outer)
         x0 = np.array([1.5])
         eta = 0.1
-        state, _ = run_epoch(prob, fresh_state(x0, 1, 1), 1,
-                             StubSchedule(tau=2, S=1, B=2), eta,
-                             StubRng([np.array([1])]))
+        state = run_epoch(prob, fresh_state(x0, 1, 1), 1,
+                          StubSchedule(tau=2, S=1, B=2), eta,
+                          StubRng([np.array([1])]))
         x1 = x0 - eta * 2.0  # batch gradient = mean slope = 2
         assert state.x_prev == pytest.approx(x1)
         expected_y = 2.0 * x0[0] + 3.0 * (x1[0] - x0[0])
@@ -160,9 +160,9 @@ class TestRunEpoch:
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         x0 = np.zeros(d)
-        state, _ = run_epoch(prob, fresh_state(x0, 1, d), 1,
-                             StubSchedule(tau=3, S=2, B=prob.m), 0.0,
-                             StubRng([np.array([3, 5]), np.array([0, 9])]))
+        state = run_epoch(prob, fresh_state(x0, 1, d), 1,
+                          StubSchedule(tau=3, S=2, B=prob.m), 0.0,
+                          StubRng([np.array([3, 5]), np.array([0, 9])]))
         y0, z0, w0 = batch_estimates(prob, range(prob.m), x0)
         assert np.array_equal(state.x, x0)
         assert np.allclose(state.est_g_value, y0, atol=0, rtol=0)
@@ -181,9 +181,11 @@ class TestRunEpoch:
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         grads = []
         probe = lambda stage, t, j, x, g: grads.append((x.copy(), g.copy()))
-        state, _ = run_epoch(prob, fresh_state(np.zeros(d), 1, d), 1,
-                             Schedule(mode="full_batch", tau=4), 0.05,
-                             np.random.default_rng(0), probe=probe)
+        state = run_epoch(prob, fresh_state(np.zeros(d), 1, d), 1,
+                          Schedule(mode="full_batch", tau=4), 0.05,
+                          np.random.default_rng(0),
+                          on_step=lambda s, t, j, tau, x, g, x_new:
+                          probe(s, t, j, x, g))
         for x, g in grads:
             assert np.array_equal(g, full_phi_gradient(prob, x))
 
@@ -238,9 +240,11 @@ class TestEstimatorRecursion:
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         final = {}
         probe = lambda stage, t, j, x, g: final.__setitem__("x", x.copy())
-        state, _ = run_epoch(prob, fresh_state(np.zeros(d), 1, d), 1,
-                             Schedule(mode="full_batch", tau=6), 0.03,
-                             np.random.default_rng(1), probe=probe)
+        state = run_epoch(prob, fresh_state(np.zeros(d), 1, d), 1,
+                          Schedule(mode="full_batch", tau=6), 0.03,
+                          np.random.default_rng(1),
+                          on_step=lambda s, t, j, tau, x, g, x_new:
+                          probe(s, t, j, x, g))
         y_exact, z_exact, w_exact = batch_estimates(prob, range(prob.m), state.x_prev)
         assert np.array_equal(state.est_g_value, y_exact)
         assert np.array_equal(state.est_g_jac, z_exact)
@@ -348,6 +352,45 @@ class TestSolveRestarted:
         assert all(e > 0 for e in errors)
         # monotone decrease across stages
         assert errors[-1] < errors[0] * 1e-2
+
+
+class TestRecordCadence:
+    """One record per proximal step; the gradient mapping at the
+    configured cadence, the violation whenever a set is given."""
+
+    @pytest.mark.parametrize("eta, grad_map_every, at_cadence", [
+        (0.05, 0, lambda j, tau: j == tau - 1),
+        (0.05, 2, lambda j, tau: (j + 1) % 2 == 0),
+        (0.05, -1, lambda j, tau: False),
+        (0.0, 0, lambda j, tau: False),
+    ], ids=["epoch_ends", "every_2nd", "never", "zero_step"])
+    @pytest.mark.parametrize("with_violations", [False, True])
+    def test_records_follow_cadence(self, quad16, eta, grad_map_every,
+                                    at_cadence, with_violations):
+        losses, d, _, _ = quad16
+        prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
+        cset = (ConstraintSet.affine(np.eye(d), np.ones(d))
+                if with_violations else None)
+        K, T, tau = 2, 2, 3
+        cfg = SolverConfig(eta=eta, T=T, K=K, seed=0,
+                           schedule=Schedule(mode="full_batch", tau=tau),
+                           grad_map_every=grad_map_every)
+        x0 = np.full(d, 0.25)
+        probed = []
+        report = solve_restarted(
+            prob, x0, cfg, violation_set=cset,
+            probe=lambda s, t, j, x, g: probed.append((s, t, j, x.copy())))
+
+        steps = [(k, t, j) for k in range(1, K + 1)
+                 for t in range(1, T + 1) for j in range(tau)]
+        assert [(r.stage, r.epoch, r.step)
+                for r in report.trajectory] == steps
+        assert [p[:3] for p in probed] == steps
+        assert np.array_equal(probed[0][3], x0)
+        for rec in report.trajectory:
+            assert np.isfinite(rec.psi)
+            assert (rec.grad_map_sq is not None) == at_cadence(rec.step, tau)
+            assert (rec.max_violation is not None) == with_violations
 
 
 class TestVarianceReduction:
@@ -458,6 +501,21 @@ class TestRobustLogisticSolve:
         wcfg = WassersteinConfig(alpha=3.0, gamma=0.05)
         cfg = SolverConfig(eta=0.05, T=400, K=1, seed=0)
         with pytest.raises(NumericalRangeError):
+            solve_constrained_wasserstein(
+                objective, cset, wcfg, cfg,
+                x0=np.zeros(objective.slope.size))
+
+    def test_aggressive_step_error_names_its_step(self):
+        from drsum.problems import make_synthetic
+        from drsum.reductions import NumericalRangeError, build_dr_logistic
+
+        data = make_synthetic("two_group_bias", m=10, seed=1, min_gap=0.05)
+        objective, cset = build_dr_logistic(data, eps_radius=0.1,
+                                            kappa_flip=1.0)
+        wcfg = WassersteinConfig(alpha=3.0, gamma=0.05)
+        cfg = SolverConfig(eta=0.05, T=400, K=1, seed=0)
+        with pytest.raises(NumericalRangeError,
+                           match=r"^\w+: .+ at stage 1, epoch \d+, step \d+$"):
             solve_constrained_wasserstein(
                 objective, cset, wcfg, cfg,
                 x0=np.zeros(objective.slope.size))

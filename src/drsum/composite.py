@@ -12,7 +12,14 @@ objectives into it.
 Oracles are pure functions of (index, point), so a problem instance is
 safely shareable read-only across threads.  Oracle-call accounting is
 explicit: every evaluation helper takes an optional OracleCounter and
-increments it once per single-component evaluation.
+increments it once per single-component evaluation; a batch evaluation
+of n components advances it by n.
+
+A problem may also carry a value-only batch oracle, component_values,
+returning every g_i and h_i value at one point.  The exact objective
+(evaluate_psi) uses it when present; the per-index loop stays as its
+reference path.  The estimators and the exact gradient always run per
+index.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ class CompositeProblem:
     h_oracle(i, x) -> (value, gradient in R^d)
     f_outer(u)     -> (value, derivative in R^p)
     r_term         -- simple term with value and prox oracles
+    component_values(x) -> (g values in R^{m x p}, h values in R^m),
+                      optional: every component value in one call
     """
 
     dim_x: int
@@ -66,6 +75,7 @@ class CompositeProblem:
     f_outer: Callable
     r_term: SimpleTerm = field(default_factory=ZeroTerm)
     name: str = "composite"
+    component_values: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_g < 1 or self.m < 1:
@@ -194,16 +204,31 @@ def delta_update(problem, indices, x_new, x_old, y, z, w, counter=None):
 
 
 def evaluate_psi(problem, x, counter=None):
-    """Exact objective value Psi(x), averaging all m components."""
-    y = np.zeros(problem.dim_g)
-    h_mean = 0.0
-    for i in range(problem.m):
-        gv, _ = problem.g(i, x, counter)
-        hv, _ = problem.h(i, x, counter)
-        y += gv
-        h_mean += hv
-    f_val, _ = problem.f(y / problem.m, counter)
-    return problem.r_term.value(x) + h_mean / problem.m + f_val
+    """Exact objective value Psi(x), averaging all m components.
+
+    Uses the problem's component_values batch when it has one, the
+    per-index oracles otherwise; either way the counter advances by m
+    per g/h family and by one outer-map call.
+    """
+    m = problem.m
+    if problem.component_values is None:
+        y = np.zeros(problem.dim_g)
+        h_mean = 0.0
+        for i in range(m):
+            gv, _ = problem.g(i, x, counter)
+            hv, _ = problem.h(i, x, counter)
+            y += gv
+            h_mean += hv
+    else:
+        g_vals, h_vals = problem.component_values(x)
+        y = np.sum(g_vals, axis=0)
+        h_mean = float(np.sum(h_vals))
+        if counter is not None:
+            counter.g_value_calls += m
+            counter.g_jacobian_calls += m
+            counter.h_gradient_calls += m
+    f_val, _ = problem.f(y / m, counter)
+    return problem.r_term.value(x) + h_mean / m + f_val
 
 
 def full_phi_gradient(problem, x, counter=None):

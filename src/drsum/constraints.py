@@ -1,15 +1,17 @@
 """Constraint sets, violation metrics, and the terminal feasibility projection.
 
 A ConstraintSet holds m inequality constraints c_i(x) <= 0 through a
-single oracle returning value and gradient per index.  The projection
-onto the feasible set is exact cyclic Dykstra for all-affine sets and a
-smoothed-penalty continuation for general smooth convex sets.
+single oracle returning value and gradient per index, plus an optional
+value-only batch of all m values, which the violation metric and the
+exact objective use when it is set.  The projection onto the feasible
+set is exact cyclic Dykstra for all-affine sets and a smoothed-penalty
+continuation for general smooth convex sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,6 +36,7 @@ class ConstraintSet:
     m: int
     oracle: Callable  # (index, x) -> (value, gradient)
     kinds: Sequence[str] = field(default_factory=tuple)
+    batch_values: Optional[Callable] = None  # x -> all m values, shape (m,)
 
     def __post_init__(self):
         if self.m < 1:
@@ -49,6 +52,8 @@ class ConstraintSet:
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
+        if self.batch_values is not None:
+            return np.asarray(self.batch_values(x), dtype=float)
         return np.array([self.eval(i, x)[0] for i in range(self.m)])
 
     @property
@@ -76,7 +81,8 @@ class ConstraintSet:
         def oracle(i, x):
             return float(A[i] @ x - b[i]), A[i].copy()
 
-        return cls(m=A.shape[0], oracle=oracle, kinds=tuple(AFFINE for _ in b))
+        return cls(m=A.shape[0], oracle=oracle, kinds=tuple(AFFINE for _ in b),
+                   batch_values=lambda x: A @ x - b)
 
 
 def max_violation(cset, x):

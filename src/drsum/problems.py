@@ -1,9 +1,11 @@
 """Concrete losses, datasets, synthetic generators, and fairness constraints.
 
-Loss families expose per-sample oracles eval(i, x) -> (value, gradient);
-classifier families additionally expose the raw score and its gradient,
-which the fairness constraints differentiate through.  Everything is
-deterministic under an explicit seed.
+Loss families expose per-sample oracles eval(i, x) -> (value, gradient)
+and a value-only batch values(x) -> (m,) of every per-row loss in one
+array expression; classifier families additionally expose the raw score
+and its gradient, which the fairness constraints differentiate through,
+and the batch scores(x) -> (m,).  Everything is deterministic under an
+explicit seed.
 """
 
 from __future__ import annotations
@@ -84,6 +86,10 @@ class QuadraticLosses:
         resid = float(self.A[i] @ x - self.b[i])
         return 0.5 * resid * resid, resid * self.A[i]
 
+    def values(self, x):
+        resid = self.A @ x - self.b
+        return 0.5 * resid * resid
+
     def minimizer(self):
         return np.linalg.solve(self.A.T @ self.A, self.A.T @ self.b)
 
@@ -100,11 +106,17 @@ class LogisticLosses:
         z = self.dataset.features[i]
         return float(z @ x), z
 
+    def scores(self, x):
+        return self.dataset.features @ x
+
     def eval(self, i, x):
         z = self.dataset.features[i]
         y = self.dataset.labels[i]
         margin = -y * float(z @ x)
         return float(np.logaddexp(0.0, margin)), -y * float(expit(margin)) * z
+
+    def values(self, x):
+        return np.logaddexp(0.0, -self.dataset.labels * self.scores(x))
 
 
 class Mlp2Losses:
@@ -140,11 +152,18 @@ class Mlp2Losses:
         grad = np.concatenate([np.outer(dt, z).ravel(), dt, t, [1.0]])
         return s, grad
 
+    def scores(self, x):
+        W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
+        return np.tanh(self.dataset.features @ W.T + b1) @ v + b2
+
     def eval(self, i, x):
         s, sgrad = self.score(i, x)
         y = self.dataset.labels[i]
         margin = -y * s
         return float(np.logaddexp(0.0, margin)), -y * float(expit(margin)) * sgrad
+
+    def values(self, x):
+        return np.logaddexp(0.0, -self.dataset.labels * self.scores(x))
 
 
 class MeanLossObjective:
@@ -258,7 +277,7 @@ def build_fairness_constraints(dataset: TabularDataset, family,
 
 def group_true_positive_rates(dataset: TabularDataset, family, x):
     """Hard-indicator tpr overall and per group at the given parameters."""
-    scores = np.array([family.score(i, x)[0] for i in range(dataset.m)])
+    scores = family.scores(x)
     pos = dataset.labels > 0
     rates = {"ALL": float(np.mean(scores[pos] > 0))}
     if dataset.group_ids is not None:
@@ -277,7 +296,7 @@ def max_fairness_violation(dataset, family, x, eps):
 
 
 def error_rate(dataset: TabularDataset, family, x):
-    scores = np.array([family.score(i, x)[0] for i in range(dataset.m)])
+    scores = family.scores(x)
     predicted = np.where(scores > 0, 1.0, -1.0)
     return float(np.mean(predicted != dataset.labels))
 
@@ -381,17 +400,23 @@ class NonconvexToyLosses:
         grad[1:] = rest
         return val, grad
 
+    def values(self, x):
+        x = np.asarray(x, dtype=float)
+        x1 = float(x[0])
+        rest = x[1:]
+        return 0.25 * (x1 * x1 - self.c) ** 2 + self.g * x1 \
+            + 0.5 * float(rest @ rest)
+
 
 def _fit_logistic(dataset, iters=400, eta=0.5, ridge=1e-4):
-    """Quick full-gradient logistic fit used by the bias-planting generator."""
-    family = LogisticLosses(dataset)
+    """Quick full-gradient logistic fit used by the bias-planting generator:
+    one matrix-vector gradient (the sum of the per-row eval gradients)
+    per iteration."""
+    Z, y = dataset.features, dataset.labels
     x = np.zeros(dataset.dim)
     for _ in range(iters):
-        grad = np.zeros(dataset.dim)
-        for i in range(family.m):
-            _, g = family.eval(i, x)
-            grad += g
-        x = x - eta * (grad / family.m + ridge * x)
+        grad = Z.T @ (-y * expit(-y * (Z @ x)))
+        x = x - eta * (grad / dataset.m + ridge * x)
     return x
 
 

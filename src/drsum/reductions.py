@@ -10,6 +10,10 @@ forms on small instances.
 All exponentials run in max-shifted log space; the compiled problems
 carry a fixed shift anchored at a reference point so the estimator
 recursions stay consistent across evaluations.
+
+When the loss family (or constraint set) has a value-only batch, the
+compiled problem also carries component_values, the same per-component
+values in one array pass, which the exact objective uses.
 """
 
 from __future__ import annotations
@@ -97,13 +101,14 @@ class WorstCaseWeights:
 
 
 def _as_family(losses, dim=None):
-    """Normalize loss input to (m, dim, eval) with eval(i, x) -> (val, grad)."""
+    """Normalize loss input to (m, dim, eval, values) with eval(i, x) ->
+    (val, grad) and values(x) -> all m losses, or None without a batch."""
     if hasattr(losses, "eval") and hasattr(losses, "m"):
-        return losses.m, losses.dim, losses.eval
+        return losses.m, losses.dim, losses.eval, getattr(losses, "values", None)
     funcs = list(losses)
     if dim is None:
         raise ValueError("dim is required when losses is a plain sequence")
-    return len(funcs), dim, lambda i, x: funcs[i](x)
+    return len(funcs), dim, lambda i, x: funcs[i](x), None
 
 
 def build_chi2(losses, cfg: Chi2Config, dim=None):
@@ -112,8 +117,9 @@ def build_chi2(losses, cfg: Chi2Config, dim=None):
     Psi(x) = mean(f) + (1/(2*gamma*m)) * sum_i (f_i - mean(f))^2, realized
     with g_i = f_i, h_i = f_i + f_i^2/(2*gamma), outer map u -> -u^2/(2*gamma).
     The brute-force simplex oracle certifies this value on small instances.
+    The batch path evaluates each loss once for both g and h.
     """
-    m, d, ev = _as_family(losses, dim)
+    m, d, ev, values = _as_family(losses, dim)
     gamma = cfg.gamma
 
     def g_oracle(i, x):
@@ -127,8 +133,14 @@ def build_chi2(losses, cfg: Chi2Config, dim=None):
     def f_outer(u):
         return -float(u[0]) ** 2 / (2.0 * gamma), np.array([-float(u[0]) / gamma])
 
+    def component_values(x):
+        val = values(x)
+        return val[:, None], val + val * val / (2.0 * gamma)
+
     return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer, name="chi2")
+                            h_oracle=h_oracle, f_outer=f_outer, name="chi2",
+                            component_values=(None if values is None
+                                              else component_values))
 
 
 def chi2_worst_case_weights(loss_values, gamma):
@@ -152,7 +164,7 @@ def build_kl(losses, cfg: KlConfig, dim=None, shift_anchor=None):
     where the fixed shift c is the largest exponent seen at the anchor
     point (zero without an anchor).
     """
-    m, d, ev = _as_family(losses, dim)
+    m, d, ev, values = _as_family(losses, dim)
     gamma = cfg.gamma
     shift = 0.0
     if shift_anchor is not None:
@@ -182,8 +194,20 @@ def build_kl(losses, cfg: KlConfig, dim=None, shift_anchor=None):
     def h_oracle(i, x):
         return 0.0, np.zeros(d)
 
+    def component_values(x):
+        e = values(x) / gamma - shift
+        over = e > EXP_LIMIT
+        if over.any():
+            raise NumericalRangeError(
+                f"exponent {e[over][0]:.1f} exceeds range after shift; "
+                "increase gamma"
+            )
+        return np.exp(e)[:, None], np.zeros(m)
+
     return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer, name="kl")
+                            h_oracle=h_oracle, f_outer=f_outer, name="kl",
+                            component_values=(None if values is None
+                                              else component_values))
 
 
 def kl_worst_case_weights(loss_values, gamma):
@@ -231,6 +255,9 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
 
         def h_oracle(i, x):
             return 0.0, np.zeros(d)
+
+        def h_values(x):
+            return np.zeros(m)
     elif hasattr(objective, "value_grad"):
         r_term = ZeroTerm()
         d = dim if dim is not None else getattr(objective, "dim", None)
@@ -240,12 +267,18 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
         def h_oracle(i, x):
             val, grad = objective.value_grad(x)
             return float(val), np.asarray(grad, dtype=float)
+
+        def h_values(x):
+            return np.full(m, float(objective.value_grad(x)[0]))
     else:
         raise TypeError("objective must be a SimpleTerm or expose value_grad(x)")
 
     shift = 0.0
     if shift_anchor is not None:
-        vals = constraints.values(shift_anchor)
+        # per index, not batch_values: the shift enters the estimators,
+        # which must not move by the batch path's rounding
+        vals = np.array([constraints.eval(i, shift_anchor)[0]
+                         for i in range(m)])
         shift = max(0.0, float(np.max(alpha * vals / gamma)))
     base = np.exp(-shift)  # the constant 1 of the penalty, in shifted space
 
@@ -270,14 +303,26 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
         val = gamma * (np.log(total) - np.log(m + 1.0) + shift)
         return val, np.array([gamma * m / total])
 
-    return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer,
-                            r_term=r_term, name="wasserstein")
+    def component_values(x):
+        e = alpha * constraints.values(x) / gamma - shift
+        over = e > EXP_LIMIT
+        if over.any():
+            raise NumericalRangeError(
+                f"constraint exponent {e[over][0]:.1f} exceeds range after "
+                "shift; increase gamma or re-anchor"
+            )
+        return np.exp(e)[:, None], h_values(x)
+
+    return CompositeProblem(
+        dim_x=d, dim_g=1, m=m, g_oracle=g_oracle, h_oracle=h_oracle,
+        f_outer=f_outer, r_term=r_term, name="wasserstein",
+        component_values=(None if constraints.batch_values is None
+                          else component_values))
 
 
 def build_mean(losses, dim=None):
     """Plain empirical risk mean(f) as a composite (identity outer map)."""
-    m, d, ev = _as_family(losses, dim)
+    m, d, ev, values = _as_family(losses, dim)
 
     def g_oracle(i, x):
         val, grad = ev(i, x)
@@ -289,8 +334,13 @@ def build_mean(losses, dim=None):
     def f_outer(u):
         return float(u[0]), np.array([1.0])
 
+    def component_values(x):
+        return values(x)[:, None], np.zeros(m)
+
     return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer, name="mean")
+                            h_oracle=h_oracle, f_outer=f_outer, name="mean",
+                            component_values=(None if values is None
+                                              else component_values))
 
 
 def build_dr_logistic(dataset, eps_radius, kappa_flip):
@@ -350,8 +400,17 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
         grad[d_beta] = -1.0
         return norm - lam, grad
 
+    def batch_values(x):
+        beta, lam, s = split(np.asarray(x, dtype=float))
+        margins = Z @ beta
+        true = np.logaddexp(0.0, -y * margins) - s
+        flipped = np.logaddexp(0.0, y * margins) - lam * kappa_flip - s
+        return np.concatenate(
+            [true, flipped, [float(np.linalg.norm(beta)) - lam]])
+
     kinds = tuple([CONVEX_SMOOTH] * (2 * m) + [GENERAL])
-    return objective, ConstraintSet(m=2 * m + 1, oracle=oracle, kinds=kinds)
+    return objective, ConstraintSet(m=2 * m + 1, oracle=oracle, kinds=kinds,
+                                    batch_values=batch_values)
 
 
 def convexify_constraints(cset: ConstraintSet, mu_vec):
@@ -367,6 +426,9 @@ def convexify_constraints(cset: ConstraintSet, mu_vec):
         val, grad = cset.eval(i, x)
         return val + mu[i] * float(x @ x), grad + 2.0 * mu[i] * x
 
+    def batch_values(x):
+        return cset.values(x) + mu * float(x @ x)
+
     kinds = []
     for k, mu_i in zip(cset.kinds, mu):
         if mu_i == 0.0:
@@ -375,7 +437,8 @@ def convexify_constraints(cset: ConstraintSet, mu_vec):
             kinds.append(CONVEX_SMOOTH)
         else:
             kinds.append(GENERAL)
-    return ConstraintSet(m=cset.m, oracle=oracle, kinds=tuple(kinds))
+    return ConstraintSet(m=cset.m, oracle=oracle, kinds=tuple(kinds),
+                         batch_values=batch_values)
 
 
 def _project_simplex(v):

@@ -241,6 +241,20 @@ class TestSynthetic:
         again = make_synthetic("two_group_bias", m=120, seed=3, min_gap=0.1)
         assert np.array_equal(dataset.features, again.features)
 
+    @pytest.mark.parametrize("m,seed", [(120, 3), (20, 1001)])
+    def test_vectorized_fit_matches_per_row_loop(self, m, seed):
+        from drsum.problems import _fit_logistic, _sample_two_group
+        dataset = _sample_two_group(m, seed, 0.2)
+        family = LogisticLosses(dataset)
+        x_ref = np.zeros(dataset.dim)
+        for _ in range(400):
+            grad = np.zeros(dataset.dim)
+            for i in range(m):
+                grad += family.eval(i, x_ref)[1]
+            x_ref = x_ref - 0.5 * (grad / m + 1e-4 * x_ref)
+        np.testing.assert_allclose(_fit_logistic(dataset), x_ref,
+                                   rtol=1e-12, atol=1e-12)
+
     def test_nonconvex_toy_two_value_clusters(self):
         family = make_synthetic("nonconvex_toy", m=12, d=3, seed=2)
         prob = build_mean(family)

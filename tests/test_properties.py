@@ -1,13 +1,37 @@
 """Randomized algebraic properties, fuzzed beyond the seeded suites."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drsum.composite import OracleCounter, evaluate_psi
+from drsum.constraints import ConstraintSet
 from drsum.diagnostics import fit_rate
-from drsum.proxlib import L1Term, prox_step
+from drsum.problems import (
+    FairnessSpec,
+    LogisticLosses,
+    MeanLossObjective,
+    TabularDataset,
+    build_fairness_constraints,
+    make_losses,
+    make_synthetic,
+)
+from drsum.proxlib import L1Term, SquaredNormTerm, prox_step
 from drsum.reductions import (
+    Chi2Config,
+    KlConfig,
+    NumericalRangeError,
+    WassersteinConfig,
+    build_chi2,
+    build_dr_logistic,
+    build_kl,
+    build_mean,
+    build_wasserstein,
     chi2_worst_case_weights,
+    convexify_constraints,
     kl_worst_case_weights,
     wasserstein_penalty,
 )
@@ -61,3 +85,127 @@ def test_fit_rate_recovers_exact_geometric_decay(start, slope, n):
     fit = fit_rate(errors)
     assert abs(fit.slope - slope) < 1e-9
     assert fit.r_squared > 1 - 1e-12
+
+
+# -- batched component values against the per-index reference path ------
+
+FAMILIES = ("quadratic", "logistic", "mlp2", "nonconvex_toy")
+CONSTRAINT_SETS = ("dr_logistic", "affine", "convexified", "fairness")
+
+
+def _dataset(rng, m, d=3):
+    Z = rng.standard_normal((m, d))
+    y = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
+    groups = rng.integers(0, 2, size=m)
+    y[:2], groups[:2] = 1.0, (0, 1)  # a positive row in each group
+    return TabularDataset(features=Z, labels=y, group_ids=groups)
+
+
+def _family(kind, rng, m, d=3):
+    if kind in ("quadratic", "nonconvex_toy"):
+        synthetic = ("strongly_convex_quadratic" if kind == "quadratic"
+                     else kind)
+        return make_synthetic(synthetic, m=m, d=d,
+                              seed=int(rng.integers(1 << 16)))
+    return make_losses(kind, _dataset(rng, m, d), hidden=2)
+
+
+def _objective_and_constraints(kind, rng, m, d=3):
+    """(objective, constraint set, decision dimension) of one set kind."""
+    if kind == "dr_logistic":
+        objective, cset = build_dr_logistic(_dataset(rng, m, d), 0.1, 1.0)
+        return objective, cset, objective.slope.size
+    if kind == "fairness":
+        dataset = _dataset(rng, m, d)
+        family = LogisticLosses(dataset)
+        cset = build_fairness_constraints(dataset, family, FairnessSpec())
+        return MeanLossObjective(family), cset, d
+    cset = ConstraintSet.affine(rng.standard_normal((m, d)),
+                                rng.standard_normal(m))
+    if kind == "affine":
+        return SquaredNormTerm(1.0), cset, d
+    # a smooth objective, so h takes the value_grad branch
+    cset = convexify_constraints(cset, rng.uniform(0.0, 1.0, size=m))
+    return MeanLossObjective(_family("quadratic", rng, m, d)), cset, d
+
+
+def _assert_paths_agree(problem, x):
+    """evaluate_psi through component_values equals the per-index loop:
+    same value to rounding, same counters, or the same range error."""
+    reference = replace(problem, component_values=None)
+    fast_counter, ref_counter = OracleCounter(), OracleCounter()
+    try:
+        expected = evaluate_psi(reference, x, ref_counter)
+    except NumericalRangeError:
+        with pytest.raises(NumericalRangeError):
+            evaluate_psi(problem, x, fast_counter)
+        return
+    got = evaluate_psi(problem, x, fast_counter)
+    assert isinstance(got, float)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert fast_counter == ref_counter
+
+
+@pytest.mark.parametrize("family_kind", FAMILIES)
+@pytest.mark.parametrize("reduction", ("chi2", "kl", "mean"))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12),
+       scale=st.floats(0.0, 3.0), gamma=st.floats(0.2, 20.0),
+       anchored=st.booleans())
+def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
+                                       scale, gamma, anchored):
+    rng = np.random.default_rng(seed)
+    family = _family(family_kind, rng, m)
+    x = scale * rng.standard_normal(family.dim)
+    np.testing.assert_allclose(
+        family.values(x), [family.eval(i, x)[0] for i in range(m)],
+        rtol=1e-12, atol=1e-12)
+    if hasattr(family, "scores"):
+        np.testing.assert_allclose(
+            family.scores(x), [family.score(i, x)[0] for i in range(m)],
+            rtol=1e-12, atol=1e-12)
+    if reduction == "chi2":
+        problem = build_chi2(family, Chi2Config(gamma=gamma))
+    elif reduction == "kl":
+        anchor = rng.standard_normal(family.dim) if anchored else None
+        problem = build_kl(family, KlConfig(gamma=gamma), shift_anchor=anchor)
+    else:
+        problem = build_mean(family)
+    assert problem.component_values is not None
+    _assert_paths_agree(problem, x)
+
+
+@pytest.mark.parametrize("set_kind", CONSTRAINT_SETS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 10),
+       scale=st.floats(0.0, 3.0), alpha=st.floats(0.1, 5.0),
+       gamma=st.floats(0.01, 2.0), anchored=st.booleans())
+def test_batched_wasserstein_psi_matches_per_index(set_kind, seed, m, scale,
+                                                   alpha, gamma, anchored):
+    rng = np.random.default_rng(seed)
+    objective, cset, dim = _objective_and_constraints(set_kind, rng, m)
+    x = scale * rng.standard_normal(dim)
+    per_index = [cset.eval(i, x)[0] for i in range(cset.m)]
+    np.testing.assert_allclose(cset.values(x), per_index,
+                               rtol=1e-12, atol=1e-12)
+    anchor = x + rng.standard_normal(dim) if anchored else None
+    problem = build_wasserstein(objective, cset,
+                                WassersteinConfig(alpha=alpha, gamma=gamma),
+                                shift_anchor=anchor, dim=dim)
+    # the m=2 fairness set keeps the per-index loop
+    assert (problem.component_values is None) == (set_kind == "fairness")
+    _assert_paths_agree(problem, x)
+
+
+def test_both_paths_raise_out_of_range():
+    x = np.array([5.0, 0.0])
+    family = make_synthetic("nonconvex_toy", m=4, d=2, seed=0)
+    kl = build_kl(family, KlConfig(gamma=1e-3))
+    cset = ConstraintSet.affine(np.eye(2), np.zeros(2))
+    wasserstein = build_wasserstein(
+        SquaredNormTerm(1.0), cset, WassersteinConfig(alpha=1.0, gamma=1e-3),
+        dim=2)
+    for problem in (kl, wasserstein):
+        for path in (problem, replace(problem, component_values=None)):
+            with pytest.raises(NumericalRangeError, match="exceeds range"):
+                evaluate_psi(path, x)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -519,3 +521,89 @@ class TestRobustLogisticSolve:
             solve_constrained_wasserstein(
                 objective, cset, wcfg, cfg,
                 x0=np.zeros(objective.slope.size))
+
+
+class TestBatchDiagnosticsLeaveSolverAlone:
+    """component_values feeds only the diagnostics: a solve with the batch
+    value path takes exactly the steps of one with the per-index path."""
+
+    @staticmethod
+    def assert_same_run(fast, ref):
+        assert np.array_equal(fast.final_x, ref.final_x)
+        assert fast.counters == ref.counters
+        assert len(fast.trajectory) == len(ref.trajectory)
+        for a, b in zip(fast.trajectory, ref.trajectory):
+            assert (a.stage, a.epoch, a.step, a.g_calls, a.h_calls) == \
+                (b.stage, b.epoch, b.step, b.g_calls, b.h_calls)
+            assert a.psi == pytest.approx(b.psi, rel=1e-12)
+            assert a.grad_map_sq == b.grad_map_sq
+            if b.max_violation is None:
+                assert a.max_violation is None
+            else:
+                assert a.max_violation == pytest.approx(b.max_violation,
+                                                        rel=1e-12)
+        assert fast.final_psi == pytest.approx(ref.final_psi, rel=1e-12)
+
+    def test_anchor_shift_ignores_batch_values(self):
+        from drsum.reductions import build_wasserstein
+
+        # the anchored shift enters every g_i, so a batch that differs
+        # from the per-index values (here by 1e-9) must not move them
+        cset = ConstraintSet.affine(np.eye(2), np.ones(2))
+        skewed = replace(cset, batch_values=lambda x: x - 1.0 + 1e-9)
+        wcfg = WassersteinConfig(alpha=2.0, gamma=0.1)
+        x = np.array([0.5, 2.0])
+        exact, fuzzy = (
+            build_wasserstein(SquaredNormTerm(1.0), c, wcfg,
+                              shift_anchor=np.array([3.0, -1.0]), dim=2)
+            for c in (cset, skewed))
+        for i in range(2):
+            for a, b in zip(exact.g(i, x), fuzzy.g(i, x)):
+                assert np.array_equal(a, b)
+
+    def test_solve_restarted(self):
+        from drsum.problems import make_synthetic
+
+        family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
+        prob = build_chi2(family, Chi2Config(gamma=10.0))
+        cset = ConstraintSet.affine(np.eye(5), np.full(5, 0.1))
+        cfg = SolverConfig(eta=0.002, T=3, K=2, seed=3, grad_map_every=2)
+        fast = solve_restarted(prob, np.ones(5), cfg, violation_set=cset)
+        ref = solve_restarted(replace(prob, component_values=None), np.ones(5),
+                              cfg, violation_set=replace(cset,
+                                                         batch_values=None))
+        assert prob.component_values is not None
+        self.assert_same_run(fast, ref)
+
+    def test_dist_solve(self):
+        from drsum.distributed import DistConfig, dist_solve
+        from drsum.problems import make_losses, make_synthetic
+        from drsum.reductions import KlConfig, build_kl
+
+        data = make_synthetic("two_group_bias", m=64, seed=2, min_gap=0.1)
+        prob = build_kl(make_losses("logistic", data), KlConfig(gamma=1.0))
+        cfg = DistConfig(eta=0.5, T=3, K=2, seed=5, p=4)
+        fast = dist_solve(prob, np.zeros(prob.dim_x), cfg)
+        ref = dist_solve(replace(prob, component_values=None),
+                         np.zeros(prob.dim_x), cfg)
+        assert prob.component_values is not None
+        self.assert_same_run(fast, ref)
+        assert fast.per_device_counters == ref.per_device_counters
+
+    def test_solve_constrained_wasserstein(self):
+        from drsum.problems import make_synthetic
+        from drsum.reductions import build_dr_logistic
+
+        data = make_synthetic("two_group_bias", m=6, seed=1, min_gap=0.05)
+        objective, cset = build_dr_logistic(data, eps_radius=0.1,
+                                            kappa_flip=1.0)
+        wcfg = WassersteinConfig(alpha=3.0, gamma=0.05)
+        cfg = SolverConfig(eta=0.002, T=60, K=2, seed=0)  # projection runs
+        x0 = np.zeros(objective.slope.size)
+        fast = solve_constrained_wasserstein(objective, cset, wcfg, cfg, x0=x0)
+        ref = solve_constrained_wasserstein(
+            objective, replace(cset, batch_values=None), wcfg, cfg, x0=x0)
+        assert cset.batch_values is not None
+        self.assert_same_run(fast, ref)
+        assert np.array_equal(fast.x_unprojected, ref.x_unprojected)
+        assert fast.projection_iterations == ref.projection_iterations > 0

@@ -55,7 +55,6 @@ from .solver import (
     derive_step_size,
     expected_oracle_calls,
     run_epoch,
-    run_stage,
     solve_constrained_wasserstein,
     solve_restarted,
     recommended_epochs,

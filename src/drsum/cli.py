@@ -506,16 +506,11 @@ def cmd_check(cfg):
 
 
 def _metrics_at(exp, problem, x):
-    psi = evaluate_psi(problem, x) if problem is not None else None
-    if exp.reduction == "wasserstein":
-        psi = None
-    gm = None
-    if problem is not None:
-        _, gm = gradient_mapping(problem, exp.solver_cfg.eta, x)
+    psi = evaluate_psi(problem, x)
+    _, gm = gradient_mapping(problem, exp.solver_cfg.eta, x)
     viol = max_violation(exp.constraints, x) if exp.constraints is not None else None
     err = None
-    if exp.dataset is not None and exp.family is not None \
-            and hasattr(exp.family, "score"):
+    if exp.dataset is not None and hasattr(exp.family, "score"):
         err = error_rate(exp.dataset, exp.family, x)
     return psi, gm, viol, err
 
@@ -523,9 +518,9 @@ def _metrics_at(exp, problem, x):
 def _bench_rows(exp):
     """One row per (method, oracle-budget checkpoint): the configured
     solver's stage outputs, then the baselines at the same budgets."""
-    report = exp.run()
     if exp.family is None:
         raise ConfigError("bench needs a loss-family problem")
+    report = exp.run()
     primary_name = "vr" if exp.reduction == "none" else f"vr_{exp.reduction}"
 
     budgets = []
@@ -537,14 +532,12 @@ def _bench_rows(exp):
         last_stage = rec.stage
     budgets.append(report.trajectory[-1].g_calls)
 
-    mean_problem = build_mean(exp.family) if exp.family is not None else exp.problem
+    mean_problem = build_mean(exp.family)
     rows = []
     stage_xs = report.stage_outputs or [report.final_x]
     eval_problem = exp.problem if exp.problem is not None else mean_problem
     for budget, x in zip(budgets, stage_xs):
         psi, gm, viol, err = _metrics_at(exp, eval_problem, x)
-        if psi is None and mean_problem is not None:
-            psi = evaluate_psi(mean_problem, x)
         rows.append((primary_name, budget, psi, gm, viol, err))
 
     cost_per_iter = mean_problem.m
@@ -553,8 +546,6 @@ def _bench_rows(exp):
         base = baseline_solve(mean_problem, "full_prox_gradient", iters,
                               exp.solver_cfg.eta, seed=exp.solver_cfg.seed)
         psi, gm, viol, err = _metrics_at(exp, mean_problem, base.final_x)
-        if psi is None:
-            psi = evaluate_psi(mean_problem, base.final_x)
         rows.append(("unconstrained", base.counters.g_value_calls,
                      psi, gm, viol, err))
 

@@ -103,16 +103,19 @@ def project_feasible(cset, x, tol=1e-8, max_iter=100_000):
     last residual if max_iter is exhausted above tolerance.
     """
     x = np.asarray(x, dtype=float)
-    if max_violation(cset, x) <= tol:
-        return x.copy(), max_violation(cset, x), 0
+    residual = max_violation(cset, x)
+    if residual <= tol:
+        return x.copy(), residual, 0
     if cset.all_affine:
         return _dykstra_affine(cset, x, tol, max_iter)
     return _penalty_projection(cset, x, tol, max_iter)
 
 
 def _dykstra_affine(cset, x, tol, max_iter, step_tol=1e-10):
-    A = np.vstack([cset.eval(i, np.zeros_like(x))[1] for i in range(cset.m)])
-    b = np.array([-cset.eval(i, np.zeros_like(x))[0] for i in range(cset.m)])
+    origin = np.zeros_like(x)
+    evals = [cset.eval(i, origin) for i in range(cset.m)]
+    A = np.vstack([grad for _, grad in evals])
+    b = np.array([-val for val, _ in evals])
     sq_norms = np.einsum("ij,ij->i", A, A)
     if np.any(sq_norms <= 0):
         raise ValueError("affine constraint with zero normal")
@@ -157,17 +160,15 @@ def _penalty_projection(cset, x, tol, max_iter):
     for _ in range(60):
 
         def objective(v):
-            vals = np.array([cset.eval(i, v)[0] for i in range(cset.m)])
-            exponents = weight * vals / gamma
+            evals = [cset.eval(i, v) for i in range(cset.m)]
+            exponents = weight * np.array([val for val, _ in evals]) / gamma
             shift = max(0.0, float(np.max(exponents)))
-            lse = shift + np.log(np.exp(-shift) + np.sum(np.exp(exponents - shift)))
-            obj = 0.5 * float((v - x) @ (v - x)) + gamma * lse
             soft = np.exp(exponents - shift)
             denom = np.exp(-shift) + np.sum(soft)
-            grad = (v - x).astype(float)
-            for i in range(cset.m):
-                _, gi = cset.eval(i, v)
-                grad += weight * (soft[i] / denom) * gi
+            obj = 0.5 * float((v - x) @ (v - x)) + gamma * (shift + np.log(denom))
+            grad = v - x
+            for s, (_, gi) in zip(soft, evals):
+                grad += weight * (s / denom) * gi
             return obj, grad
 
         res = minimize(objective, y, jac=True, method="L-BFGS-B",

@@ -9,8 +9,8 @@ constrained runs finish with a single feasibility projection.
 The epoch loop exists once, in sharded form (_sharded_epoch), and
 reports each proximal step through one hook; the one stage/restart
 driver (_run_stages) records the steps and applies the output rule.
-The centralized solver (run_epoch, run_stage, solve_restarted) is their
-1-worker case: one shard holding every index, sampled from the solver's
+The centralized solver (run_epoch, solve_restarted) is their 1-worker
+case: one shard holding every index, sampled from the solver's
 stream with weight 1.0.  The simulated multi-worker solver in the
 distributed module runs the same loop with one shard per worker.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -409,18 +409,6 @@ def _run_stages(problem_builder, x0, config, epoch, counters, *,
     )
 
 
-def run_stage(problem, x0, config: SolverConfig, counter=None, *, rng=None,
-              violation_set=None, probe=None):
-    """The K = 1 case of solve_restarted, charging counter and sampling
-    from rng (default: the config's seed); returns (x_out, records)."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    epoch = lambda problem, state, t, **hook: run_epoch(
-        problem, state, t, config.schedule, config.eta, rng, counter, **hook)
-    report = _run_stages(problem, x0, replace(config, K=1), epoch, [counter],
-                         violation_set=violation_set, probe=probe)
-    return report.final_x, report.trajectory
-
-
 def solve_restarted(problem_builder, x0, config: SolverConfig, *,
                     violation_set=None, probe=None) -> SolverReport:
     """K warm-started stages.  problem_builder is either a fixed
@@ -444,24 +432,20 @@ def _objective_value(objective, x):
 
 
 def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverConfig,
-                                  x0=None, smoothness=None, gamma_schedule=None,
-                                  projection_tol=1e-8,
+                                  x0, smoothness=None, projection_tol=1e-8,
                                   projection_max_iter=100_000) -> SolverReport:
-    """Restarted solve of the smoothed constrained problem followed by a
-    single terminal projection onto the feasible set.
+    """Restarted solve of the smoothed constrained problem, started at
+    x0, followed by a single terminal projection onto the feasible set.
 
     The smoothing temperature is held at the configured value for every
-    stage unless a gamma_schedule(stage_index) hook is supplied; each
-    stage re-anchors the compiled exponentials at its warm start.  When
-    smoothness constants are supplied, alpha <= G_r/rho draws a warning
-    (the projection-quality guarantee needs alpha > G_r/rho) but the run
-    proceeds.  The report carries the objective value before and after
-    the single projection and their gap.
+    stage; each stage re-anchors the compiled exponentials at its warm
+    start.  When smoothness constants are supplied, alpha <= G_r/rho
+    draws a warning (the projection-quality guarantee needs alpha >
+    G_r/rho) but the run proceeds.  The report carries the objective
+    value before and after the single projection and their gap.
     """
-    from .reductions import WassersteinConfig, build_wasserstein
+    from .reductions import build_wasserstein
 
-    m = constraints.m
-    gamma0 = wcfg.resolve_gamma(m)
     if wcfg.K is not None and wcfg.K != config.K:
         warnings.warn(
             f"restart counts disagree: temperature derived for K={wcfg.K}, "
@@ -475,22 +459,11 @@ def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverCo
                 "guarantee does not apply"
             )
 
-    dim = None
-    if hasattr(objective, "dim"):
-        dim = int(objective.dim)
-    elif hasattr(objective, "slope"):
-        dim = int(objective.slope.size)
-    if x0 is None:
-        if dim is None:
-            raise ValueError("pass x0: decision dimension cannot be inferred")
-        x0 = np.zeros(dim)
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
 
     def builder(k, x_start):
-        gamma_k = gamma0 if gamma_schedule is None else float(gamma_schedule(k))
-        stage_cfg = WassersteinConfig(alpha=wcfg.alpha, gamma=gamma_k)
-        return build_wasserstein(objective, constraints, stage_cfg,
+        return build_wasserstein(objective, constraints, wcfg,
                                  shift_anchor=np.asarray(x_start, dtype=float),
                                  dim=dim)
 

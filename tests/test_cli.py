@@ -228,6 +228,19 @@ class TestDrLogisticSolve:
         assert main(["solve", cfg]) == 2
         assert "nonconvergence" in capsys.readouterr().err
 
+    def test_bench_rejects_config_before_solving(self, tmp_path, monkeypatch,
+                                                 capsys):
+        import drsum.cli
+
+        def no_solve(self):
+            raise AssertionError("bench solved a config it cannot bench")
+
+        monkeypatch.setattr(drsum.cli.Experiment, "run", no_solve)
+        cfg = write_cfg(tmp_path, DR_LOGISTIC.format(out=tmp_path / "dr"))
+        assert main(["bench", cfg]) == 1
+        assert "loss-family" in capsys.readouterr().err
+        assert not (tmp_path / "dr").exists()
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("overrides, error", [

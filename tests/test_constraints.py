@@ -86,12 +86,32 @@ class TestAffineProjection:
             y = rng.uniform(-1.0, 1.0, size=2)
             assert (x - proj) @ (y - proj) <= 1e-8 * gap + 1e-12
 
+    def test_reads_each_halfspace_once(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        cset, calls = counting(ConstraintSet.affine(A, np.ones(3)))
+        # the feasibility test reads all m values, Dykstra's set-up reads
+        # (A, b) from one evaluation per halfspace, the residual all m
+        x_proj, _, _ = project_feasible(cset, np.array([2.0, 2.0]))
+        assert calls == 3 * list(range(cset.m))
+        assert np.allclose(x_proj, [0.5, 0.5], atol=1e-8)
+
     def test_nonconvergence_error_carries_residual(self):
         # infeasible intersection: x1 <= -1 and -x1 <= -1 (i.e. x1 >= 1)
         cset = ConstraintSet.affine(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
         with pytest.raises(ProjectionError) as err:
             project_feasible(cset, np.array([0.0]), max_iter=200)
         assert err.value.residual > 0
+
+
+def counting(cset):
+    """cset with an oracle that logs each per-index evaluation."""
+    calls = []
+
+    def oracle(i, x):
+        calls.append(i)
+        return cset.oracle(i, x)
+
+    return ConstraintSet(m=cset.m, oracle=oracle, kinds=cset.kinds), calls
 
 
 class TestSmoothProjection:
@@ -106,6 +126,32 @@ class TestSmoothProjection:
         expected = x / np.linalg.norm(x)
         assert residual <= 1e-8
         assert np.allclose(x_proj, expected, atol=1e-4)
+
+    def test_objective_call_evaluates_each_constraint_once(self, monkeypatch):
+        import drsum.constraints
+
+        def oracle(i, x):
+            center = np.array([0.5 * i, 0.0])
+            return float((x - center) @ (x - center)) - 1.0, 2.0 * (x - center)
+
+        cset, calls = counting(
+            ConstraintSet(m=3, oracle=oracle, kinds=(CONVEX_SMOOTH,) * 3))
+        per_call = []
+        minimize = drsum.constraints.minimize
+
+        def counted_minimize(fun, x0, **kwargs):
+            def counted(v):
+                before = len(calls)
+                out = fun(v)
+                per_call.append(len(calls) - before)
+                return out
+
+            return minimize(counted, x0, **kwargs)
+
+        monkeypatch.setattr(drsum.constraints, "minimize", counted_minimize)
+        _, residual, _ = project_feasible(cset, np.array([2.0, 1.5]))
+        assert residual <= 1e-8
+        assert per_call and set(per_call) == {cset.m}
 
     def test_mixed_kinds_use_smooth_path(self):
         def oracle(i, x):

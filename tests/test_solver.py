@@ -5,7 +5,6 @@ import pytest
 
 from drsum.composite import (
     EpochState,
-    OracleCounter,
     SmoothnessSpec,
     batch_estimates,
     delta_update,
@@ -21,7 +20,6 @@ from drsum.solver import (
     derive_step_size,
     expected_oracle_calls,
     run_epoch,
-    run_stage,
     solve_constrained_wasserstein,
     solve_restarted,
     recommended_epochs,
@@ -273,23 +271,24 @@ class TestEstimatorRecursion:
 
 
 class TestRunStage:
+    """One stage: solve_restarted with K = 1."""
+
     def test_single_step_stage(self, quad16):
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         eta = 0.05
         cfg = SolverConfig(eta=eta, T=1, schedule=Schedule(mode="full_batch", tau=1))
-        x_out, records = run_stage(prob, np.zeros(d), cfg, OracleCounter())
+        report = solve_restarted(prob, np.zeros(d), cfg)
         expected = prob.r_term.prox(-eta * full_phi_gradient(prob, np.zeros(d)), eta)
-        assert np.array_equal(x_out, expected)
-        assert len(records) == 1
+        assert np.array_equal(report.final_x, expected)
+        assert len(report.trajectory) == 1
 
     def test_counter_matches_formula(self, quad16):
         losses, d, _, _ = quad16
         m4 = losses[:4]
         prob = build_chi2(m4, Chi2Config(gamma=10.0), dim=d)
         cfg = SolverConfig(eta=0.02, T=3, schedule=Schedule(mode="fixed_sqrt_m"), seed=2)
-        counter = OracleCounter()
-        run_stage(prob, np.zeros(d), cfg, counter)
+        counter = solve_restarted(prob, np.zeros(d), cfg).counters
         expected = expected_oracle_calls(cfg.schedule, cfg.T, 4)
         assert expected == 3 * 8
         assert counter.g_value_calls == expected
@@ -301,25 +300,16 @@ class TestRunStage:
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         cfg = SolverConfig(eta=0.02, T=2, seed=9,
                           output_rule="uniform_random_iterate")
-        x1, _ = run_stage(prob, np.zeros(d), cfg, OracleCounter())
-        x2, _ = run_stage(prob, np.zeros(d), cfg, OracleCounter())
+        x1 = solve_restarted(prob, np.zeros(d), cfg).final_x
+        x2 = solve_restarted(prob, np.zeros(d), cfg).final_x
         assert np.array_equal(x1, x2)
         cfg_last = SolverConfig(eta=0.02, T=2, seed=9, output_rule="last_iterate")
-        x3, _ = run_stage(prob, np.zeros(d), cfg_last, OracleCounter())
+        x3 = solve_restarted(prob, np.zeros(d), cfg_last).final_x
         # sampling draws are unaffected by the selection stream
         assert x1.shape == x3.shape
 
 
 class TestSolveRestarted:
-    def test_single_stage_equals_run_stage(self, quad16):
-        losses, d, _, _ = quad16
-        prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
-        cfg = SolverConfig(eta=0.02, T=2, K=1, seed=4)
-        report = solve_restarted(prob, np.zeros(d), cfg)
-        x_direct, _ = run_stage(prob, np.zeros(d), cfg, OracleCounter(),
-                                rng=np.random.default_rng(4))
-        assert np.array_equal(report.final_x, x_direct)
-
     def test_determinism_of_full_report(self, quad16):
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)

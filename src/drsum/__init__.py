@@ -32,6 +32,7 @@ from .proxlib import (
 )
 from .reductions import (
     Chi2Config,
+    DivergenceError,
     KlConfig,
     NumericalRangeError,
     WassersteinConfig,

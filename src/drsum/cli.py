@@ -43,6 +43,7 @@ from .problems import (
 from .proxlib import SquaredNormTerm
 from .reductions import (
     Chi2Config,
+    DivergenceError,
     KlConfig,
     WassersteinConfig,
     brute_force_penalized_max,
@@ -517,7 +518,9 @@ def _metrics_at(exp, problem, x):
 
 def _bench_rows(exp):
     """One row per (method, oracle-budget checkpoint): the configured
-    solver's stage outputs, then the baselines at the same budgets."""
+    solver's stage outputs, then the baselines at the same budgets.  A
+    diverging biased_sgd baseline ends its rows with a note on stderr;
+    any other numerical failure ends the bench."""
     if exp.family is None:
         raise ConfigError("bench needs a loss-family problem")
     report = exp.run()
@@ -552,9 +555,16 @@ def _bench_rows(exp):
     if exp.reduction in ("chi2", "kl"):
         for budget in budgets:
             iters = max(1, budget // exp.baseline_batch)
-            base = baseline_solve(exp.problem, "naive_biased_sgd", iters,
-                                  exp.solver_cfg.eta, seed=exp.solver_cfg.seed,
-                                  batch_size=exp.baseline_batch)
+            try:
+                base = baseline_solve(exp.problem, "naive_biased_sgd", iters,
+                                      exp.solver_cfg.eta,
+                                      seed=exp.solver_cfg.seed,
+                                      batch_size=exp.baseline_batch)
+            except DivergenceError as exc:
+                # a longer run repeats these steps, so it diverges too
+                print(f"biased_sgd baseline {exc}; its rows from budget "
+                      f"{budget} on are left out", file=sys.stderr)
+                break
             psi, gm, viol, err = _metrics_at(exp, exp.problem, base.final_x)
             rows.append(("biased_sgd", base.counters.g_value_calls,
                          psi, gm, viol, err))

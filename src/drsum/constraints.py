@@ -1,11 +1,18 @@
 """Constraint sets, violation metrics, and the terminal feasibility projection.
 
 A ConstraintSet holds m inequality constraints c_i(x) <= 0 through a
-single oracle returning value and gradient per index, plus an optional
-value-only batch of all m values, which the violation metric and the
-exact objective use when it is set.  The projection onto the feasible
-set is exact cyclic Dykstra for all-affine sets and a smoothed-penalty
-continuation for general smooth convex sets.
+single oracle returning value and gradient per index, plus two optional
+batches over all m constraints: batch_values (x -> values) feeds
+values(), which the violation metric and the exact objective use, and
+batch_eval (x -> (values, jacobian)) feeds jacobian(), which the
+projection uses.  Without them both methods stack the per-index
+oracle, the reference path.  ConstraintSet.affine, build_dr_logistic
+and convexify_constraints fill both fields; the estimators and the
+Wasserstein g_oracle stay per index.
+
+The projection onto the feasible set is exact cyclic Dykstra for
+all-affine sets and a smoothed-penalty continuation for general smooth
+convex sets; both read the constraints through jacobian().
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ class ConstraintSet:
     oracle: Callable  # (index, x) -> (value, gradient)
     kinds: Sequence[str] = field(default_factory=tuple)
     batch_values: Optional[Callable] = None  # x -> all m values, shape (m,)
+    batch_eval: Optional[Callable] = None  # x -> (values (m,), jacobian (m, d))
 
     def __post_init__(self):
         if self.m < 1:
@@ -55,6 +63,17 @@ class ConstraintSet:
         if self.batch_values is not None:
             return np.asarray(self.batch_values(x), dtype=float)
         return np.array([self.eval(i, x)[0] for i in range(self.m)])
+
+    def jacobian(self, x):
+        """(values (m,), jacobian (m, d)): the batch when set, otherwise
+        the per-index oracle stacked row by row."""
+        x = np.asarray(x, dtype=float)
+        if self.batch_eval is not None:
+            vals, jac = self.batch_eval(x)
+            return np.asarray(vals, dtype=float), np.asarray(jac, dtype=float)
+        evals = [self.eval(i, x) for i in range(self.m)]
+        return (np.array([val for val, _ in evals]),
+                np.vstack([grad for _, grad in evals]))
 
     @property
     def all_affine(self):
@@ -82,7 +101,8 @@ class ConstraintSet:
             return float(A[i] @ x - b[i]), A[i].copy()
 
         return cls(m=A.shape[0], oracle=oracle, kinds=tuple(AFFINE for _ in b),
-                   batch_values=lambda x: A @ x - b)
+                   batch_values=lambda x: A @ x - b,
+                   batch_eval=lambda x: (A @ x - b, A))
 
 
 def max_violation(cset, x):
@@ -112,10 +132,8 @@ def project_feasible(cset, x, tol=1e-8, max_iter=100_000):
 
 
 def _dykstra_affine(cset, x, tol, max_iter, step_tol=1e-10):
-    origin = np.zeros_like(x)
-    evals = [cset.eval(i, origin) for i in range(cset.m)]
-    A = np.vstack([grad for _, grad in evals])
-    b = np.array([-val for val, _ in evals])
+    values, A = cset.jacobian(np.zeros_like(x))
+    b = -values
     sq_norms = np.einsum("ij,ij->i", A, A)
     if np.any(sq_norms <= 0):
         raise ValueError("affine constraint with zero normal")
@@ -160,16 +178,13 @@ def _penalty_projection(cset, x, tol, max_iter):
     for _ in range(60):
 
         def objective(v):
-            evals = [cset.eval(i, v) for i in range(cset.m)]
-            exponents = weight * np.array([val for val, _ in evals]) / gamma
+            values, jac = cset.jacobian(v)
+            exponents = weight * values / gamma
             shift = max(0.0, float(np.max(exponents)))
             soft = np.exp(exponents - shift)
             denom = np.exp(-shift) + np.sum(soft)
             obj = 0.5 * float((v - x) @ (v - x)) + gamma * (shift + np.log(denom))
-            grad = v - x
-            for s, (_, gi) in zip(soft, evals):
-                grad += weight * (s / denom) * gi
-            return obj, grad
+            return obj, (v - x) + jac.T @ (weight * soft / denom)
 
         res = minimize(objective, y, jac=True, method="L-BFGS-B",
                        options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14})

@@ -15,7 +15,7 @@ import numpy as np
 
 from .composite import OracleCounter, batch_estimates, evaluate_psi, \
     full_phi_gradient
-from .reductions import NumericalRangeError
+from .reductions import DivergenceError, NumericalRangeError
 from .solver import SolverReport, record_step
 
 
@@ -122,6 +122,9 @@ def estimate_variance(problem, x, batch_size, num_trials=200, seed=0):
     return total / num_trials
 
 
+DIVERGENCE_FACTOR = 1e6  # psi growth over max(1, |psi(x0)|) that ends a baseline
+
+
 def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
                    batch_size=1) -> SolverReport:
     """Reference loops with the same oracle accounting as the main solver.
@@ -131,7 +134,10 @@ def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
     derivative; the batch couples the value and jacobian estimates, so
     the composite gradient estimate is biased whenever the outer map is
     curved, and the loop stalls at the bias floor.
-    A non-finite iterate raises NumericalRangeError.
+    A non-finite iterate raises NumericalRangeError at once.  A run that
+    stays finite but records a psi above DIVERGENCE_FACTOR *
+    max(1, |psi(x0)|) raises DivergenceError at its end, naming the
+    first such iteration.
     """
     if kind not in ("full_prox_gradient", "naive_biased_sgd"):
         raise ValueError(f"unknown baseline {kind!r}")
@@ -140,6 +146,7 @@ def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
     counter = OracleCounter()
     rng = np.random.default_rng(seed)
     x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=float)
+    psi_limit = DIVERGENCE_FACTOR * max(1.0, abs(evaluate_psi(problem, x)))
     records = []
     start = time.perf_counter()
     for it in range(1, iters + 1):
@@ -155,6 +162,11 @@ def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
         if not np.all(np.isfinite(x)):
             raise NumericalRangeError(f"non-finite iterate at iteration {it}")
         records.append(record_step(problem, x, eta, 1, it, 0, [counter], start))
+    tripped = next((r for r in records if not r.psi <= psi_limit), None)
+    if tripped is not None:
+        raise DivergenceError(
+            f"diverged at iteration {tripped.epoch}: psi {tripped.psi:.3e} "
+            f"exceeds {psi_limit:.3e}")
     return SolverReport(
         trajectory=records, counters=counter, final_x=x,
         wall_time=time.perf_counter() - start,

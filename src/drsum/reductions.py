@@ -36,6 +36,11 @@ class NumericalRangeError(FloatingPointError):
     shifting, or a solver iterate that diverged."""
 
 
+class DivergenceError(NumericalRangeError):
+    """A run whose objective grew far past its start while staying
+    finite."""
+
+
 @dataclass
 class Chi2Config:
     """Penalty weight of the variance-penalized reduction."""
@@ -400,17 +405,39 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
         grad[d_beta] = -1.0
         return norm - lam, grad
 
-    def batch_values(x):
-        beta, lam, s = split(np.asarray(x, dtype=float))
-        margins = Z @ beta
+    def values_at(lam, s, margins, norm):
         true = np.logaddexp(0.0, -y * margins) - s
         flipped = np.logaddexp(0.0, y * margins) - lam * kappa_flip - s
-        return np.concatenate(
-            [true, flipped, [float(np.linalg.norm(beta)) - lam]])
+        return np.concatenate([true, flipped, [norm - lam]])
+
+    def batch_values(x):
+        beta, lam, s = split(np.asarray(x, dtype=float))
+        return values_at(lam, s, Z @ beta, float(np.linalg.norm(beta)))
+
+    # the jacobian's constant entries: the -1 slack of each sample's two
+    # rows, -kappa on lam in the flipped rows, -1 on lam in the norm cone
+    rows = np.arange(m)
+    constant_jac = np.zeros((2 * m + 1, dim))
+    constant_jac[rows, d_beta + 1 + rows] = -1.0
+    constant_jac[m + rows, d_beta + 1 + rows] = -1.0
+    constant_jac[m:2 * m, d_beta] = -kappa_flip
+    constant_jac[2 * m, d_beta] = -1.0
+
+    def batch_eval(x):
+        beta, lam, s = split(np.asarray(x, dtype=float))
+        margins = Z @ beta
+        norm = float(np.linalg.norm(beta))
+        jac = constant_jac.copy()
+        jac[:m, :d_beta] = (-y * expit(-y * margins))[:, None] * Z
+        jac[m:2 * m, :d_beta] = (y * expit(y * margins))[:, None] * Z
+        if norm > 0:
+            jac[2 * m, :d_beta] = beta / norm
+        return values_at(lam, s, margins, norm), jac
 
     kinds = tuple([CONVEX_SMOOTH] * (2 * m) + [GENERAL])
     return objective, ConstraintSet(m=2 * m + 1, oracle=oracle, kinds=kinds,
-                                    batch_values=batch_values)
+                                    batch_values=batch_values,
+                                    batch_eval=batch_eval)
 
 
 def convexify_constraints(cset: ConstraintSet, mu_vec):
@@ -429,6 +456,10 @@ def convexify_constraints(cset: ConstraintSet, mu_vec):
     def batch_values(x):
         return cset.values(x) + mu * float(x @ x)
 
+    def batch_eval(x):
+        vals, jac = cset.jacobian(x)
+        return vals + mu * float(x @ x), jac + 2.0 * mu[:, None] * x
+
     kinds = []
     for k, mu_i in zip(cset.kinds, mu):
         if mu_i == 0.0:
@@ -438,7 +469,7 @@ def convexify_constraints(cset: ConstraintSet, mu_vec):
         else:
             kinds.append(GENERAL)
     return ConstraintSet(m=cset.m, oracle=oracle, kinds=tuple(kinds),
-                         batch_values=batch_values)
+                         batch_values=batch_values, batch_eval=batch_eval)
 
 
 def _project_simplex(v):

@@ -267,6 +267,24 @@ class TestNumericalFailure:
         assert "non-finite iterate at iteration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eta, code", [("0.3", 2), ("0.05", 0)],
+                             ids=["diverging", "bounded"])
+    def test_finite_baseline_divergence_exit_2(self, tmp_path, monkeypatch,
+                                               capsys, eta, code):
+        # eta 0.3 takes psi from 0.6 towards 2.9e37 with finite iterates;
+        # eta 0.05 peaks at psi 0.75 and must still succeed
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", "naive_biased_sgd")
+        monkeypatch.setenv("DRSUM_SOLVER__ETA", eta)
+        out = tmp_path / "run"
+        assert main(["solve", CHI2_CONFIG, "--out", str(out)]) == code
+        if code == 2:
+            assert "DivergenceError: diverged at iteration" in \
+                capsys.readouterr().err
+            assert not out.exists()
+        else:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["final_psi"] < 1.0
+
     def test_bench_baseline_failure_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
         import drsum.cli
@@ -353,6 +371,16 @@ class TestCheck:
 
 
 class TestBench:
+    def test_diverging_biased_baseline_rows_left_out(self, tmp_path, capsys):
+        # the shipped chi2 config's eta 0.1 diverges the biased baseline
+        out = tmp_path / "bench"
+        assert main(["bench", CHI2_CONFIG, "--out", str(out)]) == 0
+        assert "biased_sgd baseline diverged at iteration" in \
+            capsys.readouterr().err
+        methods = [line.split(",")[0] for line in
+                   (out / "bench.csv").read_text().splitlines()[1:]]
+        assert set(methods) == {"vr_chi2", "unconstrained"}
+
     def test_fairness_bench_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, FAIRNESS.format(out=tmp_path / "bench"))
         assert main(["bench", cfg]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,14 +105,18 @@ class TestAffineProjection:
         assert err.value.residual > 0
 
 
-def counting(cset):
-    """cset with an oracle that logs each per-index evaluation."""
+def counting(cset, keep_batches=False):
+    """cset with an oracle that logs each per-index evaluation; the batch
+    fields are dropped, so every read takes the per-index reference path,
+    unless keep_batches is set."""
     calls = []
 
     def oracle(i, x):
         calls.append(i)
         return cset.oracle(i, x)
 
+    if keep_batches:
+        return replace(cset, oracle=oracle), calls
     return ConstraintSet(m=cset.m, oracle=oracle, kinds=cset.kinds), calls
 
 
@@ -164,6 +170,74 @@ class TestSmoothProjection:
         assert residual <= 1e-8
         assert x_proj[0] <= 1e-6
         assert abs(x_proj[1] - 1.0) < 1e-3
+
+
+class TestBatchJacobianProjection:
+    """batch_eval feeds the projection; the per-index oracle stays the
+    reference path, reached by dropping the field."""
+
+    @staticmethod
+    def dr_logistic_set(seed):
+        """The drlogistic_m20 set of one data seed and the point its solve
+        hands to the terminal projection."""
+        from drsum.problems import make_synthetic
+        from drsum.reductions import WassersteinConfig, build_wasserstein
+        from drsum.solver import SolverConfig, solve_restarted
+
+        data = make_synthetic("two_group_bias", m=20, seed=seed, min_gap=0.05)
+        objective, cset = build_dr_logistic(data, eps_radius=0.1,
+                                            kappa_flip=1.0)
+        wcfg = WassersteinConfig(alpha=3.0, gamma=0.05)
+        x0 = np.zeros(objective.slope.size)
+
+        def builder(k, x_start):
+            return build_wasserstein(objective, cset, wcfg,
+                                     shift_anchor=x_start, dim=x0.size)
+
+        report = solve_restarted(builder, x0,
+                                 SolverConfig(eta=0.001, T=50, K=2, seed=0))
+        return cset, report.final_x
+
+    @pytest.mark.parametrize("seed", [3000, 3001, 3002])
+    def test_agrees_with_per_index_path(self, seed):
+        cset, x = self.dr_logistic_set(seed)
+        assert max_violation(cset, x) > 1e-8
+        fast, fast_residual, _ = project_feasible(cset, x)
+        ref, ref_residual, _ = project_feasible(
+            replace(cset, batch_eval=None), x)
+        assert fast_residual <= 1e-8 and ref_residual <= 1e-8
+        assert np.max(np.abs(fast - ref)) <= 1e-6
+
+    def test_objective_call_makes_no_per_index_evaluation(self, monkeypatch):
+        import drsum.constraints
+
+        cset, x = self.dr_logistic_set(3000)
+        logged, calls = counting(cset, keep_batches=True)
+        per_call = []
+        minimize = drsum.constraints.minimize
+
+        def counted_minimize(fun, x0, **kwargs):
+            def counted(v):
+                before = len(calls)
+                out = fun(v)
+                per_call.append(len(calls) - before)
+                return out
+
+            return minimize(counted, x0, **kwargs)
+
+        monkeypatch.setattr(drsum.constraints, "minimize", counted_minimize)
+        _, residual, _ = project_feasible(logged, x)
+        assert residual <= 1e-8
+        assert per_call and set(per_call) == {0}
+        assert calls == []
+
+    def test_dykstra_reads_the_batch(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        cset, calls = counting(ConstraintSet.affine(A, np.ones(3)),
+                               keep_batches=True)
+        x_proj, _, _ = project_feasible(cset, np.array([2.0, 2.0]))
+        assert calls == []
+        assert np.allclose(x_proj, [0.5, 0.5], atol=1e-8)
 
 
 class TestConstraintSet:

@@ -209,3 +209,61 @@ def test_both_paths_raise_out_of_range():
         for path in (problem, replace(problem, component_values=None)):
             with pytest.raises(NumericalRangeError, match="exceeds range"):
                 evaluate_psi(path, x)
+
+
+# -- batched constraint jacobians against the stacked per-index oracle ---
+
+JACOBIAN_SETS = ("dr_logistic", "affine", "convexified_affine",
+                 "convexified_functions")
+
+
+def _ball_constraint(center, radius):
+    def func(x):
+        return float((x - center) @ (x - center)) - radius, 2.0 * (x - center)
+
+    return func
+
+
+def _jacobian_set(kind, rng, m, d, mu_positive):
+    """(constraint set with batch_eval, decision dimension) of one kind."""
+    if kind == "dr_logistic":
+        _, cset = build_dr_logistic(_dataset(rng, m, d),
+                                    rng.uniform(0.01, 1.0),
+                                    rng.uniform(0.1, 3.0))
+        return cset, d + 1 + m
+    if kind == "convexified_functions":
+        inner = ConstraintSet.from_functions(
+            [_ball_constraint(rng.standard_normal(d), rng.uniform(0.1, 2.0))
+             for _ in range(m)])
+    else:
+        inner = ConstraintSet.affine(rng.standard_normal((m, d)),
+                                     rng.standard_normal(m))
+        if kind == "affine":
+            return inner, d
+    mu = rng.uniform(0.0, 1.0, size=m) if mu_positive else np.zeros(m)
+    return convexify_constraints(inner, mu), d
+
+
+@pytest.mark.parametrize("set_kind", JACOBIAN_SETS)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 10),
+       d=st.integers(1, 4), scale=st.floats(0.0, 3.0),
+       mu_positive=st.booleans(), zero_beta=st.booleans())
+def test_batch_jacobian_matches_per_index(set_kind, seed, m, d, scale,
+                                          mu_positive, zero_beta):
+    rng = np.random.default_rng(seed)
+    cset, dim = _jacobian_set(set_kind, rng, m, d, mu_positive)
+    x = scale * rng.standard_normal(dim)
+    if set_kind == "dr_logistic" and zero_beta:
+        x[:d] = 0.0  # the norm cone's kink: its beta part is zero
+    assert cset.batch_eval is not None
+    values, jac = cset.jacobian(x)
+    ref_values, ref_jac = replace(cset, batch_eval=None).jacobian(x)
+    assert jac.shape == ref_jac.shape == (cset.m, dim)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(jac, ref_jac, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(values, cset.values(x), rtol=1e-12, atol=1e-12)
+    for i in range(cset.m):
+        val, grad = cset.eval(i, x)
+        assert ref_values[i] == val
+        assert np.array_equal(ref_jac[i], grad)

@@ -277,6 +277,9 @@ class Experiment:
         if self.method not in ("vr", "dist_vr", "full_prox_gradient",
                                "naive_biased_sgd"):
             raise ConfigError(f"unknown solver.method {self.method!r}")
+        if self.method not in ("vr", "dist_vr") and self.family is None \
+                and self.problem is None:
+            raise ConfigError(f"{self.method} needs a loss-family problem")
         schedule = Schedule(
             mode=_get(cfg, "solver", "schedule", "fixed_sqrt_m"),
             beta=_get(cfg, "solver", "beta", 1.0, float),

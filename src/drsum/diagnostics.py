@@ -3,20 +3,19 @@ convergence rates, and simple reference solvers.
 
 The constant estimates are honest lower bounds: maxima of difference
 quotients over sampled pairs, probed from a reproducible stream so more
-probes never shrink an estimate.
+probes never shrink an estimate.  The reference solvers are tau = 1
+schedules of the solver's own loop, so they share its oracle accounting,
+records and failure checks.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import OracleCounter, batch_estimates, evaluate_psi, \
-    full_phi_gradient
-from .reductions import DivergenceError, NumericalRangeError
-from .solver import SolverReport, record_step
+from .composite import batch_estimates
+from .solver import SolverConfig, SolverReport, solve_restarted
 
 
 @dataclass
@@ -122,56 +121,38 @@ def estimate_variance(problem, x, batch_size, num_trials=200, seed=0):
     return total / num_trials
 
 
-DIVERGENCE_FACTOR = 1e6  # psi growth over max(1, |psi(x0)|) that ends a baseline
+@dataclass
+class _OneStepSchedule:
+    """tau = 1 epochs opening on min(batch, m) indices: the recursive
+    estimator correction never runs, so every step uses a fresh batch."""
+
+    batch: int
+
+    def params(self, t, m):
+        return 1, m, min(self.batch, m)
 
 
 def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
                    batch_size=1) -> SolverReport:
-    """Reference loops with the same oracle accounting as the main solver.
+    """Reference methods as iters one-step epochs of the solver's loop,
+    so iteration i is recorded (and any failure named) as stage 1,
+    epoch i, step 0.
 
     full_prox_gradient: exact gradient every step.
     naive_biased_sgd: plugs mini-batch means straight into the outer
     derivative; the batch couples the value and jacobian estimates, so
     the composite gradient estimate is biased whenever the outer map is
-    curved, and the loop stalls at the bias floor.
-    A non-finite iterate raises NumericalRangeError at once.  A run that
-    stays finite but records a psi above DIVERGENCE_FACTOR *
-    max(1, |psi(x0)|) raises DivergenceError at its end, naming the
-    first such iteration.
+    curved, and the loop stalls at the bias floor.  A batch_size >= m is
+    the deterministic full pass.
     """
     if kind not in ("full_prox_gradient", "naive_biased_sgd"):
         raise ValueError(f"unknown baseline {kind!r}")
     if iters < 1 or eta <= 0:
         raise ValueError("iters must be >= 1 and eta positive")
-    counter = OracleCounter()
-    rng = np.random.default_rng(seed)
-    x = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=float)
-    psi_limit = DIVERGENCE_FACTOR * max(1.0, abs(evaluate_psi(problem, x)))
-    records = []
-    start = time.perf_counter()
-    for it in range(1, iters + 1):
-        if kind == "full_prox_gradient":
-            grad = full_phi_gradient(problem, x, counter)
-        else:
-            idx = rng.integers(0, problem.m, size=batch_size)
-            y, z, w = batch_estimates(problem, idx, x, counter)
-            _, fprime = problem.f(y, counter)
-            grad = z.T @ fprime + w
-        x = problem.r_term.prox(x - eta * grad, eta)
-        counter.prox_calls += 1
-        if not np.all(np.isfinite(x)):
-            raise NumericalRangeError(f"non-finite iterate at iteration {it}")
-        records.append(record_step(problem, x, eta, 1, it, 0, [counter], start))
-    tripped = next((r for r in records if not r.psi <= psi_limit), None)
-    if tripped is not None:
-        raise DivergenceError(
-            f"diverged at iteration {tripped.epoch}: psi {tripped.psi:.3e} "
-            f"exceeds {psi_limit:.3e}")
-    return SolverReport(
-        trajectory=records, counters=counter, final_x=x,
-        wall_time=time.perf_counter() - start,
-        final_psi=evaluate_psi(problem, x),
-    )
+    batch = problem.m if kind == "full_prox_gradient" else batch_size
+    x0 = np.zeros(problem.dim_x) if x0 is None else x0
+    return solve_restarted(problem, x0, SolverConfig(
+        eta=eta, T=iters, K=1, seed=seed, schedule=_OneStepSchedule(batch)))
 
 
 def fit_rate(errors) -> RateFit:

@@ -8,11 +8,13 @@ constrained runs finish with a single feasibility projection.
 
 The epoch loop exists once, in sharded form (_sharded_epoch), and
 reports each proximal step through one hook; the one stage/restart
-driver (_run_stages) records the steps and applies the output rule.
-The centralized solver (run_epoch, solve_restarted) is their 1-worker
-case: one shard holding every index, sampled from the solver's
-stream with weight 1.0.  The simulated multi-worker solver in the
-distributed module runs the same loop with one shard per worker.
+driver (_run_stages) records the steps, applies the output rule and
+checks the run for divergence.  The centralized solver (run_epoch,
+solve_restarted) is their 1-worker case: one shard holding every
+index, sampled from the solver's stream with weight 1.0.  The
+simulated multi-worker solver in the distributed module runs the same
+loop with one shard per worker, and the reference baselines in the
+diagnostics module run it with one step per epoch.
 
 Determinism contract: a run is fully determined by (problem, config,
 seed).  Full passes (batch or inner sample size equal to m) never touch
@@ -40,11 +42,13 @@ from .composite import (
     gradient_mapping,
 )
 from .constraints import max_violation, project_feasible
-from .reductions import NumericalRangeError
+from .reductions import DivergenceError, NumericalRangeError
 
 FIXED_SQRT_M = "fixed_sqrt_m"
 ADAPTIVE = "adaptive"
 FULL_BATCH = "full_batch"
+
+DIVERGENCE_FACTOR = 1e6  # psi growth over max(1, |psi(x0)|) that ends a run
 
 # Salt for the output-selection stream, kept apart from the sampling
 # streams so centralized and simulated-distributed runs select alike.
@@ -232,24 +236,6 @@ def _weighted_sum(parts, weights):
     return total
 
 
-def record_step(problem, x, eta, stage, epoch, step, counters, start_time, *,
-                gradient_map=True, violation_set=None):
-    """TrajectoryRecord of iterate x.  The counter snapshots sum the
-    given counters (None counts as zero); the diagnostics (objective
-    value, exact gradient mapping, constraint violation) bypass them."""
-    gm = gradient_mapping(problem, eta, x)[1] if gradient_map else None
-    viol = (max_violation(violation_set, x)
-            if violation_set is not None else None)
-    return TrajectoryRecord(
-        stage=stage, epoch=epoch, step=step,
-        psi=evaluate_psi(problem, x),
-        grad_map_sq=gm, max_violation=viol,
-        g_calls=sum(c.g_value_calls for c in counters if c is not None),
-        h_calls=sum(c.h_gradient_calls for c in counters if c is not None),
-        wall_s=time.perf_counter() - start_time,
-    )
-
-
 def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
                    server_counter, *, stage, on_step, order=None):
     """The epoch loop, over components split into shards.
@@ -273,8 +259,10 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     After each step it passes (stage, t, j, tau, x, grad_est, x_new) to
     the on_step hook, if given: the step's start point, estimate and new
     iterate.  It returns the state with the averaged estimators.  A
-    non-finite iterate or an ArithmeticError in a step (the opening
-    batch is step 0) raises NumericalRangeError naming stage, epoch, step.
+    non-finite iterate or gradient estimate (a box prox clips an infinite
+    step to a finite iterate) or an ArithmeticError in a step (the
+    opening batch is step 0) raises NumericalRangeError naming stage,
+    epoch, step.
     """
     m = problem.m
     tau, S, B = schedule.params(t, m)
@@ -316,6 +304,10 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
             if server_counter is not None:
                 server_counter.prox_calls += 1
             if not np.all(np.isfinite(x_cur)):
+                bad = "iterate"
+                break
+            if not np.all(np.isfinite(grad_est)):
+                bad = "gradient estimate"
                 break
             if on_step is not None:
                 on_step(stage, t, j, tau, x_prev, grad_est, x_cur)
@@ -326,9 +318,9 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
         raise NumericalRangeError(
             f"{type(exc).__name__}: {exc} at stage {stage}, epoch {t}, "
             f"step {j}") from exc
-    # reached only through the break on a non-finite iterate
+    # reached only through a break on a non-finite value
     raise NumericalRangeError(
-        f"non-finite iterate at stage {stage}, epoch {t}, step {j}")
+        f"non-finite {bad} at stage {stage}, epoch {t}, step {j}")
 
 
 def run_epoch(problem, state, t, schedule, eta, rng, counter=None, *,
@@ -355,7 +347,9 @@ def _run_stages(problem_builder, x0, config, epoch, counters, *,
     `counters`, the gradient mapping at the grad_map_every cadence) and
     keeps it as an output candidate.  Each stage outputs its last
     iterate, or a uniform-random one drawn from the selection stream.
-    The caller attaches the report's counters.
+    A run whose recorded psi exceeds DIVERGENCE_FACTOR * max(1,
+    |psi(x0)|) on stage 1's problem raises DivergenceError at its end,
+    naming the first such step.  The caller attaches the report's counters.
     """
     builder = problem_builder
     if isinstance(problem_builder, CompositeProblem):
@@ -376,15 +370,24 @@ def _run_stages(problem_builder, x0, config, epoch, counters, *,
             at_cadence = (j + 1) % every == 0
         else:  # 0: at epoch ends only
             at_cadence = every == 0 and j == tau - 1
-        records.append(record_step(
-            problem, x_new, config.eta, stage, t, j, counters, start,
-            gradient_map=config.eta > 0 and at_cadence,
-            violation_set=violation_set))
+        gm = (gradient_mapping(problem, config.eta, x_new)[1]
+              if config.eta > 0 and at_cadence else None)
+        viol = (max_violation(violation_set, x_new)
+                if violation_set is not None else None)
+        records.append(TrajectoryRecord(
+            stage=stage, epoch=t, step=j, psi=evaluate_psi(problem, x_new),
+            grad_map_sq=gm, max_violation=viol,
+            g_calls=sum(c.g_value_calls for c in counters),
+            h_calls=sum(c.h_gradient_calls for c in counters),
+            wall_s=time.perf_counter() - start))
 
     x = np.asarray(x0, dtype=float)
     stage_outputs = []
     for k in range(1, config.K + 1):
         problem = builder(k, x)
+        if k == 1:
+            psi_limit = DIVERGENCE_FACTOR * max(
+                1.0, abs(evaluate_psi(problem, x)))
         candidates = [x.copy()]
         state = EpochState(
             x=x,
@@ -398,6 +401,12 @@ def _run_stages(problem_builder, x0, config, epoch, counters, *,
         x = (candidates[int(select_rng.integers(0, len(candidates)))]
              if collect else state.x)
         stage_outputs.append(x.copy())
+    tripped = next((r for r in records if not r.psi <= psi_limit), None)
+    if tripped is not None:
+        raise DivergenceError(
+            f"diverged at stage {tripped.stage}, epoch {tripped.epoch}, "
+            f"step {tripped.step}: psi {tripped.psi:.3e} exceeds "
+            f"{psi_limit:.3e}")
     final_psi = evaluate_psi(problem, x)
     return SolverReport(
         trajectory=records,

@@ -264,7 +264,8 @@ class TestNumericalFailure:
         monkeypatch.setenv("DRSUM_SOLVER__ETA", "0.5")
         out = tmp_path / "run"
         assert main(["solve", CHI2_CONFIG, "--out", str(out)]) == 2
-        assert "non-finite iterate at iteration" in capsys.readouterr().err
+        assert "non-finite iterate at stage 1, epoch 8, step 0" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eta, code", [("0.3", 2), ("0.05", 0)],
@@ -278,12 +279,26 @@ class TestNumericalFailure:
         out = tmp_path / "run"
         assert main(["solve", CHI2_CONFIG, "--out", str(out)]) == code
         if code == 2:
-            assert "DivergenceError: diverged at iteration" in \
+            assert "DivergenceError: diverged at stage 1, epoch 8, step 0" in \
                 capsys.readouterr().err
             assert not out.exists()
         else:
             summary = json.loads((out / "summary.json").read_text())
             assert summary["final_psi"] < 1.0
+
+    def test_vr_finite_divergence_exit_2_and_no_files(self, tmp_path,
+                                                      capsys):
+        # eta = 2.05 / L on the plain quadratic mean: psi passes 1e6 times
+        # its start while every iterate stays finite
+        text = QUAD_CHI2.format(out=tmp_path / "run").replace(
+            "reduction = chi2", "reduction = none").replace(
+            "eta = 0.05", "eta = 0.205").replace("t = 2", "t = 8").replace(
+            "k = 3", "k = 2")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", cfg]) == 2
+        assert "DivergenceError: diverged at stage 1, epoch 7, step 2" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_bench_baseline_failure_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
@@ -301,6 +316,23 @@ class TestNumericalFailure:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("method", ["full_prox_gradient",
+                                        "naive_biased_sgd"])
+    def test_baseline_without_loss_family_exit_1(self, tmp_path, monkeypatch,
+                                                 capsys, method):
+        import drsum.cli
+
+        def no_solve(self):
+            raise AssertionError("solved a config the baseline cannot run")
+
+        monkeypatch.setattr(drsum.cli.Experiment, "run", no_solve)
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", method)
+        cfg = write_cfg(tmp_path, DR_LOGISTIC.format(out=tmp_path / "dr"))
+        assert main(["solve", cfg]) == 1
+        assert f"{method} needs a loss-family problem" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "dr").exists()
+
     def test_duplicate_section_exit_1(self, tmp_path, capsys):
         text = QUAD_CHI2.format(out=tmp_path) + "\n[problem]\nkind = logistic\n"
         cfg = write_cfg(tmp_path, text)
@@ -375,7 +407,7 @@ class TestBench:
         # the shipped chi2 config's eta 0.1 diverges the biased baseline
         out = tmp_path / "bench"
         assert main(["bench", CHI2_CONFIG, "--out", str(out)]) == 0
-        assert "biased_sgd baseline diverged at iteration" in \
+        assert "biased_sgd baseline diverged at stage 1, epoch 46, step 0" in \
             capsys.readouterr().err
         methods = [line.split(",")[0] for line in
                    (out / "bench.csv").read_text().splitlines()[1:]]

@@ -175,6 +175,41 @@ class TestBaselines:
         assert exact.trajectory[-1].grad_map_sq < 1e-16
         assert naive_floor > 1e-4
 
+    def test_naive_sgd_matches_independent_loop(self):
+        # the plug-in loop written out: uniform draws with replacement from
+        # the seeded stream, batch means, outer derivative, prox
+        from drsum.composite import OracleCounter, batch_estimates
+
+        rng = np.random.default_rng(4)
+        slopes = rng.uniform(0.5, 2.0, size=16)
+        offsets = 2.0 * slopes + 0.2 * rng.standard_normal(16)
+        prob = CompositeProblem(
+            1, 1, 16,
+            lambda i, x: (np.array([slopes[i] * x[0] + offsets[i]]),
+                          np.array([[slopes[i]]])),
+            lambda i, x: (0.0, np.zeros(1)),
+            lambda u: (float(u[0]) ** 2, np.array([2.0 * u[0]])))
+        eta, seed, batch, iters = 0.05, 1, 2, 25
+        stream = np.random.default_rng(seed)
+        counter = OracleCounter()
+        x = np.zeros(1)
+        iterates, counts = [], []
+        for _ in range(iters):
+            idx = stream.integers(0, prob.m, size=batch)
+            y, z, w = batch_estimates(prob, idx, x, counter)
+            _, fprime = prob.f(y, counter)
+            x = prob.r_term.prox(x - eta * (z.T @ fprime + w), eta)
+            counter.prox_calls += 1
+            iterates.append(x)
+            counts.append(counter.copy())
+        for k in range(1, iters + 1):
+            report = baseline_solve(prob, "naive_biased_sgd", iters=k,
+                                    eta=eta, seed=seed, batch_size=batch)
+            assert np.array_equal(report.final_x, iterates[k - 1])
+            assert report.counters == counts[k - 1]
+        assert [(r.g_calls, r.h_calls) for r in report.trajectory] == \
+            [(c.g_value_calls, c.h_gradient_calls) for c in counts]
+
     def test_validation(self):
         prob = linear_value_problem([1.0])
         with pytest.raises(ValueError):

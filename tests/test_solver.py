@@ -597,3 +597,52 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         self.assert_same_run(fast, ref)
         assert np.array_equal(fast.x_unprojected, ref.x_unprojected)
         assert fast.projection_iterations == ref.projection_iterations > 0
+
+
+class TestFailLoud:
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_non_finite_gradient_estimate_named(self, tau):
+        # h_i(x) = exp(-800 x) overflows at x0 = -1, and the box prox clips
+        # the infinite step to the finite corner x = 1 with psi 0
+        from drsum.composite import CompositeProblem
+        from drsum.proxlib import BoxTerm
+        from drsum.reductions import NumericalRangeError
+
+        def h_oracle(i, x):
+            value = np.exp(-800.0 * x[0])
+            return value, np.array([-800.0 * value])
+
+        prob = CompositeProblem(
+            1, 1, 4, lambda i, x: (np.zeros(1), np.zeros((1, 1))), h_oracle,
+            lambda u: (0.0, np.zeros(1)), r_term=BoxTerm(-1.0, 1.0))
+        cfg = SolverConfig(eta=0.1, T=3,
+                           schedule=Schedule(mode="full_batch", tau=tau))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalRangeError, match="^non-finite gradient estimate "
+                                           "at stage 1, epoch 1, step 0$"):
+            solve_restarted(prob, np.array([-1.0]), cfg)
+
+    @pytest.mark.parametrize("p", [None, 2], ids=["centralized", "dist_p2"])
+    def test_finite_divergence_raises_at_run_end(self, p):
+        # eta = 2.05 / L on the quadratic mean: the iterates stay finite
+        # while psi grows past 1e6 * max(1, |psi(x0)|)
+        from drsum.distributed import DistConfig, dist_solve
+        from drsum.problems import make_synthetic
+        from drsum.reductions import DivergenceError
+
+        family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
+        L = np.linalg.eigvalsh(family.A.T @ family.A / family.m).max()
+        common = dict(eta=2.05 / L, T=8, K=2, seed=0)
+        starts = []
+        probe = lambda stage, t, j, x, grad_est: starts.append(x)
+        with pytest.raises(DivergenceError,
+                           match=r"^diverged at stage 2, epoch \d+, step \d+: "
+                                 r"psi \S+ exceeds 1\.000e\+06$"):
+            if p is None:
+                solve_restarted(build_mean(family), np.zeros(5),
+                                SolverConfig(**common), probe=probe)
+            else:
+                dist_solve(build_mean(family), np.zeros(5),
+                           DistConfig(p=p, **common), probe=probe)
+        assert len(starts) == 2 * 8 * 4
+        assert np.all(np.isfinite(starts))

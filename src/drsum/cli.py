@@ -344,7 +344,7 @@ class Experiment:
             build_mean(self.family)
         return baseline_solve(problem, self.method, self.baseline_iters,
                               self.solver_cfg.eta, seed=self.solver_cfg.seed,
-                              x0=self.x0() if self.reduction != "wasserstein" else None,
+                              x0=self.x0(),
                               batch_size=self.baseline_batch)
 
 

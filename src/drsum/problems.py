@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .constraints import GENERAL, ConstraintSet
+from .constraints import ConstraintSet
 
 
 @dataclass
@@ -271,8 +271,7 @@ def build_fairness_constraints(dataset: TabularDataset, family,
         tpr_grp, g_grp = tpr_and_grad(group_positives[j], x)
         return tpr_all - tpr_grp - eps, g_all - g_grp
 
-    return ConstraintSet(m=len(groups), oracle=oracle,
-                         kinds=tuple(GENERAL for _ in groups))
+    return ConstraintSet(m=len(groups), oracle=oracle)
 
 
 def group_true_positive_rates(dataset: TabularDataset, family, x):

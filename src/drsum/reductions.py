@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .composite import CompositeProblem
-from .constraints import AFFINE, CONVEX_SMOOTH, GENERAL, ConstraintSet
+from .constraints import ConstraintSet
 from .proxlib import AffineTerm, SimpleTerm, ZeroTerm
 
 EXP_LIMIT = 700.0  # largest exponent fed to np.exp after shifting
@@ -434,8 +434,7 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
             jac[2 * m, :d_beta] = beta / norm
         return values_at(lam, s, margins, norm), jac
 
-    kinds = tuple([CONVEX_SMOOTH] * (2 * m) + [GENERAL])
-    return objective, ConstraintSet(m=2 * m + 1, oracle=oracle, kinds=kinds,
+    return objective, ConstraintSet(m=2 * m + 1, oracle=oracle,
                                     batch_values=batch_values,
                                     batch_eval=batch_eval)
 
@@ -460,15 +459,7 @@ def convexify_constraints(cset: ConstraintSet, mu_vec):
         vals, jac = cset.jacobian(x)
         return vals + mu * float(x @ x), jac + 2.0 * mu[:, None] * x
 
-    kinds = []
-    for k, mu_i in zip(cset.kinds, mu):
-        if mu_i == 0.0:
-            kinds.append(k)
-        elif k in (AFFINE, CONVEX_SMOOTH):
-            kinds.append(CONVEX_SMOOTH)
-        else:
-            kinds.append(GENERAL)
-    return ConstraintSet(m=cset.m, oracle=oracle, kinds=tuple(kinds),
+    return ConstraintSet(m=cset.m, oracle=oracle,
                          batch_values=batch_values, batch_eval=batch_eval)
 
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drsum.cli import config_to_ini, main
@@ -113,6 +114,22 @@ class TestSolve:
         assert main(["solve", cfg]) == 0
         summary = json.loads((tmp_path / "e" / "summary.json").read_text())
         assert summary["seed"] == 123
+
+    @pytest.mark.parametrize("text", [QUAD_CHI2, FAIRNESS],
+                             ids=["chi2", "wasserstein"])
+    def test_baseline_starts_at_x0(self, tmp_path, monkeypatch, text):
+        # one step of length 1e-9 ends next to where it starts
+        cfg = write_cfg(tmp_path, text.format(out=tmp_path / "x"))
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", "full_prox_gradient")
+        monkeypatch.setenv("DRSUM_SOLVER__ITERS", "1")
+        monkeypatch.setenv("DRSUM_SOLVER__ETA", "1e-9")
+        assert main(["solve", cfg]) == 0
+        summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+        dim = len(summary["final_x"])
+        monkeypatch.setenv("DRSUM_SOLVER__X0", ",".join(["0.5"] * dim))
+        assert main(["solve", cfg]) == 0
+        summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+        assert np.allclose(summary["final_x"], 0.5, atol=1e-6)
 
 
 NONCONVEX_TOY = """

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from drsum.constraints import (
-    AFFINE,
-    CONVEX_SMOOTH,
     ConstraintSet,
     ProjectionError,
     estimate_rho,
@@ -88,15 +86,6 @@ class TestAffineProjection:
             y = rng.uniform(-1.0, 1.0, size=2)
             assert (x - proj) @ (y - proj) <= 1e-8 * gap + 1e-12
 
-    def test_reads_each_halfspace_once(self):
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        cset, calls = counting(ConstraintSet.affine(A, np.ones(3)))
-        # the feasibility test reads all m values, Dykstra's set-up reads
-        # (A, b) from one evaluation per halfspace, the residual all m
-        x_proj, _, _ = project_feasible(cset, np.array([2.0, 2.0]))
-        assert calls == 3 * list(range(cset.m))
-        assert np.allclose(x_proj, [0.5, 0.5], atol=1e-8)
-
     def test_nonconvergence_error_carries_residual(self):
         # infeasible intersection: x1 <= -1 and -x1 <= -1 (i.e. x1 >= 1)
         cset = ConstraintSet.affine(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
@@ -117,55 +106,37 @@ def counting(cset, keep_batches=False):
 
     if keep_batches:
         return replace(cset, oracle=oracle), calls
-    return ConstraintSet(m=cset.m, oracle=oracle, kinds=cset.kinds), calls
+    return ConstraintSet(m=cset.m, oracle=oracle), calls
+
+
+def disc_set():
+    def oracle(i, x):
+        return float(x @ x) - 1.0, 2.0 * x
+
+    return ConstraintSet(m=1, oracle=oracle)
+
+
+def disc_and_halfspace_set():
+    def oracle(i, x):
+        if i == 0:
+            return float(x @ x) - 1.0, 2.0 * x
+        return float(x[0]), np.array([1.0, 0.0])
+
+    return ConstraintSet(m=2, oracle=oracle)
 
 
 class TestSmoothProjection:
     def test_disc_projection(self):
         # one smooth convex constraint: ||x||^2 - 1 <= 0
-        def oracle(i, x):
-            return float(x @ x) - 1.0, 2.0 * x
-
-        cset = ConstraintSet(m=1, oracle=oracle, kinds=(CONVEX_SMOOTH,))
+        cset = disc_set()
         x = np.array([2.0, 2.0])
         x_proj, residual, _ = project_feasible(cset, x, tol=1e-8)
         expected = x / np.linalg.norm(x)
         assert residual <= 1e-8
         assert np.allclose(x_proj, expected, atol=1e-4)
 
-    def test_objective_call_evaluates_each_constraint_once(self, monkeypatch):
-        import drsum.constraints
-
-        def oracle(i, x):
-            center = np.array([0.5 * i, 0.0])
-            return float((x - center) @ (x - center)) - 1.0, 2.0 * (x - center)
-
-        cset, calls = counting(
-            ConstraintSet(m=3, oracle=oracle, kinds=(CONVEX_SMOOTH,) * 3))
-        per_call = []
-        minimize = drsum.constraints.minimize
-
-        def counted_minimize(fun, x0, **kwargs):
-            def counted(v):
-                before = len(calls)
-                out = fun(v)
-                per_call.append(len(calls) - before)
-                return out
-
-            return minimize(counted, x0, **kwargs)
-
-        monkeypatch.setattr(drsum.constraints, "minimize", counted_minimize)
-        _, residual, _ = project_feasible(cset, np.array([2.0, 1.5]))
-        assert residual <= 1e-8
-        assert per_call and set(per_call) == {cset.m}
-
-    def test_mixed_kinds_use_smooth_path(self):
-        def oracle(i, x):
-            if i == 0:
-                return float(x @ x) - 1.0, 2.0 * x
-            return float(x[0]), np.array([1.0, 0.0])
-
-        cset = ConstraintSet(m=2, oracle=oracle, kinds=(CONVEX_SMOOTH, AFFINE))
+    def test_disc_and_halfspace(self):
+        cset = disc_and_halfspace_set()
         x_proj, residual, _ = project_feasible(cset, np.array([1.5, 1.5]), tol=1e-8)
         assert residual <= 1e-8
         assert x_proj[0] <= 1e-6
@@ -240,6 +211,36 @@ class TestBatchJacobianProjection:
         assert np.allclose(x_proj, [0.5, 0.5], atol=1e-8)
 
 
+class TestEuclideanProjection:
+    """The result satisfies the KKT conditions of min ||y - x||^2/2 over
+    c(y) <= 0: some constraint is active at y, and x - y is a nonnegative
+    combination of the active gradients."""
+
+    @staticmethod
+    def case(name):
+        if name == "disc":
+            return disc_set(), np.array([2.0, 2.0])
+        if name == "disc_and_halfspace":
+            return disc_and_halfspace_set(), np.array([1.5, 1.5])
+        return TestBatchJacobianProjection.dr_logistic_set(int(name))
+
+    @pytest.mark.parametrize("name", ["3000", "3001", "3002", "12006", "disc",
+                                      "disc_and_halfspace"])
+    def test_kkt(self, name):
+        from scipy.optimize import nnls
+
+        cset, x = self.case(name)
+        assert max_violation(cset, x) > 1e-8
+        y, residual, _ = project_feasible(cset, x)
+        assert residual <= 1e-8
+        values, jac = cset.jacobian(y)
+        active = values >= -1e-7
+        # nnls on a matrix with no columns aborts the interpreter
+        assert np.any(active), f"no active constraint, max c_i {values.max():.3e}"
+        _, dual_residual = nnls(jac[active].T, x - y)
+        assert dual_residual <= 1e-6 * np.linalg.norm(x - y)
+
+
 class TestConstraintSet:
     def test_affine_tag_constant_gradient(self):
         cset = ConstraintSet.affine(np.array([[1.0, -2.0]]), np.array([0.5]))
@@ -247,11 +248,6 @@ class TestConstraintSet:
         g1 = cset.eval(0, rng.standard_normal(2))[1]
         g2 = cset.eval(0, rng.standard_normal(2))[1]
         assert np.array_equal(g1, g2)
-        assert cset.all_affine
-
-    def test_kind_count_validation(self):
-        with pytest.raises(ValueError):
-            ConstraintSet(m=2, oracle=lambda i, x: (0.0, x), kinds=("affine",))
 
     def test_from_functions(self):
         cset = ConstraintSet.from_functions(

@@ -349,7 +349,7 @@ class TestConvexify:
         def oracle(i, x):
             return -float(x[0]) ** 2, np.array([-2.0 * x[0]])
 
-        return ConstraintSet(m=1, oracle=oracle, kinds=("general",))
+        return ConstraintSet(m=1, oracle=oracle)
 
     def test_zero_shift_is_identity(self):
         cset = self.base_set()

@@ -19,6 +19,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,14 @@ class Experiment:
             raise ConfigError(f"solver configuration invalid: {exc}")
         self.baseline_iters = _get(cfg, "solver", "iters", 100, int)
         self.baseline_batch = _get(cfg, "solver", "batch_size", 1, int)
+        # bench runs the biased baseline on batch_size whatever the method
+        for key, value in (("iters", self.baseline_iters),
+                           ("batch_size", self.baseline_batch)):
+            if value < 1:
+                raise ConfigError(f"solver.{key} must be >= 1, got {value}")
+        if self.method in ("full_prox_gradient", "naive_biased_sgd") \
+                and self.solver_cfg.eta <= 0:
+            raise ConfigError(f"solver.eta must be positive for {self.method}")
 
     def _resolve_output(self):
         cfg = self.cfg
@@ -342,10 +351,10 @@ class Experiment:
             return dist_solve(self.problem, self.x0(), self.solver_cfg)
         problem = self.problem if self.problem is not None else \
             build_mean(self.family)
-        return baseline_solve(problem, self.method, self.baseline_iters,
-                              self.solver_cfg.eta, seed=self.solver_cfg.seed,
-                              x0=self.x0(),
-                              batch_size=self.baseline_batch)
+        return baseline_solve(
+            problem, self.method,
+            replace(self.solver_cfg, T=self.baseline_iters, K=1),
+            x0=self.x0(), batch_size=self.baseline_batch)
 
 
 def _parse_vector(text):
@@ -398,14 +407,8 @@ def write_summary_json(path, cfg, exp, report):
     if report.per_device_counters is not None:
         summary["per_device_counters"] = [
             c.as_dict() for c in report.per_device_counters]
-    if report.x_unprojected is not None:
-        summary["projection"] = {
-            "objective_before": report.objective_before,
-            "objective_after": report.objective_after,
-            "gap": report.projection_gap,
-            "residual": report.projection_residual,
-            "iterations": report.projection_iterations,
-        }
+    if report.projection is not None:
+        summary["projection"] = report.projection
     if exp.constraints is not None:
         summary["final_max_violation"] = max_violation(
             exp.constraints, report.final_x)
@@ -519,58 +522,51 @@ def _metrics_at(exp, problem, x):
     return psi, gm, viol, err
 
 
+def _stage_rows(exp, name, report, problem):
+    """One row per stage of report: the oracle budget spent by the
+    stage's end and the metrics at its output."""
+    ends = {rec.stage: rec.g_calls for rec in report.trajectory}
+    return [(name, ends[k], *_metrics_at(exp, problem, x))
+            for k, x in enumerate(report.stage_outputs, start=1)]
+
+
 def _bench_rows(exp):
-    """One row per (method, oracle-budget checkpoint): the configured
-    solver's stage outputs, then the baselines at the same budgets.  A
-    diverging biased_sgd baseline ends its rows with a note on stderr;
-    any other numerical failure ends the bench."""
+    """Rows of (method, budget, metrics) at the configured solver's
+    stage ends, then the baselines', one solve per method.  With b the
+    solver's first budget and K its stage count, a baseline runs K
+    stages of floor(b / cost) steps, cost being the per-step oracle
+    calls (m for full_prox_gradient, batch_size for biased_sgd); stage
+    k's output is the iterate after k * floor(b / cost) steps of one
+    long run.  A diverging biased_sgd baseline leaves out its rows with
+    a note on stderr; any other numerical failure ends the bench."""
     if exp.family is None:
         raise ConfigError("bench needs a loss-family problem")
-    report = exp.run()
-    primary_name = "vr" if exp.reduction == "none" else f"vr_{exp.reduction}"
-
-    budgets = []
-    last_stage = None
-    for rec in report.trajectory:
-        if last_stage is not None and rec.stage != last_stage:
-            budgets.append(prev.g_calls)
-        prev = rec
-        last_stage = rec.stage
-    budgets.append(report.trajectory[-1].g_calls)
-
+    if exp.solver_cfg.eta <= 0:
+        raise ConfigError("solver.eta must be positive for bench's baselines")
     mean_problem = build_mean(exp.family)
-    rows = []
-    stage_xs = report.stage_outputs or [report.final_x]
-    eval_problem = exp.problem if exp.problem is not None else mean_problem
-    for budget, x in zip(budgets, stage_xs):
-        psi, gm, viol, err = _metrics_at(exp, eval_problem, x)
-        rows.append((primary_name, budget, psi, gm, viol, err))
+    primary_name = "vr" if exp.reduction == "none" else f"vr_{exp.reduction}"
+    rows = _stage_rows(exp, primary_name, exp.run(),
+                       exp.problem if exp.problem is not None else mean_problem)
+    budget, K = rows[0][1], len(rows)
+    eta, seed = exp.solver_cfg.eta, exp.solver_cfg.seed
 
-    cost_per_iter = mean_problem.m
-    for budget in budgets:
-        iters = max(1, budget // cost_per_iter)
-        base = baseline_solve(mean_problem, "full_prox_gradient", iters,
-                              exp.solver_cfg.eta, seed=exp.solver_cfg.seed)
-        psi, gm, viol, err = _metrics_at(exp, mean_problem, base.final_x)
-        rows.append(("unconstrained", base.counters.g_value_calls,
-                     psi, gm, viol, err))
+    def baseline(problem, kind, cost):
+        config = SolverConfig(eta=eta, T=max(1, budget // cost), K=K,
+                              seed=seed, grad_map_every=-1)
+        return baseline_solve(problem, kind, config, x0=exp.x0(),
+                              batch_size=exp.baseline_batch)
 
+    rows += _stage_rows(exp, "unconstrained", baseline(
+        mean_problem, "full_prox_gradient", mean_problem.m), mean_problem)
     if exp.reduction in ("chi2", "kl"):
-        for budget in budgets:
-            iters = max(1, budget // exp.baseline_batch)
-            try:
-                base = baseline_solve(exp.problem, "naive_biased_sgd", iters,
-                                      exp.solver_cfg.eta,
-                                      seed=exp.solver_cfg.seed,
-                                      batch_size=exp.baseline_batch)
-            except DivergenceError as exc:
-                # a longer run repeats these steps, so it diverges too
-                print(f"biased_sgd baseline {exc}; its rows from budget "
-                      f"{budget} on are left out", file=sys.stderr)
-                break
-            psi, gm, viol, err = _metrics_at(exp, exp.problem, base.final_x)
-            rows.append(("biased_sgd", base.counters.g_value_calls,
-                         psi, gm, viol, err))
+        try:
+            report = baseline(exp.problem, "naive_biased_sgd",
+                              exp.baseline_batch)
+        except DivergenceError as exc:
+            print(f"biased_sgd baseline {exc}; its rows are left out",
+                  file=sys.stderr)
+        else:
+            rows += _stage_rows(exp, "biased_sgd", report, exp.problem)
     return rows
 
 

@@ -37,7 +37,6 @@ class OracleCounter:
     """Running tally of single-component oracle evaluations."""
 
     g_value_calls: int = 0
-    g_jacobian_calls: int = 0
     h_gradient_calls: int = 0
     f_outer_calls: int = 0
     prox_calls: int = 0
@@ -85,7 +84,6 @@ class CompositeProblem:
         val, jac = self.g_oracle(i, x)
         if counter is not None:
             counter.g_value_calls += 1
-            counter.g_jacobian_calls += 1
         val = np.atleast_1d(np.asarray(val, dtype=float))
         jac = np.asarray(jac, dtype=float).reshape(self.dim_g, self.dim_x)
         return val, jac
@@ -225,7 +223,6 @@ def evaluate_psi(problem, x, counter=None):
         h_mean = float(np.sum(h_vals))
         if counter is not None:
             counter.g_value_calls += m
-            counter.g_jacobian_calls += m
             counter.h_gradient_calls += m
     f_val, _ = problem.f(y / m, counter)
     return problem.r_term.value(x) + h_mean / m + f_val

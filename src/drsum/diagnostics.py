@@ -10,12 +10,12 @@ records and failure checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .composite import batch_estimates
-from .solver import SolverConfig, SolverReport, solve_restarted
+from .solver import SolverReport, solve_restarted
 
 
 @dataclass
@@ -132,11 +132,14 @@ class _OneStepSchedule:
         return 1, m, min(self.batch, m)
 
 
-def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
+def baseline_solve(problem, kind, config, x0=None,
                    batch_size=1) -> SolverReport:
-    """Reference methods as iters one-step epochs of the solver's loop,
-    so iteration i is recorded (and any failure named) as stage 1,
-    epoch i, step 0.
+    """Reference methods as the config's K stages of T one-step epochs
+    of the solver's loop (its schedule is replaced), so stage k's
+    iteration i is recorded (and any failure named) as stage k, epoch
+    i, step 0.  Every epoch opens on a fresh batch from one stream, so
+    with the last-iterate rule stage k outputs the iterate after k*T
+    steps of a one-stage run.
 
     full_prox_gradient: exact gradient every step.
     naive_biased_sgd: plugs mini-batch means straight into the outer
@@ -147,12 +150,12 @@ def baseline_solve(problem, kind, iters, eta, seed=0, x0=None,
     """
     if kind not in ("full_prox_gradient", "naive_biased_sgd"):
         raise ValueError(f"unknown baseline {kind!r}")
-    if iters < 1 or eta <= 0:
-        raise ValueError("iters must be >= 1 and eta positive")
+    if config.eta <= 0:
+        raise ValueError("eta must be positive")
     batch = problem.m if kind == "full_prox_gradient" else batch_size
     x0 = np.zeros(problem.dim_x) if x0 is None else x0
-    return solve_restarted(problem, x0, SolverConfig(
-        eta=eta, T=iters, K=1, seed=seed, schedule=_OneStepSchedule(batch)))
+    return solve_restarted(problem, x0, replace(
+        config, schedule=_OneStepSchedule(batch)))
 
 
 def fit_rate(errors) -> RateFit:

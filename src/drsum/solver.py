@@ -192,12 +192,7 @@ class SolverReport:
     final_psi: Optional[float] = None
     stage_outputs: list = field(default_factory=list)
     per_device_counters: Optional[list] = None
-    x_unprojected: Optional[np.ndarray] = None
-    objective_before: Optional[float] = None
-    objective_after: Optional[float] = None
-    projection_gap: Optional[float] = None
-    projection_residual: Optional[float] = None
-    projection_iterations: Optional[int] = None
+    projection: Optional[dict] = None  # constrained runs only
 
 
 def split_batch(total, shard_sizes):
@@ -450,8 +445,9 @@ def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverCo
     stage; each stage re-anchors the compiled exponentials at its warm
     start.  When smoothness constants are supplied, alpha <= G_r/rho
     draws a warning (the projection-quality guarantee needs alpha >
-    G_r/rho) but the run proceeds.  The report carries the objective
-    value before and after the single projection and their gap.
+    G_r/rho) but the run proceeds.  The report's projection dict carries
+    the objective before and after the single projection, their gap,
+    the residual and the iteration count.
     """
     from .reductions import build_wasserstein
 
@@ -485,12 +481,12 @@ def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverCo
     report.counters.projection_calls += 1
     report.final_psi = evaluate_psi(builder(config.K, x_raw), x_proj)
 
-    report.x_unprojected = x_raw
     report.final_x = x_proj
-    report.objective_before = _objective_value(objective, x_raw)
-    report.objective_after = _objective_value(objective, x_proj)
-    report.projection_gap = report.objective_after - report.objective_before
-    report.projection_residual = residual
-    report.projection_iterations = iterations
+    before = _objective_value(objective, x_raw)
+    after = _objective_value(objective, x_proj)
+    report.projection = {
+        "objective_before": before, "objective_after": after,
+        "gap": after - before, "residual": residual,
+        "iterations": iterations}
     report.wall_time = time.perf_counter() - start
     return report

@@ -6,8 +6,9 @@ import pytest
 
 from drsum.cli import config_to_ini, main
 
-CHI2_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
-                  / "chi2_quadratic.ini")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CHI2_CONFIG = str(CONFIGS / "chi2_quadratic.ini")
+KL_CONFIG = str(CONFIGS / "kl_distributed.ini")
 
 QUAD_CHI2 = """
 [problem]
@@ -130,6 +131,15 @@ class TestSolve:
         assert main(["solve", cfg]) == 0
         summary = json.loads((tmp_path / "x" / "summary.json").read_text())
         assert np.allclose(summary["final_x"], 0.5, atol=1e-6)
+
+    def test_baseline_honours_grad_map_every(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", "full_prox_gradient")
+        monkeypatch.setenv("DRSUM_SOLVER__GRAD_MAP_EVERY", "-1")
+        out = tmp_path / "run"
+        assert main(["solve", CHI2_CONFIG, "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == 100
+        assert all(row.split(",")[6] == "" for row in rows)
 
 
 NONCONVEX_TOY = """
@@ -350,6 +360,25 @@ class TestConfigErrors:
             capsys.readouterr().err
         assert not (tmp_path / "dr").exists()
 
+    @pytest.mark.parametrize("command, method, key, value", [
+        ("solve", "full_prox_gradient", "iters", "0"),
+        ("solve", "naive_biased_sgd", "batch_size", "0"),
+        ("solve", "vr", "batch_size", "0"),
+        ("solve", "full_prox_gradient", "eta", "0"),
+        ("solve", "naive_biased_sgd", "eta", "0"),
+        ("bench", "vr", "eta", "0"),
+    ])
+    def test_invalid_baseline_setting_exit_1(self, tmp_path, monkeypatch,
+                                             capsys, command, method, key,
+                                             value):
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", method)
+        monkeypatch.setenv(f"DRSUM_SOLVER__{key.upper()}", value)
+        out = tmp_path / "run"
+        assert main([command, CHI2_CONFIG, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: solver.{key} must be")
+        assert not out.exists()
+
     def test_duplicate_section_exit_1(self, tmp_path, capsys):
         text = QUAD_CHI2.format(out=tmp_path) + "\n[problem]\nkind = logistic\n"
         cfg = write_cfg(tmp_path, text)
@@ -448,3 +477,38 @@ class TestBench:
             final_violation[method] = float(rows[-1][4])
         # the constrained arm ends with less violation than the baseline
         assert final_violation["vr_wasserstein"] < final_violation["unconstrained"]
+
+    def test_unconstrained_rows_start_at_x0(self, tmp_path, monkeypatch):
+        # the chi2 objective is quartic: far from 0 it needs a shorter step
+        monkeypatch.setenv("DRSUM_SOLVER__ETA", "0.005")
+
+        def unconstrained_rows(out):
+            assert main(["bench", CHI2_CONFIG, "--out", str(out)]) == 0
+            return [line for line in
+                    (out / "bench.csv").read_text().splitlines()
+                    if line.startswith("unconstrained,")]
+
+        zero_start = unconstrained_rows(tmp_path / "zero")
+        monkeypatch.setenv("DRSUM_SOLVER__X0", "1,1,1,1,1")
+        ones_start = unconstrained_rows(tmp_path / "ones")
+        assert len(ones_start) == len(zero_start) == 8
+        assert all(a != b for a, b in zip(zero_start, ones_start))
+
+    def test_one_solve_per_baseline(self, tmp_path, monkeypatch):
+        import drsum.cli
+
+        calls = []
+
+        def counted(problem, kind, *args, **kwargs):
+            calls.append(kind)
+            return baseline_solve(problem, kind, *args, **kwargs)
+
+        baseline_solve = drsum.cli.baseline_solve
+        monkeypatch.setattr(drsum.cli, "baseline_solve", counted)
+        out = tmp_path / "bench"
+        assert main(["bench", KL_CONFIG, "--out", str(out)]) == 0
+        assert calls == ["full_prox_gradient", "naive_biased_sgd"]
+        rows = [line.split(",") for line in
+                (out / "bench.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == \
+            ["vr_kl"] * 3 + ["unconstrained"] * 3 + ["biased_sgd"] * 3

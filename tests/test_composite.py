@@ -127,7 +127,6 @@ class TestFullGradient:
         counter = OracleCounter()
         full_phi_gradient(prob, np.zeros(prob.dim_x), counter)
         assert counter.g_value_calls == prob.m
-        assert counter.g_jacobian_calls == prob.m
         assert counter.h_gradient_calls == prob.m
         assert counter.f_outer_calls == 1
 

@@ -10,6 +10,7 @@ from drsum.diagnostics import (
 )
 from drsum.reductions import Chi2Config, build_chi2, build_mean
 from drsum.problems import make_synthetic
+from drsum.solver import SolverConfig
 
 from conftest import quadratic_losses
 
@@ -127,7 +128,8 @@ class TestBaselines:
         fam = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7,
                              cond=3.0)
         prob = build_mean(fam)
-        report = baseline_solve(prob, "full_prox_gradient", iters=500, eta=0.2)
+        report = baseline_solve(prob, "full_prox_gradient",
+                                SolverConfig(eta=0.2, T=500))
         assert report.trajectory[-1].grad_map_sq <= 1e-10
         assert report.counters.g_value_calls == 500 * 16
 
@@ -168,9 +170,11 @@ class TestBaselines:
             return float(u[0]) ** 2, np.array([2.0 * u[0]])
 
         prob = CompositeProblem(1, 1, 16, g_oracle, h_oracle, f_outer)
-        naive = baseline_solve(prob, "naive_biased_sgd", iters=400, eta=0.05,
-                               seed=1, batch_size=2)
-        exact = baseline_solve(prob, "full_prox_gradient", iters=400, eta=0.05)
+        naive = baseline_solve(prob, "naive_biased_sgd",
+                               SolverConfig(eta=0.05, T=400, seed=1),
+                               batch_size=2)
+        exact = baseline_solve(prob, "full_prox_gradient",
+                               SolverConfig(eta=0.05, T=400))
         naive_floor = np.median([r.grad_map_sq for r in naive.trajectory[-100:]])
         assert exact.trajectory[-1].grad_map_sq < 1e-16
         assert naive_floor > 1e-4
@@ -203,19 +207,32 @@ class TestBaselines:
             iterates.append(x)
             counts.append(counter.copy())
         for k in range(1, iters + 1):
-            report = baseline_solve(prob, "naive_biased_sgd", iters=k,
-                                    eta=eta, seed=seed, batch_size=batch)
+            report = baseline_solve(prob, "naive_biased_sgd",
+                                    SolverConfig(eta=eta, T=k, seed=seed),
+                                    batch_size=batch)
             assert np.array_equal(report.final_x, iterates[k - 1])
             assert report.counters == counts[k - 1]
         assert [(r.g_calls, r.h_calls) for r in report.trajectory] == \
+            [(c.g_value_calls, c.h_gradient_calls) for c in counts]
+        # K = 5 stages of T = 5: one long run read at its stage ends
+        staged = baseline_solve(prob, "naive_biased_sgd",
+                                SolverConfig(eta=eta, T=5, K=5, seed=seed),
+                                batch_size=batch)
+        for k, x in enumerate(staged.stage_outputs, start=1):
+            assert np.array_equal(x, iterates[5 * k - 1])
+        assert [(r.stage, r.epoch, r.step) for r in staged.trajectory] == \
+            [(k, i, 0) for k in range(1, 6) for i in range(1, 6)]
+        assert [(r.g_calls, r.h_calls) for r in staged.trajectory] == \
             [(c.g_value_calls, c.h_gradient_calls) for c in counts]
 
     def test_validation(self):
         prob = linear_value_problem([1.0])
         with pytest.raises(ValueError):
-            baseline_solve(prob, "annealing", 10, 0.1)
+            baseline_solve(prob, "annealing", SolverConfig(eta=0.1, T=10))
         with pytest.raises(ValueError):
-            baseline_solve(prob, "full_prox_gradient", 0, 0.1)
+            baseline_solve(prob, "full_prox_gradient", SolverConfig(eta=0.1, T=0))
+        with pytest.raises(ValueError):
+            baseline_solve(prob, "full_prox_gradient", SolverConfig(eta=0.0, T=10))
 
 
 class TestFitRate:

@@ -35,7 +35,6 @@ class TestSingleWorkerEquivalence:
         assert [r.psi for r in central.trajectory] == [r.psi for r in dist.trajectory]
         dev = dist.per_device_counters[0]
         assert dev.g_value_calls == central.counters.g_value_calls
-        assert dev.g_jacobian_calls == central.counters.g_jacobian_calls
         assert dev.h_gradient_calls == central.counters.h_gradient_calls
         assert dist.counters.as_dict() == central.counters.as_dict()
 
@@ -68,7 +67,6 @@ class TestSingleWorkerEquivalence:
         assert any(r.max_violation for r in central.trajectory)
         dev = dist.per_device_counters[0]
         assert dev.g_value_calls == central.counters.g_value_calls
-        assert dev.g_jacobian_calls == central.counters.g_jacobian_calls
         assert dev.h_gradient_calls == central.counters.h_gradient_calls
         assert dist.counters.as_dict() == central.counters.as_dict()
 
@@ -143,7 +141,6 @@ class TestPerDeviceCounters:
         assert expected == [56, 56, 56, 56]
         for dev, want in zip(report.per_device_counters, expected):
             assert dev.g_value_calls == want
-            assert dev.g_jacobian_calls == want
             assert dev.h_gradient_calls == want
 
     def test_devices_count_components_server_counts_steps(self):
@@ -156,7 +153,7 @@ class TestPerDeviceCounters:
                     dev.projection_calls) == (0, 0, 0)
         totals = report.counters
         assert (totals.f_outer_calls, totals.prox_calls) == (steps, steps)
-        for name in ("g_value_calls", "g_jacobian_calls", "h_gradient_calls"):
+        for name in ("g_value_calls", "h_gradient_calls"):
             assert getattr(totals, name) == sum(
                 getattr(dev, name) for dev in report.per_device_counters)
 

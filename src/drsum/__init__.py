@@ -5,7 +5,6 @@ from .composite import (
     EpochState,
     JacobianReport,
     OracleCounter,
-    SmoothnessSpec,
     check_jacobians,
     evaluate_psi,
     full_phi_gradient,
@@ -14,7 +13,6 @@ from .composite import (
 from .constraints import (
     ConstraintSet,
     ProjectionError,
-    estimate_rho,
     max_violation,
     project_feasible,
 )
@@ -53,13 +51,10 @@ from .solver import (
     Schedule,
     SolverReport,
     TrajectoryRecord,
-    derive_step_size,
     expected_oracle_calls,
     run_epoch,
     solve_constrained_wasserstein,
     solve_restarted,
-    recommended_epochs,
-    recommended_stages,
 )
 from .distributed import (
     DistConfig,
@@ -87,7 +82,6 @@ from .diagnostics import (
     RateFit,
     baseline_solve,
     estimate_constants,
-    estimate_variance,
     fit_rate,
 )
 

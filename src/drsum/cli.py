@@ -447,7 +447,7 @@ def _check_rows(exp):
         rows.append(("jacobian-check", jac.max_rel_error <= 1e-5,
                      f"max rel err {jac.max_rel_error:.2e}"))
         est = estimate_constants(exp.problem, num_probes=100,
-                                 seed=exp.solver_cfg.seed)
+                                 seed=exp.solver_cfg.seed, center=exp.x0())
         finite = all(np.isfinite(v) for v in
                      (est.l_f, est.L_f, est.l_g, est.L_g, est.l_h, est.L_h))
         rows.append(("constant-estimates", finite,

@@ -102,46 +102,6 @@ class CompositeProblem:
 
 
 @dataclass
-class SmoothnessSpec:
-    """User-supplied Lipschitz and growth constants of the composite parts.
-
-    l_* bound values, L_* bound gradients; mu is the optimal strong
-    convexity (quadratic growth) modulus of Psi; G_r the smoothness of
-    the plain objective in constrained runs; rho the lower bound on the
-    active-constraint gradient norm at the boundary.
-    """
-
-    l_f: float = 0.0
-    L_f: float = 0.0
-    l_g: float = 0.0
-    L_g: float = 0.0
-    l_h: float = 0.0
-    L_h: float = 0.0
-    mu: float = 0.0
-    G_r: float = 0.0
-    rho: float = 0.0
-
-    def __post_init__(self):
-        for name in ("l_f", "L_f", "l_g", "L_g", "l_h", "L_h", "mu", "G_r", "rho"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def L_phi(self):
-        return (self.l_g**2 * self.L_f + self.l_f * self.L_g) + self.L_h
-
-    @property
-    def G0(self):
-        return 3.0 * (self.l_g**4 * self.L_f**2 + self.l_f**2 * self.L_g**2 + self.l_h**2)
-
-    @property
-    def kappa(self):
-        if self.mu <= 0:
-            raise ValueError("kappa undefined: mu must be positive")
-        return self.L_phi / self.mu
-
-
-@dataclass
 class EpochState:
     """Live solver state: iterate plus the three running estimators."""
 

@@ -11,8 +11,9 @@ and convexify_constraints fill both fields; the estimators and the
 Wasserstein g_oracle stay per index.
 
 The projection onto the feasible set is one SLSQP solve of the
-distance problem for every set, reading the constraints through
-jacobian(); it is exact on convex sets and local on nonconvex ones.
+distance problem for every set, reading the constraints through one
+jacobian() call per SLSQP point; it is exact on convex sets and local
+on nonconvex ones.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ def project_feasible(cset, x, tol=1e-8, max_iter=100_000):
     """Euclidean projection of x onto {c_i <= 0 for all i}.
 
     One SLSQP solve of min ||y - x||^2/2 subject to c(y) <= 0 for every
-    set.  The constraint values and their jacobian both come from
-    jacobian(), so the projection reads the constraints through one
-    path.  Exact on convex sets; on a nonconvex set it returns a local
-    projection.
+    set.  The constraint values and their jacobian both come from one
+    jacobian() call per SLSQP point, so the projection reads the
+    constraints through one path.  Exact on convex sets; on a nonconvex
+    set it returns a local projection.
 
     Returns (x_proj, residual, iterations); raises ProjectionError with the
     residual if the result violates the set by more than tol.
@@ -116,10 +117,18 @@ def project_feasible(cset, x, tol=1e-8, max_iter=100_000):
     def distance(v):
         return 0.5 * float((v - x) @ (v - x)), v - x
 
+    last = [None, None]  # the last point read and its negated jacobian()
+
+    def negated(v):
+        if last[0] is None or not np.array_equal(v, last[0]):
+            vals, jac = cset.jacobian(v)
+            last[:] = [v.copy(), (-vals, -jac)]
+        return last[1]
+
     res = minimize(distance, x, jac=True, method="SLSQP",
                    constraints={"type": "ineq",
-                                "fun": lambda v: -cset.jacobian(v)[0],
-                                "jac": lambda v: -cset.jacobian(v)[1]},
+                                "fun": lambda v: negated(v)[0],
+                                "jac": lambda v: negated(v)[1]},
                    options={"maxiter": max_iter, "ftol": 1e-12})
     residual = max_violation(cset, res.x)
     if residual > tol:
@@ -129,39 +138,3 @@ def project_feasible(cset, x, tol=1e-8, max_iter=100_000):
             residual,
         )
     return res.x, residual, int(res.nit)
-
-
-def estimate_rho(cset, dim, num_probes=50, seed=0, radius=2.0, bisect_steps=60):
-    """Optimistic sampled estimate of the boundary gradient-norm floor.
-
-    Searches segments between random feasible/infeasible point pairs for
-    boundary crossings of c(x) = max_i c_i(x) and returns the smallest
-    active-constraint gradient norm found.  Diagnostic only: a sample
-    minimum over part of the boundary, not a certified bound.
-    """
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    found = 0
-    for _ in range(num_probes * 4):
-        if found >= num_probes:
-            break
-        a = radius * rng.standard_normal(dim)
-        bpt = radius * rng.standard_normal(dim)
-        fa = float(np.max(cset.values(a)))
-        fb = float(np.max(cset.values(bpt)))
-        if fa * fb >= 0:
-            continue
-        lo, hi = (a, bpt) if fa < 0 else (bpt, a)
-        for _ in range(bisect_steps):
-            mid = 0.5 * (lo + hi)
-            if float(np.max(cset.values(mid))) < 0:
-                lo = mid
-            else:
-                hi = mid
-        boundary = 0.5 * (lo + hi)
-        vals = cset.values(boundary)
-        active = int(np.argmax(vals))
-        _, grad = cset.eval(active, boundary)
-        best = min(best, float(np.linalg.norm(grad)))
-        found += 1
-    return best

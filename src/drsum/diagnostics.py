@@ -1,11 +1,12 @@
-"""Empirical probes for the smoothness constants, sampling variance,
-convergence rates, and simple reference solvers.
+"""Empirical probes for the smoothness constants, convergence-rate
+fits, and simple reference solvers.
 
 The constant estimates are honest lower bounds: maxima of difference
 quotients over sampled pairs, probed from a reproducible stream so more
-probes never shrink an estimate.  The reference solvers are tau = 1
-schedules of the solver's own loop, so they share its oracle accounting,
-records and failure checks.
+probes never shrink an estimate; the outer map is probed around the
+exact inner mean, where the estimators live.  The reference solvers are
+tau = 1 schedules of the solver's own loop, so they share its oracle
+accounting, records and failure checks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .composite import batch_estimates
 from .solver import SolverReport, solve_restarted
 
 
@@ -29,16 +29,6 @@ class ConstantEstimates:
     l_h: float
     L_h: float
 
-    def as_smoothness_spec(self, mu=0.0, G_r=0.0, rho=0.0):
-        """Constants record for the step-size rules.  The growth modulus,
-        objective smoothness and boundary gradient floor cannot be probed
-        and stay user-supplied."""
-        from .composite import SmoothnessSpec
-
-        return SmoothnessSpec(l_f=self.l_f, L_f=self.L_f, l_g=self.l_g,
-                              L_g=self.L_g, l_h=self.l_h, L_h=self.L_h,
-                              mu=mu, G_r=G_r, rho=rho)
-
 
 @dataclass
 class RateFit:
@@ -50,16 +40,18 @@ class RateFit:
 
 
 def estimate_constants(problem, num_probes=200, seed=0, center=None,
-                       radius=1.0, u_radius=1.0):
+                       radius=1.0, u_radius=0.5):
     """Max difference quotients over random pairs in a ball around center
-    (unit ball at the origin by default); outer-map probes live in
-    [-u_radius, u_radius]^p.  Lower bounds of the true constants, never
-    upper bounds."""
+    (unit ball at the origin by default); outer-map probes live in the
+    box ubar +- u_radius * |ubar| around the exact inner mean ubar at
+    center.  Lower bounds of the true constants, never upper bounds."""
     if num_probes < 2:
         raise ValueError("need at least two probes")
     rng = np.random.default_rng(seed)
-    d, p, m = problem.dim_x, problem.dim_g, problem.m
+    d, m = problem.dim_x, problem.m
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+    ubar = sum(problem.g(i, center)[0] for i in range(m)) / m
+    u_lo, u_hi = ubar - u_radius * np.abs(ubar), ubar + u_radius * np.abs(ubar)
     l_g = L_g = l_h = L_h = l_f = L_f = 0.0
     for _ in range(num_probes):
         i = int(rng.integers(0, m))
@@ -76,8 +68,8 @@ def estimate_constants(problem, num_probes=200, seed=0, center=None,
         h2, hg2 = problem.h(i, x2)
         l_h = max(l_h, abs(h1 - h2) / dx)
         L_h = max(L_h, float(np.linalg.norm(hg1 - hg2)) / dx)
-        u1 = rng.uniform(-u_radius, u_radius, size=p)
-        u2 = rng.uniform(-u_radius, u_radius, size=p)
+        u1 = rng.uniform(u_lo, u_hi)
+        u2 = rng.uniform(u_lo, u_hi)
         du = float(np.linalg.norm(u1 - u2))
         if du < 1e-12:
             continue
@@ -95,30 +87,6 @@ def _ball_point(rng, d):
     v = rng.standard_normal(d)
     v /= max(np.linalg.norm(v), 1e-12)
     return v * rng.uniform(0.0, 1.0) ** (1.0 / d)
-
-
-def estimate_variance(problem, x, batch_size, num_trials=200, seed=0):
-    """Monte-Carlo estimate of E || mean_B grad g - grad g ||^2.
-
-    A batch of size m is the deterministic full pass and returns zero
-    exactly; otherwise sampling is uniform with replacement, matching the
-    solver.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    x = np.asarray(x, dtype=float)
-    m = problem.m
-    if batch_size >= m:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    _, z_exact, _ = batch_estimates(problem, range(m), x)
-    total = 0.0
-    for _ in range(num_trials):
-        idx = rng.integers(0, m, size=batch_size)
-        _, z_batch, _ = batch_estimates(problem, idx, x)
-        diff = z_batch - z_exact
-        total += float(np.sum(diff * diff))
-    return total / num_trials
 
 
 @dataclass

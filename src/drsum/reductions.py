@@ -192,7 +192,9 @@ def build_kl(losses, cfg: KlConfig, dim=None, shift_anchor=None):
         u0 = float(u[0])
         if u0 <= 0.0:
             raise NumericalRangeError(
-                "all shifted exponentials underflowed; re-anchor the shift or increase gamma"
+                f"mean estimate u = {u0:.3e} is non-positive, outside ln's "
+                "domain (a variance-reduced estimate can cross zero; else all "
+                "shifted exponentials underflowed: re-anchor or raise gamma)"
             )
         return np.log(u0) + shift, np.array([1.0 / u0])
 
@@ -303,7 +305,9 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
         total = base + m * u0
         if total <= 0.0:
             raise NumericalRangeError(
-                "smoothed penalty underflowed entirely; re-anchor the shift"
+                f"mean estimate u = {u0:.3e} is non-positive, and so is the "
+                f"log argument {total:.3e} (a variance-reduced estimate can "
+                "cross zero; else the penalty underflowed: re-anchor the shift)"
             )
         val = gamma * (np.log(total) - np.log(m + 1.0) + shift)
         return val, np.array([gamma * m / total])

@@ -112,39 +112,6 @@ def expected_oracle_calls(schedule, T, m, K=1):
     return K * total
 
 
-def derive_step_size(spec, regime):
-    """0.9 times the admissible step-size bound for the given regime.
-
-    strongly_convex: 2 / (L_phi + sqrt(L_phi^2 + 36 G0))
-    nonconvex:       4 / (L_phi + sqrt(L_phi^2 + 12 G0))
-    """
-    L = spec.L_phi
-    G0 = spec.G0
-    if L <= 0 and G0 <= 0:
-        raise ValueError("cannot derive a step size from all-zero constants")
-    if regime == "strongly_convex":
-        bound = 2.0 / (L + math.sqrt(L * L + 36.0 * G0))
-    elif regime == "nonconvex":
-        bound = 4.0 / (L + math.sqrt(L * L + 12.0 * G0))
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return 0.9 * bound
-
-
-def recommended_epochs(m, mu, eta):
-    """Stage length T = ceil(5 / (sqrt(m) * mu * eta)), floored at 1."""
-    if mu <= 0 or eta <= 0:
-        raise ValueError("mu and eta must be positive")
-    return max(1, math.ceil(5.0 / (math.sqrt(m) * mu * eta)))
-
-
-def recommended_stages(epsilon):
-    """Restart count K = ceil(ln(1/epsilon)), floored at 1."""
-    if epsilon <= 0 or epsilon >= 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return max(1, math.ceil(math.log(1.0 / epsilon)))
-
-
 @dataclass
 class SolverConfig:
     """Solver configuration: step size, epochs per stage, restart stages."""
@@ -436,18 +403,17 @@ def _objective_value(objective, x):
 
 
 def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverConfig,
-                                  x0, smoothness=None, projection_tol=1e-8,
+                                  x0, projection_tol=1e-8,
                                   projection_max_iter=100_000) -> SolverReport:
     """Restarted solve of the smoothed constrained problem, started at
     x0, followed by a single terminal projection onto the feasible set.
 
     The smoothing temperature is held at the configured value for every
     stage; each stage re-anchors the compiled exponentials at its warm
-    start.  When smoothness constants are supplied, alpha <= G_r/rho
-    draws a warning (the projection-quality guarantee needs alpha >
-    G_r/rho) but the run proceeds.  The report's projection dict carries
-    the objective before and after the single projection, their gap,
-    the residual and the iteration count.
+    start.  The report's projection dict carries the objective before
+    and after the single projection, their gap, the residual and the
+    iteration count.  The alpha > G_r/rho condition of the projection
+    guarantee is checked by `drsum check`, not here.
     """
     from .reductions import build_wasserstein
 
@@ -456,13 +422,6 @@ def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverCo
             f"restart counts disagree: temperature derived for K={wcfg.K}, "
             f"running K={config.K}"
         )
-    if smoothness is not None and smoothness.rho > 0 and smoothness.G_r > 0:
-        if wcfg.alpha <= smoothness.G_r / smoothness.rho:
-            warnings.warn(
-                f"alpha={wcfg.alpha:g} does not exceed G_r/rho="
-                f"{smoothness.G_r / smoothness.rho:g}; projection-quality "
-                "guarantee does not apply"
-            )
 
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size

@@ -327,6 +327,20 @@ class TestNumericalFailure:
             capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_kl_estimate_below_zero_names_the_estimate(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # from x0 = 1 the exponents reach about 18 and the variance-reduced
+        # mean of the exponentials crosses zero: the outer log's domain is
+        # left by the estimate, with no exponential underflowing
+        monkeypatch.setenv("DRSUM_SOLVER__X0", "1,1,1,1,1")
+        out = tmp_path / "run"
+        assert main(["solve", KL_CONFIG, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver nonconvergence: ")
+        assert "non-positive" in err
+        assert "at stage 1, epoch 4, step 2" in err
+        assert not (out / "summary.json").exists()
+
     def test_bench_baseline_failure_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
         import drsum.cli

@@ -4,7 +4,6 @@ import pytest
 from drsum.composite import (
     CompositeProblem,
     OracleCounter,
-    SmoothnessSpec,
     check_jacobians,
     evaluate_psi,
     full_phi_gradient,
@@ -57,22 +56,6 @@ def scalar_problem(phi="half_sq", r_term=None):
     return CompositeProblem(dim_x=dim, dim_g=1, m=1, g_oracle=g_oracle,
                             h_oracle=h_oracle, f_outer=f_outer,
                             r_term=r_term or ZeroTerm())
-
-
-class TestSmoothnessSpec:
-    def test_derived_constants(self):
-        s = SmoothnessSpec(l_f=2.0, L_f=3.0, l_g=1.5, L_g=0.5, l_h=4.0, L_h=1.0, mu=2.0)
-        assert s.L_phi == pytest.approx(1.5**2 * 3.0 + 2.0 * 0.5 + 1.0)
-        assert s.G0 == pytest.approx(3 * (1.5**4 * 9.0 + 4.0 * 0.25 + 16.0))
-        assert s.kappa == pytest.approx(s.L_phi / 2.0)
-
-    def test_kappa_undefined_without_mu(self):
-        with pytest.raises(ValueError):
-            _ = SmoothnessSpec(L_f=1.0).kappa
-
-    def test_negative_constant_rejected(self):
-        with pytest.raises(ValueError):
-            SmoothnessSpec(l_f=-0.1)
 
 
 class TestFullGradient:

@@ -6,7 +6,6 @@ import pytest
 from drsum.constraints import (
     ConstraintSet,
     ProjectionError,
-    estimate_rho,
     max_violation,
     project_feasible,
 )
@@ -202,6 +201,21 @@ class TestBatchJacobianProjection:
         assert per_call and set(per_call) == {0}
         assert calls == []
 
+    def test_one_batch_jacobian_per_slsqp_point(self):
+        # the constraint's fun and jac callbacks share one batch_eval at
+        # each point SLSQP visits
+        cset, x = self.dr_logistic_set(3000)
+        points = []
+
+        def batch_eval(v):
+            points.append(v)
+            return cset.batch_eval(v)
+
+        _, residual, nit = project_feasible(
+            replace(cset, batch_eval=batch_eval), x)
+        assert residual <= 1e-8 and nit > 0
+        assert len(points) <= nit + 1
+
     def test_dykstra_reads_the_batch(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         cset, calls = counting(ConstraintSet.affine(A, np.ones(3)),
@@ -255,9 +269,3 @@ class TestConstraintSet:
         assert cset.m == 1
         assert cset.eval(0, np.array([3.0]))[0] == pytest.approx(2.0)
 
-
-def test_estimate_rho_on_unit_halfspace():
-    # boundary of {x1 - 1 <= 0} has gradient norm exactly 1 everywhere
-    cset = ConstraintSet.affine(np.array([[1.0, 0.0]]), np.array([1.0]))
-    est = estimate_rho(cset, dim=2, num_probes=20, seed=0)
-    assert est == pytest.approx(1.0, abs=1e-9)

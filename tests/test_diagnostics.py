@@ -5,7 +5,6 @@ from drsum.composite import CompositeProblem
 from drsum.diagnostics import (
     baseline_solve,
     estimate_constants,
-    estimate_variance,
     fit_rate,
 )
 from drsum.reductions import Chi2Config, build_chi2, build_mean
@@ -44,8 +43,11 @@ class TestEstimateConstants:
         prob = build_chi2(losses, Chi2Config(gamma=1.0), dim=d)
         est = estimate_constants(prob, num_probes=1000, seed=3)
         assert est.L_f == pytest.approx(1.0, abs=1e-12)
-        # value slope sup over [-1, 1] is 1, approached from below
-        assert 0.95 <= est.l_f <= 1.0
+        # value slope sup over [ubar/2, 3 ubar/2] is 1.5 |ubar| / gamma,
+        # approached from below
+        ubar = np.mean([f(np.zeros(d))[0] for f in losses])
+        sup = 1.5 * abs(ubar)
+        assert 0.95 * sup <= est.l_f <= sup
 
     def test_quadratic_h_matches_spectral_bound(self):
         fam = make_synthetic("strongly_convex_quadratic", m=4, d=3, seed=5)
@@ -74,14 +76,16 @@ class TestEstimateConstants:
         est = estimate_constants(prob, num_probes=200, seed=0)
         assert np.isfinite(est.L_f) and est.L_f > 0
 
-    def test_estimates_feed_step_size_rule(self):
-        from drsum.solver import derive_step_size
-        losses, d, _, _ = quadratic_losses(m=6, d=3, seed=2)
-        prob = build_chi2(losses, Chi2Config(gamma=2.0), dim=d)
-        spec = estimate_constants(prob, num_probes=200, seed=4).as_smoothness_spec(mu=1.0)
-        eta = derive_step_size(spec, "strongly_convex")
-        assert 0 < eta < 2.0 / spec.L_phi
-        assert spec.kappa == spec.L_phi
+    def test_log_outer_map_probed_inside_its_domain(self):
+        # ln u has |f''| = 1/u^2, whose supremum on [ubar/2, 3 ubar/2] is
+        # 4/ubar^2; probes near u = 0 would report far more
+        from drsum.reductions import KlConfig, build_kl
+        losses, d, _, _ = quadratic_losses(m=4, d=3, seed=1)
+        prob = build_kl(losses, KlConfig(gamma=1.0), dim=d)
+        ubar = np.mean([prob.g(i, np.zeros(d))[0][0] for i in range(4)])
+        est = estimate_constants(prob, num_probes=200, seed=0)
+        assert 0.0 < est.L_f <= 4.0 / ubar**2
+        assert 0.0 < est.l_f <= 2.0 / ubar
 
     def test_monotone_in_probe_count(self):
         losses, d, _, _ = quadratic_losses(m=6, d=3, seed=2)
@@ -90,37 +94,6 @@ class TestEstimateConstants:
         many = estimate_constants(prob, num_probes=400, seed=9)
         for name in ("l_f", "L_f", "l_g", "L_g", "l_h", "L_h"):
             assert getattr(many, name) >= getattr(few, name) - 1e-15
-
-
-class TestEstimateVariance:
-    def test_full_batch_is_zero(self):
-        prob = linear_value_problem([1.0, 2.0, 3.0, 4.0])
-        assert estimate_variance(prob, np.ones(1), batch_size=4) == 0.0
-
-    def test_identical_components_zero(self):
-        prob = linear_value_problem([2.0, 2.0, 2.0])
-        assert estimate_variance(prob, np.ones(1), batch_size=1,
-                                 num_trials=100) == pytest.approx(0.0)
-
-    def test_single_draw_population_variance(self):
-        prob = linear_value_problem([1.0, 2.0, 3.0, 4.0])
-        trials = 4000
-        est = estimate_variance(prob, np.ones(1), batch_size=1,
-                                num_trials=trials, seed=0)
-        # population variance of the slopes is 1.25; allow 3 sigma of the
-        # Monte-Carlo mean of squared deviations
-        draws_var = 1.25
-        fourth_moment = np.mean((np.array([1, 2, 3, 4]) - 2.5) ** 4)
-        mc_se = np.sqrt(max(fourth_moment - draws_var**2, 0.0) / trials)
-        assert abs(est - draws_var) <= 3 * mc_se
-
-    def test_one_over_b_scaling(self):
-        prob = linear_value_problem([1.0, 5.0, -2.0, 4.0, 0.5, 3.0, -1.0, 2.0])
-        e1 = estimate_variance(prob, np.ones(1), batch_size=1,
-                               num_trials=4000, seed=1)
-        e4 = estimate_variance(prob, np.ones(1), batch_size=4,
-                               num_trials=4000, seed=2)
-        assert 3.0 <= e1 / e4 <= 5.5
 
 
 class TestBaselines:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from drsum.composite import (
     EpochState,
-    SmoothnessSpec,
     batch_estimates,
     delta_update,
     evaluate_psi,
@@ -17,13 +17,10 @@ from drsum.reductions import Chi2Config, WassersteinConfig, build_chi2, build_me
 from drsum.solver import (
     SolverConfig,
     Schedule,
-    derive_step_size,
     expected_oracle_calls,
     run_epoch,
     solve_constrained_wasserstein,
     solve_restarted,
-    recommended_epochs,
-    recommended_stages,
 )
 
 
@@ -74,36 +71,6 @@ class TestSchedule:
         total = sum(a.params(t, 16)[2] + 2 * a.params(t, 16)[1] * (a.params(t, 16)[0] - 1)
                     for t in range(1, 6))
         assert expected_oracle_calls(a, T=5, m=16) == total
-
-
-class TestStepSize:
-    def test_zero_curvature_strongly_convex(self):
-        spec = SmoothnessSpec(l_g=1.0, L_f=1.0)  # L_phi = 1, G0 = 3*l_g^4*L_f^2 = 3
-        # construct G0 = 0 instead: l_g=0, L_g = 1, l_f = 1 gives L_phi = 1
-        spec = SmoothnessSpec(l_f=1.0, L_g=1.0)
-        assert spec.G0 == pytest.approx(3.0)  # 3 * l_f^2 L_g^2
-        spec = SmoothnessSpec(L_h=1.0)
-        assert spec.L_phi == 1.0 and spec.G0 == 0.0
-        assert derive_step_size(spec, "strongly_convex") == pytest.approx(0.9)
-        assert derive_step_size(spec, "nonconvex") == pytest.approx(1.8)
-
-    def test_general_arithmetic(self):
-        spec = SmoothnessSpec(L_h=2.0, l_h=np.sqrt(1.0 / 3.0))  # L_phi=2, G0=1
-        assert spec.G0 == pytest.approx(1.0)
-        eta = derive_step_size(spec, "strongly_convex")
-        assert eta == pytest.approx(0.9 * 2.0 / (2.0 + np.sqrt(4.0 + 36.0)), abs=1e-9)
-        assert eta == pytest.approx(0.21623, abs=1e-4)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            derive_step_size(SmoothnessSpec(), "strongly_convex")
-
-    def test_recommended_counts(self):
-        assert recommended_epochs(m=16, mu=1.0, eta=0.5) == np.ceil(5.0 / 2.0)
-        assert recommended_epochs(m=1, mu=100.0, eta=1.0) == 1
-        assert recommended_stages(np.exp(-3.0)) == 3
-        with pytest.raises(ValueError):
-            recommended_stages(2.0)
 
 
 class StubSchedule:
@@ -412,7 +379,8 @@ class TestConstrainedSolve:
         wcfg = WassersteinConfig(alpha=2.0, K=4)
         gamma = wcfg.resolve_gamma(2)
         eta = 1.0 / (1.0 + 2.0 * 2.0**2 / (4.0 * gamma))
-        cfg = SolverConfig(eta=eta, T=recommended_epochs(2, 1.0, eta), K=4, seed=0)
+        T = math.ceil(5.0 / (math.sqrt(2.0) * eta))
+        cfg = SolverConfig(eta=eta, T=T, K=4, seed=0)
         report = solve_constrained_wasserstein(objective, cset, wcfg, cfg,
                                                x0=np.zeros(2))
         assert np.linalg.norm(report.final_x - np.array([1.0, 1.0])) < 1e-3
@@ -450,15 +418,6 @@ class TestConstrainedSolve:
         report = solve_constrained_wasserstein(objective, cset, wcfg, cfg,
                                                x0=np.zeros(2))
         assert report.wall_time >= 0.05
-
-    def test_alpha_condition_warning(self):
-        objective, cset = self.toy()
-        wcfg = WassersteinConfig(alpha=0.5, gamma=0.1)
-        cfg = SolverConfig(eta=0.05, T=2, K=1, seed=0)
-        spec = SmoothnessSpec(G_r=1.0, rho=1.0)
-        with pytest.warns(UserWarning, match="G_r/rho"):
-            solve_constrained_wasserstein(objective, cset, wcfg, cfg,
-                                          x0=np.zeros(2), smoothness=spec)
 
 
 class TestRobustLogisticSolve:

@@ -62,6 +62,7 @@ from .solver import (
     SolverReport,
     solve_constrained_wasserstein,
     solve_restarted,
+    split_batch,
 )
 
 ENV_PREFIX = "DRSUM_"
@@ -149,9 +150,15 @@ class Experiment:
         self.problem = None
         self.wcfg = None
         self.fairness_spec = None
-        self._build_data()
-        self._build_problem()
-        self._build_solver()
+        try:
+            self._build_data()
+            self._build_problem()
+            self._build_solver()
+            self._check_sizes()
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a value the library rejects
+            raise ConfigError(f"invalid value: {exc}")
         self._resolve_output()
 
     # -- problem assembly -------------------------------------------------
@@ -296,14 +303,11 @@ class Experiment:
             output_rule=_get(cfg, "solver", "output_rule", "last_iterate"),
             grad_map_every=_get(cfg, "solver", "grad_map_every", 0, int),
         )
-        try:
-            if self.method == "dist_vr":
-                self.solver_cfg = DistConfig(
-                    p=_get(cfg, "solver", "workers", 1, int), **common)
-            else:
-                self.solver_cfg = SolverConfig(**common)
-        except ValueError as exc:
-            raise ConfigError(f"solver configuration invalid: {exc}")
+        if self.method == "dist_vr":
+            self.solver_cfg = DistConfig(
+                p=_get(cfg, "solver", "workers", 1, int), **common)
+        else:
+            self.solver_cfg = SolverConfig(**common)
         self.baseline_iters = _get(cfg, "solver", "iters", 100, int)
         self.baseline_batch = _get(cfg, "solver", "batch_size", 1, int)
         # bench runs the biased baseline on batch_size whatever the method
@@ -314,6 +318,18 @@ class Experiment:
         if self.method in ("full_prox_gradient", "naive_biased_sgd") \
                 and self.solver_cfg.eta <= 0:
             raise ConfigError(f"solver.eta must be positive for {self.method}")
+
+    def _check_sizes(self):
+        """Check x0's length and, for the methods that run the configured
+        schedule, the schedule and the workers against the m components."""
+        self.x0()
+        if self.method in ("vr", "dist_vr"):
+            m = self.problem.m if self.problem is not None else self.constraints.m
+            # the first epoch opens on the schedule's smallest batch
+            batch = self.solver_cfg.schedule.params(1, m)[2]
+            if self.method == "dist_vr":
+                shards = self.solver_cfg.resolve_partition(m)
+                split_batch(batch, [len(shard) for shard in shards])
 
     def _resolve_output(self):
         cfg = self.cfg
@@ -326,15 +342,17 @@ class Experiment:
     # -- execution ----------------------------------------------------------
 
     def x0(self):
+        """solver.x0, or the origin of the decision space."""
+        if self.problem is not None:
+            dim = self.problem.dim_x
+        else:  # wasserstein: the objective has the decision dimension
+            dim = getattr(self.objective, "dim", None) or self.objective.slope.size
         explicit = self.cfg["solver"].get("x0")
-        if explicit:
-            return _parse_vector(explicit)
-        if self.reduction == "wasserstein":
-            dim = getattr(self.objective, "dim", None)
-            if dim is None and hasattr(self.objective, "slope"):
-                dim = self.objective.slope.size
-            return np.zeros(int(dim))
-        return np.zeros(self.problem.dim_x)
+        x0 = _parse_vector(explicit) if explicit else np.zeros(dim)
+        if x0.size != dim:
+            raise ConfigError(f"solver.x0 has {x0.size} entries; the "
+                              f"decision vector has {dim}")
+        return x0
 
     def run(self) -> SolverReport:
         if self.method == "vr":
@@ -424,12 +442,7 @@ def write_summary_json(path, cfg, exp, report):
 
 def cmd_solve(cfg):
     exp = Experiment(cfg)
-    try:
-        report = exp.run()
-    except (ProjectionError, ArithmeticError) as exc:
-        print(f"solver nonconvergence: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 2
+    report = exp.run()
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = exp.out_dir / exp.trajectory_csv
     json_path = exp.out_dir / exp.summary_json
@@ -572,12 +585,7 @@ def _bench_rows(exp):
 
 def cmd_bench(cfg):
     exp = Experiment(cfg)
-    try:
-        rows = _bench_rows(exp)
-    except (ProjectionError, ArithmeticError) as exc:
-        print(f"solver nonconvergence: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 2
+    rows = _bench_rows(exp)
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     path = exp.out_dir / exp.bench_csv
     lines = ["method,budget,psi,grad_map_sq,max_violation,error_rate"]
@@ -614,6 +622,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except (ProjectionError, ArithmeticError) as exc:
+        # a located re-raise already starts with its cause's type
+        kind = "" if exc.__cause__ is not None else f"{type(exc).__name__}: "
+        print(f"solver nonconvergence: {kind}{exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ problems in this form; the reductions module compiles the robust
 objectives into it.
 
 Oracles are pure functions of (index, point), so a problem instance is
-safely shareable read-only across threads.  Oracle-call accounting is
-explicit: every evaluation helper takes an optional OracleCounter and
-increments it once per single-component evaluation; a batch evaluation
-of n components advances it by n.
+safely shareable read-only across threads.  Every helper calls the
+oracle fields directly and trusts the output shapes CompositeProblem
+documents; check_jacobians validates a hand-built problem.  Accounting
+is explicit: a helper given an OracleCounter advances it once per batch,
+by the number of components it evaluated.
 
 A problem may also carry a value-only batch oracle, component_values,
 returning every g_i and h_i value at one point.  The exact objective
@@ -58,12 +59,15 @@ class OracleCounter:
 class CompositeProblem:
     """Composite finite-sum objective in canonical form.
 
-    g_oracle(i, x) -> (value in R^p, jacobian in R^{p x d})
-    h_oracle(i, x) -> (value, gradient in R^d)
-    f_outer(u)     -> (value, derivative in R^p)
+    g_oracle(i, x) -> (value, shape (p,); jacobian, shape (p, d))
+    h_oracle(i, x) -> (float value; gradient, shape (d,))
+    f_outer(u)     -> (float value; derivative, shape (p,)), u of shape (p,)
     r_term         -- simple term with value and prox oracles
-    component_values(x) -> (g values in R^{m x p}, h values in R^m),
+    component_values(x) -> (g values, shape (m, p); h values, shape (m,)),
                       optional: every component value in one call
+
+    Arrays in and out are float arrays of exactly these shapes; nothing
+    coerces them.
     """
 
     dim_x: int
@@ -73,32 +77,11 @@ class CompositeProblem:
     h_oracle: Callable
     f_outer: Callable
     r_term: SimpleTerm = field(default_factory=ZeroTerm)
-    name: str = "composite"
     component_values: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_g < 1 or self.m < 1:
             raise ValueError("dim_x, dim_g and m must be positive")
-
-    def g(self, i, x, counter: Optional[OracleCounter] = None):
-        val, jac = self.g_oracle(i, x)
-        if counter is not None:
-            counter.g_value_calls += 1
-        val = np.atleast_1d(np.asarray(val, dtype=float))
-        jac = np.asarray(jac, dtype=float).reshape(self.dim_g, self.dim_x)
-        return val, jac
-
-    def h(self, i, x, counter: Optional[OracleCounter] = None):
-        val, grad = self.h_oracle(i, x)
-        if counter is not None:
-            counter.h_gradient_calls += 1
-        return float(val), np.asarray(grad, dtype=float)
-
-    def f(self, u, counter: Optional[OracleCounter] = None):
-        val, deriv = self.f_outer(np.atleast_1d(np.asarray(u, dtype=float)))
-        if counter is not None:
-            counter.f_outer_calls += 1
-        return float(val), np.atleast_1d(np.asarray(deriv, dtype=float))
 
 
 @dataclass
@@ -118,20 +101,23 @@ def batch_estimates(problem, indices, x, counter=None):
     Summation runs in the given index order so full passes are
     reproducible bit for bit.
     """
+    g, h = problem.g_oracle, problem.h_oracle
     p, d = problem.dim_g, problem.dim_x
     y = np.zeros(p)
     z = np.zeros((p, d))
     w = np.zeros(d)
     n = 0
     for i in indices:
-        gv, gj = problem.g(i, x, counter)
-        _, hg = problem.h(i, x, counter)
+        gv, gj = g(i, x)
         y += gv
         z += gj
-        w += hg
+        w += h(i, x)[1]
         n += 1
     if n == 0:
         raise ValueError("empty index batch")
+    if counter is not None:
+        counter.g_value_calls += n
+        counter.h_gradient_calls += n
     return y / n, z / n, w / n
 
 
@@ -142,22 +128,24 @@ def delta_update(problem, indices, x_new, x_old, y, z, w, counter=None):
         y' = y + (1/|S|) sum_{i in S} [g_i(x_new) - g_i(x_old)],
     evaluating both points for every sampled index.
     """
+    g, h = problem.g_oracle, problem.h_oracle
     p, d = problem.dim_g, problem.dim_x
     dy = np.zeros(p)
     dz = np.zeros((p, d))
     dw = np.zeros(d)
     n = 0
     for i in indices:
-        gv_new, gj_new = problem.g(i, x_new, counter)
-        gv_old, gj_old = problem.g(i, x_old, counter)
-        _, hg_new = problem.h(i, x_new, counter)
-        _, hg_old = problem.h(i, x_old, counter)
+        gv_new, gj_new = g(i, x_new)
+        gv_old, gj_old = g(i, x_old)
         dy += gv_new - gv_old
         dz += gj_new - gj_old
-        dw += hg_new - hg_old
+        dw += h(i, x_new)[1] - h(i, x_old)[1]
         n += 1
     if n == 0:
         raise ValueError("empty index batch")
+    if counter is not None:
+        counter.g_value_calls += 2 * n
+        counter.h_gradient_calls += 2 * n
     return y + dy / n, z + dz / n, w + dw / n
 
 
@@ -170,22 +158,22 @@ def evaluate_psi(problem, x, counter=None):
     """
     m = problem.m
     if problem.component_values is None:
+        g, h = problem.g_oracle, problem.h_oracle
         y = np.zeros(problem.dim_g)
-        h_mean = 0.0
+        h_sum = 0.0
         for i in range(m):
-            gv, _ = problem.g(i, x, counter)
-            hv, _ = problem.h(i, x, counter)
-            y += gv
-            h_mean += hv
+            y += g(i, x)[0]
+            h_sum += h(i, x)[0]
     else:
         g_vals, h_vals = problem.component_values(x)
         y = np.sum(g_vals, axis=0)
-        h_mean = float(np.sum(h_vals))
-        if counter is not None:
-            counter.g_value_calls += m
-            counter.h_gradient_calls += m
-    f_val, _ = problem.f(y / m, counter)
-    return problem.r_term.value(x) + h_mean / m + f_val
+        h_sum = float(np.sum(h_vals))
+    f_val, _ = problem.f_outer(y / m)
+    if counter is not None:
+        counter.g_value_calls += m
+        counter.h_gradient_calls += m
+        counter.f_outer_calls += 1
+    return float(problem.r_term.value(x) + h_sum / m + f_val)
 
 
 def full_phi_gradient(problem, x, counter=None):
@@ -195,7 +183,9 @@ def full_phi_gradient(problem, x, counter=None):
     Increments the counters by m per family when given one.
     """
     y, z, w = batch_estimates(problem, range(problem.m), x, counter)
-    _, fprime = problem.f(y, counter)
+    _, fprime = problem.f_outer(y)
+    if counter is not None:
+        counter.f_outer_calls += 1
     return z.T @ fprime + w
 
 
@@ -234,9 +224,11 @@ def check_jacobians(problem, num_probes=20, seed=0, scale=1.0):
     """Compare analytic jacobians/gradients against central differences.
 
     Probes random (i, x) pairs; relative error is ||analytic - fd|| over
-    max(1, ||fd||).  Reports the worst error per oracle family and never
+    max(1, ||fd||).  A g jacobian whose shape is not (p, d) counts as an
+    infinite error.  Reports the worst error per oracle family and never
     aborts.
     """
+    g, h, f = problem.g_oracle, problem.h_oracle, problem.f_outer
     rng = np.random.default_rng(seed)
     d, p, m = problem.dim_x, problem.dim_g, problem.m
     worst_g = worst_h = worst_f = 0.0
@@ -245,46 +237,37 @@ def check_jacobians(problem, num_probes=20, seed=0, scale=1.0):
         i = int(rng.integers(0, m))
         step = 1e-6 * (1.0 + float(np.max(np.abs(x))))
 
-        _, jac = problem.g(i, x)
-        fd = np.zeros((p, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = step
-            vp, _ = problem.g(i, x + e)
-            vm, _ = problem.g(i, x - e)
-            fd[:, k] = (vp - vm) / (2 * step)
-        worst_g = max(worst_g, _rel_err(jac, fd))
-
-        _, grad = problem.h(i, x)
-        fdh = np.zeros(d)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = step
-            vp, _ = problem.h(i, x + e)
-            vm, _ = problem.h(i, x - e)
-            fdh[k] = (vp - vm) / (2 * step)
-        worst_h = max(worst_h, _rel_err(grad, fdh))
+        u, jac = g(i, x)
+        if np.shape(jac) == (p, d):
+            fd = _central_differences(lambda v: g(i, v)[0], x, step)
+            worst_g = max(worst_g, _rel_err(jac, fd))
+        else:
+            worst_g = np.inf
+        fd = _central_differences(lambda v: h(i, v)[0], x, step)
+        worst_h = max(worst_h, _rel_err(h(i, x)[1], fd))
 
         # probe the outer map at the inner value actually produced; skip
         # probes that step outside its domain (e.g. log of a nonpositive
         # argument) so the checker reports instead of aborting
-        u, _ = problem.g(i, x)
         ustep = 1e-6 * (1.0 + float(np.max(np.abs(u))))
         try:
-            _, fprime = problem.f(u)
-            fdf = np.zeros(p)
-            for k in range(p):
-                e = np.zeros(p)
-                e[k] = ustep
-                vp, _ = problem.f(u + e)
-                vm, _ = problem.f(u - e)
-                fdf[k] = (vp - vm) / (2 * ustep)
-            worst_f = max(worst_f, _rel_err(fprime, fdf))
+            fd = _central_differences(lambda v: f(v)[0], u, ustep)
+            worst_f = max(worst_f, _rel_err(f(u)[1], fd))
         except (ArithmeticError, ValueError):
             pass
     return JacobianReport(worst_g, worst_h, worst_f, num_probes)
 
 
+def _central_differences(value, point, step):
+    """Central difference quotients of value() along each coordinate of
+    point, stacked on the last axis."""
+    columns = []
+    for k in range(point.size):
+        e = np.zeros(point.size)
+        e[k] = step
+        columns.append((value(point + e) - value(point - e)) / (2 * step))
+    return np.stack(columns, axis=-1)
+
+
 def _rel_err(a, b):
-    diff = np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    return float(diff / max(1.0, np.linalg.norm(np.asarray(b, dtype=float))))
+    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))

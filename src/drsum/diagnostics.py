@@ -50,7 +50,8 @@ def estimate_constants(problem, num_probes=200, seed=0, center=None,
     rng = np.random.default_rng(seed)
     d, m = problem.dim_x, problem.m
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    ubar = sum(problem.g(i, center)[0] for i in range(m)) / m
+    g, h, f = problem.g_oracle, problem.h_oracle, problem.f_outer
+    ubar = sum(g(i, center)[0] for i in range(m)) / m
     u_lo, u_hi = ubar - u_radius * np.abs(ubar), ubar + u_radius * np.abs(ubar)
     l_g = L_g = l_h = L_h = l_f = L_f = 0.0
     for _ in range(num_probes):
@@ -60,12 +61,12 @@ def estimate_constants(problem, num_probes=200, seed=0, center=None,
         dx = float(np.linalg.norm(x1 - x2))
         if dx < 1e-12:
             continue
-        g1, j1 = problem.g(i, x1)
-        g2, j2 = problem.g(i, x2)
+        g1, j1 = g(i, x1)
+        g2, j2 = g(i, x2)
         l_g = max(l_g, float(np.linalg.norm(g1 - g2)) / dx)
         L_g = max(L_g, float(np.linalg.norm(j1 - j2)) / dx)
-        h1, hg1 = problem.h(i, x1)
-        h2, hg2 = problem.h(i, x2)
+        h1, hg1 = h(i, x1)
+        h2, hg2 = h(i, x2)
         l_h = max(l_h, abs(h1 - h2) / dx)
         L_h = max(L_h, float(np.linalg.norm(hg1 - hg2)) / dx)
         u1 = rng.uniform(u_lo, u_hi)
@@ -74,8 +75,8 @@ def estimate_constants(problem, num_probes=200, seed=0, center=None,
         if du < 1e-12:
             continue
         try:
-            f1, fp1 = problem.f(u1)
-            f2, fp2 = problem.f(u2)
+            f1, fp1 = f(u1)
+            f2, fp2 = f(u2)
         except (ArithmeticError, ValueError):
             continue  # probe left the outer map's domain
         l_f = max(l_f, abs(f1 - f2) / du)

@@ -143,7 +143,7 @@ def build_chi2(losses, cfg: Chi2Config, dim=None):
         return val[:, None], val + val * val / (2.0 * gamma)
 
     return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer, name="chi2",
+                            h_oracle=h_oracle, f_outer=f_outer,
                             component_values=(None if values is None
                                               else component_values))
 
@@ -212,7 +212,7 @@ def build_kl(losses, cfg: KlConfig, dim=None, shift_anchor=None):
         return np.exp(e)[:, None], np.zeros(m)
 
     return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer, name="kl",
+                            h_oracle=h_oracle, f_outer=f_outer,
                             component_values=(None if values is None
                                               else component_values))
 
@@ -324,7 +324,7 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
 
     return CompositeProblem(
         dim_x=d, dim_g=1, m=m, g_oracle=g_oracle, h_oracle=h_oracle,
-        f_outer=f_outer, r_term=r_term, name="wasserstein",
+        f_outer=f_outer, r_term=r_term,
         component_values=(None if constraints.batch_values is None
                           else component_values))
 
@@ -347,7 +347,7 @@ def build_mean(losses, dim=None):
         return values(x)[:, None], np.zeros(m)
 
     return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer, name="mean",
+                            h_oracle=h_oracle, f_outer=f_outer,
                             component_values=(None if values is None
                                               else component_values))
 

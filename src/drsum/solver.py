@@ -259,11 +259,12 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
                             problem, _sample(shards[i], rngs[i], S),
                             x_cur, x_prev, *est[i], counters[i])
             y, z, w = (_weighted_sum(parts, weights) for parts in zip(*est))
-            _, fprime = problem.f(y, server_counter)
+            _, fprime = problem.f_outer(y)
             grad_est = z.T @ fprime + w
             x_prev = x_cur
             x_cur = problem.r_term.prox(x_cur - eta * grad_est, eta)
             if server_counter is not None:
+                server_counter.f_outer_calls += 1
                 server_counter.prox_calls += 1
             if not np.all(np.isfinite(x_cur)):
                 bad = "iterate"

@@ -341,6 +341,13 @@ class TestNumericalFailure:
         assert "at stage 1, epoch 4, step 2" in err
         assert not (out / "summary.json").exists()
 
+    def test_located_error_names_its_type_once(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("DRSUM_SOLVER__X0", "1,1,1,1,1")
+        out = tmp_path / "run"
+        assert main(["solve", KL_CONFIG, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("NumericalRangeError") == 1
+
     def test_bench_baseline_failure_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
         import drsum.cli
@@ -391,6 +398,29 @@ class TestConfigErrors:
         assert main([command, CHI2_CONFIG, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
             f"config error: solver.{key} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, overrides, key", [
+        (KL_CONFIG, {"X0": "1,1"}, "solver.x0"),
+        (str(CONFIGS / "robust_logistic.ini"), {"X0": "1,1"}, "solver.x0"),
+        (KL_CONFIG, {"WORKERS": "100"}, "workers"),
+        (KL_CONFIG, {"SCHEDULE": "bogus"}, "schedule"),
+        (KL_CONFIG, {"SCHEDULE": "adaptive", "ZETA": "9"}, "zeta"),
+        (KL_CONFIG, {"SCHEDULE": "adaptive"}, "workers"),
+        (KL_CONFIG, {"PROBLEM__GAMMA": "-1"}, "gamma"),
+    ], ids=["x0_length", "x0_length_dr_logistic", "workers_over_m",
+            "unknown_schedule", "zeta_over_sqrt_m", "ramp_under_workers",
+            "negative_gamma"])
+    def test_invalid_value_exit_1_names_key(self, tmp_path, monkeypatch,
+                                            capsys, config, overrides, key):
+        for name, value in overrides.items():
+            section = "" if "__" in name else "SOLVER__"
+            monkeypatch.setenv(f"DRSUM_{section}{name}", value)
+        out = tmp_path / "run"
+        assert main(["solve", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert key in err
         assert not out.exists()
 
     def test_duplicate_section_exit_1(self, tmp_path, capsys):

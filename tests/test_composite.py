@@ -180,6 +180,22 @@ class TestCheckJacobians:
         assert report.max_rel_error_g > 1e-2
 
 
+    def test_misshaped_g_jacobian_is_a_failed_probe(self):
+        # p = 2: a (d,) jacobian cannot be the (p, d) one, and the checker
+        # reports it instead of raising
+        prob = make_linear_quadratic()
+        good_g = prob.g_oracle
+
+        def flat_g(i, x):
+            val, jac = good_g(i, x)
+            return val, jac[0]
+
+        broken = CompositeProblem(prob.dim_x, prob.dim_g, prob.m, flat_g,
+                                  prob.h_oracle, prob.f_outer)
+        report = check_jacobians(broken, num_probes=5, seed=2)
+        assert report.max_rel_error_g == np.inf
+        assert report.max_rel_error_h <= 1e-5
+
 def test_counters_monotone_and_copy():
     prob = make_linear_quadratic()
     counter = OracleCounter()

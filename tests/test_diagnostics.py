@@ -82,7 +82,7 @@ class TestEstimateConstants:
         from drsum.reductions import KlConfig, build_kl
         losses, d, _, _ = quadratic_losses(m=4, d=3, seed=1)
         prob = build_kl(losses, KlConfig(gamma=1.0), dim=d)
-        ubar = np.mean([prob.g(i, np.zeros(d))[0][0] for i in range(4)])
+        ubar = np.mean([prob.g_oracle(i, np.zeros(d))[0][0] for i in range(4)])
         est = estimate_constants(prob, num_probes=200, seed=0)
         assert 0.0 < est.L_f <= 4.0 / ubar**2
         assert 0.0 < est.l_f <= 2.0 / ubar
@@ -119,7 +119,7 @@ class TestBaselines:
         for k in range(trials):
             idx = rng.integers(0, 4, size=2)
             y, z, w = batch_estimates(prob, idx, x)
-            _, fp = prob.f(y)
+            _, fp = prob.f_outer(y)
             samples[k] = (z.T @ fp + w)[0]
         se = samples.std(ddof=1) / np.sqrt(trials)
         assert abs(samples.mean() - exact[0]) <= 4 * se
@@ -174,7 +174,8 @@ class TestBaselines:
         for _ in range(iters):
             idx = stream.integers(0, prob.m, size=batch)
             y, z, w = batch_estimates(prob, idx, x, counter)
-            _, fprime = prob.f(y, counter)
+            _, fprime = prob.f_outer(y)
+            counter.f_outer_calls += 1
             x = prob.r_term.prox(x - eta * (z.T @ fprime + w), eta)
             counter.prox_calls += 1
             iterates.append(x)

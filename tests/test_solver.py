@@ -312,6 +312,49 @@ class TestSolveRestarted:
         assert errors[-1] < errors[0] * 1e-2
 
 
+class TestOracleCounting:
+    """The counters advance once per batch; they must still equal the
+    calls the oracles actually receive."""
+
+    @staticmethod
+    def count_calls(problem):
+        calls = {"g": 0, "h": 0}
+
+        def counted(family, oracle):
+            def wrapped(i, x):
+                calls[family] += 1
+                return oracle(i, x)
+            return wrapped
+
+        return replace(problem, g_oracle=counted("g", problem.g_oracle),
+                       h_oracle=counted("h", problem.h_oracle)), calls
+
+    @pytest.mark.parametrize("method", ["vr", "dist_vr_p3", "biased_sgd"])
+    def test_counters_equal_oracle_calls(self, method):
+        # component_values serves psi and grad_map_every = -1 skips the
+        # gradient mapping, so only the counted solver loop calls g and h
+        from drsum.diagnostics import baseline_solve
+        from drsum.distributed import DistConfig, dist_solve
+        from drsum.problems import make_synthetic
+
+        family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
+        prob, calls = self.count_calls(
+            build_chi2(family, Chi2Config(gamma=10.0)))
+        assert prob.component_values is not None
+        common = dict(eta=0.02, T=3, K=2, seed=3, grad_map_every=-1)
+        x0 = np.zeros(prob.dim_x)
+        if method == "vr":
+            report = solve_restarted(prob, x0, SolverConfig(**common))
+        elif method == "dist_vr_p3":
+            report = dist_solve(prob, x0, DistConfig(p=3, **common))
+        else:
+            report = baseline_solve(prob, "naive_biased_sgd",
+                                    SolverConfig(**common), batch_size=3)
+        assert calls["g"] > 0
+        assert report.counters.g_value_calls == calls["g"]
+        assert report.counters.h_gradient_calls == calls["h"]
+
+
 class TestRecordCadence:
     """One record per proximal step; the gradient mapping at the
     configured cadence, the violation whenever a set is given."""
@@ -506,7 +549,7 @@ class TestBatchDiagnosticsLeaveSolverAlone:
                               shift_anchor=np.array([3.0, -1.0]), dim=2)
             for c in (cset, skewed))
         for i in range(2):
-            for a, b in zip(exact.g(i, x), fuzzy.g(i, x)):
+            for a, b in zip(exact.g_oracle(i, x), fuzzy.g_oracle(i, x)):
                 assert np.array_equal(a, b)
 
     def test_solve_restarted(self):

@@ -16,11 +16,12 @@ documents; check_jacobians validates a hand-built problem.  Accounting
 is explicit: a helper given an OracleCounter advances it once per batch,
 by the number of components it evaluated.
 
-A problem may also carry a value-only batch oracle, component_values,
-returning every g_i and h_i value at one point.  The exact objective
-(evaluate_psi) uses it when present; the per-index loop stays as its
-reference path.  The estimators and the exact gradient always run per
-index.
+A problem also carries a value-only batch oracle, component_values,
+returning every g_i and h_i value at one point, which is the one path
+of the exact objective (evaluate_psi).  The reductions write it in
+closed form where they can; a problem built without one gets the
+per-index oracles stacked, the reference path.  The estimators and the
+exact gradient always run per index.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class CompositeProblem:
     h_oracle(i, x) -> (float value; gradient, shape (d,))
     f_outer(u)     -> (float value; derivative, shape (p,)), u of shape (p,)
     r_term         -- simple term with value and prox oracles
-    component_values(x) -> (g values, shape (m, p); h values, shape (m,)),
-                      optional: every component value in one call
+    component_values(x) -> (g values, shape (m, p); h values, shape (m,)):
+                      every component value in one call; the per-index
+                      oracles stacked when not given
 
     Arrays in and out are float arrays of exactly these shapes; nothing
     coerces them.
@@ -82,6 +84,21 @@ class CompositeProblem:
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_g < 1 or self.m < 1:
             raise ValueError("dim_x, dim_g and m must be positive")
+        fill_stacked(self, "component_values", CompositeProblem._stacked_values)
+
+    def _stacked_values(self, x):
+        """Every g_i and h_i value from the per-index oracle fields, read
+        at call time: the reference batch."""
+        return (np.array([self.g_oracle(i, x)[0] for i in range(self.m)]),
+                np.array([self.h_oracle(i, x)[0] for i in range(self.m)]))
+
+
+def fill_stacked(obj, name, adapter):
+    """Bind obj's per-index adapter method into field `name` when it is
+    None or holds the adapter of the object dataclasses.replace copied."""
+    value = getattr(obj, name)
+    if value is None or getattr(value, "__func__", None) is adapter:
+        setattr(obj, name, adapter.__get__(obj))
 
 
 @dataclass
@@ -152,28 +169,17 @@ def delta_update(problem, indices, x_new, x_old, y, z, w, counter=None):
 def evaluate_psi(problem, x, counter=None):
     """Exact objective value Psi(x), averaging all m components.
 
-    Uses the problem's component_values batch when it has one, the
-    per-index oracles otherwise; either way the counter advances by m
-    per g/h family and by one outer-map call.
+    Reads every component value through one component_values call; the
+    counter advances by m per g/h family and by one outer-map call.
     """
     m = problem.m
-    if problem.component_values is None:
-        g, h = problem.g_oracle, problem.h_oracle
-        y = np.zeros(problem.dim_g)
-        h_sum = 0.0
-        for i in range(m):
-            y += g(i, x)[0]
-            h_sum += h(i, x)[0]
-    else:
-        g_vals, h_vals = problem.component_values(x)
-        y = np.sum(g_vals, axis=0)
-        h_sum = float(np.sum(h_vals))
-    f_val, _ = problem.f_outer(y / m)
+    g_vals, h_vals = problem.component_values(x)
+    f_val, _ = problem.f_outer(np.sum(g_vals, axis=0) / m)
     if counter is not None:
         counter.g_value_calls += m
         counter.h_gradient_calls += m
         counter.f_outer_calls += 1
-    return float(problem.r_term.value(x) + h_sum / m + f_val)
+    return float(problem.r_term.value(x) + float(np.sum(h_vals)) / m + f_val)
 
 
 def full_phi_gradient(problem, x, counter=None):

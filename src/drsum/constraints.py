@@ -1,14 +1,14 @@
 """Constraint sets, violation metrics, and the terminal feasibility projection.
 
 A ConstraintSet holds m inequality constraints c_i(x) <= 0 through a
-single oracle returning value and gradient per index, plus two optional
-batches over all m constraints: batch_values (x -> values) feeds
-values(), which the violation metric and the exact objective use, and
-batch_eval (x -> (values, jacobian)) feeds jacobian(), which the
-projection uses.  Without them both methods stack the per-index
-oracle, the reference path.  ConstraintSet.affine, build_dr_logistic
-and convexify_constraints fill both fields; the estimators and the
-Wasserstein g_oracle stay per index.
+per-index oracle returning value and gradient, and one batch over all m
+constraints: batch(x) -> (values (m,), jacobian (m, d)), or the values
+alone with jac=False.  values() feeds the violation metric and the
+exact objective; jacobian() feeds the projection.  A set built without
+a batch gets the per-index oracle stacked row by row, the reference
+path; ConstraintSet.affine, build_dr_logistic and convexify_constraints
+write theirs in closed form.  The estimators and the Wasserstein
+g_oracle stay per index.
 
 The projection onto the feasible set is one SLSQP solve of the
 distance problem for every set, reading the constraints through one
@@ -24,6 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize
 
+from .composite import fill_stacked
+
 class ProjectionError(RuntimeError):
     """Projection did not reach the violation tolerance within max_iter."""
 
@@ -38,33 +40,30 @@ class ConstraintSet:
 
     m: int
     oracle: Callable  # (index, x) -> (value, gradient)
-    batch_values: Optional[Callable] = None  # x -> all m values, shape (m,)
-    batch_eval: Optional[Callable] = None  # x -> (values (m,), jacobian (m, d))
+    # (x, jac=True) -> (values (m,), jacobian (m, d)); values alone if not jac
+    batch: Optional[Callable] = None
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("constraint set must be nonempty")
+        fill_stacked(self, "batch", ConstraintSet._stacked)
 
     def eval(self, i, x):
         val, grad = self.oracle(i, np.asarray(x, dtype=float))
         return float(val), np.asarray(grad, dtype=float)
 
+    def _stacked(self, x, jac=True):
+        """The per-index eval stacked row by row: the reference batch."""
+        evals = [self.eval(i, x) for i in range(self.m)]
+        values = np.array([val for val, _ in evals])
+        return (values, np.vstack([grad for _, grad in evals])) if jac else values
+
     def values(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.batch_values is not None:
-            return np.asarray(self.batch_values(x), dtype=float)
-        return np.array([self.eval(i, x)[0] for i in range(self.m)])
+        return self.batch(np.asarray(x, dtype=float), jac=False)
 
     def jacobian(self, x):
-        """(values (m,), jacobian (m, d)): the batch when set, otherwise
-        the per-index oracle stacked row by row."""
-        x = np.asarray(x, dtype=float)
-        if self.batch_eval is not None:
-            vals, jac = self.batch_eval(x)
-            return np.asarray(vals, dtype=float), np.asarray(jac, dtype=float)
-        evals = [self.eval(i, x) for i in range(self.m)]
-        return (np.array([val for val, _ in evals]),
-                np.vstack([grad for _, grad in evals]))
+        """(values (m,), jacobian (m, d)) from one batch call."""
+        return self.batch(np.asarray(x, dtype=float))
 
     @classmethod
     def from_functions(cls, funcs):
@@ -87,9 +86,11 @@ class ConstraintSet:
         def oracle(i, x):
             return float(A[i] @ x - b[i]), A[i].copy()
 
-        return cls(m=A.shape[0], oracle=oracle,
-                   batch_values=lambda x: A @ x - b,
-                   batch_eval=lambda x: (A @ x - b, A))
+        def batch(x, jac=True):
+            values = A @ x - b
+            return (values, A) if jac else values
+
+        return cls(m=A.shape[0], oracle=oracle, batch=batch)
 
 
 def max_violation(cset, x):

@@ -37,8 +37,9 @@ from .solver import (
     SolverReport,
     _run_stages,
     _sharded_epoch,
-    split_batch,
 )
+# re-exported: the closed-form call counts and the batch split live in solver
+from .solver import dist_expected_oracle_calls, split_batch  # noqa: F401
 
 
 @dataclass
@@ -76,29 +77,6 @@ class DistConfig(SolverConfig):
             hi = (i + 1) * base if i < self.p - 1 else m
             shards.append(np.arange(i * base, hi))
         return shards
-
-
-def dist_expected_oracle_calls(schedule, T, m, p, K=1, partition_sizes=None):
-    """Per-device oracle calls per family under the sharded schedule.
-
-    The opening batch term splits across devices (a full batch costs each
-    device its shard); the inner term 2*S_t*(tau_t - 1) is paid by every
-    device, except that a full inner pass also reduces to the shard.
-    """
-    if partition_sizes is None:
-        base = m // p
-        partition_sizes = [base] * (p - 1) + [m - base * (p - 1)]
-    totals = [0] * p
-    for t in range(1, T + 1):
-        tau, S, B = schedule.params(t, m)
-        if B >= m:
-            b_shares = list(partition_sizes)
-        else:
-            b_shares = split_batch(B, partition_sizes)
-        for i in range(p):
-            inner = partition_sizes[i] if S >= m else S
-            totals[i] += b_shares[i] + 2 * inner * (tau - 1)
-    return [K * t for t in totals]
 
 
 def dist_run_epoch(problem, state, t, dcfg: DistConfig, shards,

@@ -446,6 +446,8 @@ def make_synthetic(kind, m, d=2, seed=0, *, cond=10.0, min_gap=0.1,
     minima of the mean loss.
     """
     if kind == "strongly_convex_quadratic":
+        if not 1.0 <= cond < np.inf:
+            raise ValueError(f"cond must be finite and >= 1, got {cond}")
         rng = np.random.default_rng(seed)
         U, _, Vt = np.linalg.svd(rng.standard_normal((m, d)), full_matrices=False)
         spectrum = np.sqrt(m) * np.linspace(1.0, np.sqrt(cond), min(m, d))

@@ -11,9 +11,10 @@ All exponentials run in max-shifted log space; the compiled problems
 carry a fixed shift anchored at a reference point so the estimator
 recursions stay consistent across evaluations.
 
-When the loss family (or constraint set) has a value-only batch, the
-compiled problem also carries component_values, the same per-component
-values in one array pass, which the exact objective uses.
+Each compiled problem carries component_values, every component value
+in one array pass, which the exact objective reads: built from the
+constraint set's batch or the loss family's values(x) where it has one,
+the per-index oracles stacked otherwise.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
 
     shift = 0.0
     if shift_anchor is not None:
-        # per index, not batch_values: the shift enters the estimators,
+        # per index, not the batch: the shift enters the estimators,
         # which must not move by the batch path's rounding
         vals = np.array([constraints.eval(i, shift_anchor)[0]
                          for i in range(m)])
@@ -324,9 +325,7 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
 
     return CompositeProblem(
         dim_x=d, dim_g=1, m=m, g_oracle=g_oracle, h_oracle=h_oracle,
-        f_outer=f_outer, r_term=r_term,
-        component_values=(None if constraints.batch_values is None
-                          else component_values))
+        f_outer=f_outer, r_term=r_term, component_values=component_values)
 
 
 def build_mean(losses, dim=None):
@@ -409,15 +408,6 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
         grad[d_beta] = -1.0
         return norm - lam, grad
 
-    def values_at(lam, s, margins, norm):
-        true = np.logaddexp(0.0, -y * margins) - s
-        flipped = np.logaddexp(0.0, y * margins) - lam * kappa_flip - s
-        return np.concatenate([true, flipped, [norm - lam]])
-
-    def batch_values(x):
-        beta, lam, s = split(np.asarray(x, dtype=float))
-        return values_at(lam, s, Z @ beta, float(np.linalg.norm(beta)))
-
     # the jacobian's constant entries: the -1 slack of each sample's two
     # rows, -kappa on lam in the flipped rows, -1 on lam in the norm cone
     rows = np.arange(m)
@@ -427,20 +417,23 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
     constant_jac[m:2 * m, d_beta] = -kappa_flip
     constant_jac[2 * m, d_beta] = -1.0
 
-    def batch_eval(x):
+    def batch(x, jac=True):
         beta, lam, s = split(np.asarray(x, dtype=float))
         margins = Z @ beta
         norm = float(np.linalg.norm(beta))
-        jac = constant_jac.copy()
-        jac[:m, :d_beta] = (-y * expit(-y * margins))[:, None] * Z
-        jac[m:2 * m, :d_beta] = (y * expit(y * margins))[:, None] * Z
+        true = np.logaddexp(0.0, -y * margins) - s
+        flipped = np.logaddexp(0.0, y * margins) - lam * kappa_flip - s
+        values = np.concatenate([true, flipped, [norm - lam]])
+        if not jac:
+            return values
+        jacobian = constant_jac.copy()
+        jacobian[:m, :d_beta] = (-y * expit(-y * margins))[:, None] * Z
+        jacobian[m:2 * m, :d_beta] = (y * expit(y * margins))[:, None] * Z
         if norm > 0:
-            jac[2 * m, :d_beta] = beta / norm
-        return values_at(lam, s, margins, norm), jac
+            jacobian[2 * m, :d_beta] = beta / norm
+        return values, jacobian
 
-    return objective, ConstraintSet(m=2 * m + 1, oracle=oracle,
-                                    batch_values=batch_values,
-                                    batch_eval=batch_eval)
+    return objective, ConstraintSet(m=2 * m + 1, oracle=oracle, batch=batch)
 
 
 def convexify_constraints(cset: ConstraintSet, mu_vec):
@@ -456,15 +449,14 @@ def convexify_constraints(cset: ConstraintSet, mu_vec):
         val, grad = cset.eval(i, x)
         return val + mu[i] * float(x @ x), grad + 2.0 * mu[i] * x
 
-    def batch_values(x):
-        return cset.values(x) + mu * float(x @ x)
+    def batch(x, jac=True):
+        shift = mu * float(x @ x)
+        if not jac:
+            return cset.values(x) + shift
+        vals, jacobian = cset.jacobian(x)
+        return vals + shift, jacobian + 2.0 * mu[:, None] * x
 
-    def batch_eval(x):
-        vals, jac = cset.jacobian(x)
-        return vals + mu * float(x @ x), jac + 2.0 * mu[:, None] * x
-
-    return ConstraintSet(m=cset.m, oracle=oracle,
-                         batch_values=batch_values, batch_eval=batch_eval)
+    return ConstraintSet(m=cset.m, oracle=oracle, batch=batch)
 
 
 def _project_simplex(v):

@@ -104,12 +104,32 @@ class Schedule:
 
 
 def expected_oracle_calls(schedule, T, m, K=1):
-    """Per-family oracle calls of K stages: K * sum_t (B_t + 2 S_t (tau_t - 1))."""
-    total = 0
+    """Per-family oracle calls of K stages: K * sum_t (B_t + 2 S_t (tau_t - 1)),
+    the one-device case of dist_expected_oracle_calls."""
+    return dist_expected_oracle_calls(schedule, T, m, 1, K)[0]
+
+
+def dist_expected_oracle_calls(schedule, T, m, p, K=1, partition_sizes=None):
+    """Per-device oracle calls per family under the sharded schedule.
+
+    The opening batch term splits across devices (a full batch costs each
+    device its shard); the inner term 2*S_t*(tau_t - 1) is paid by every
+    device, except that a full inner pass also reduces to the shard.
+    """
+    if partition_sizes is None:
+        base = m // p
+        partition_sizes = [base] * (p - 1) + [m - base * (p - 1)]
+    totals = [0] * p
     for t in range(1, T + 1):
         tau, S, B = schedule.params(t, m)
-        total += B + 2 * S * (tau - 1)
-    return K * total
+        if B >= m:
+            b_shares = list(partition_sizes)
+        else:
+            b_shares = split_batch(B, partition_sizes)
+        for i in range(p):
+            inner = partition_sizes[i] if S >= m else S
+            totals[i] += b_shares[i] + 2 * inner * (tau - 1)
+    return [K * t for t in totals]
 
 
 @dataclass

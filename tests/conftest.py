@@ -2,6 +2,17 @@ import numpy as np
 import pytest
 
 
+def closed_form(batch):
+    """Whether a batch field (a constraint set's batch or a problem's
+    component_values) holds something other than the per-index stacked
+    adapter its __post_init__ fills in."""
+    from drsum.composite import CompositeProblem
+    from drsum.constraints import ConstraintSet
+
+    return getattr(batch, "__func__", None) not in (
+        ConstraintSet._stacked, CompositeProblem._stacked_values)
+
+
 def quadratic_losses(m=16, d=5, seed=7, cond=10.0, noise=0.5):
     """Least-squares losses f_i(x) = 0.5 (<a_i, x> - b_i)^2 with a data
     matrix whose Gram spectrum has the requested condition number.

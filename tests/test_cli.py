@@ -408,9 +408,10 @@ class TestConfigErrors:
         (KL_CONFIG, {"SCHEDULE": "adaptive", "ZETA": "9"}, "zeta"),
         (KL_CONFIG, {"SCHEDULE": "adaptive"}, "workers"),
         (KL_CONFIG, {"PROBLEM__GAMMA": "-1"}, "gamma"),
+        (KL_CONFIG, {"PROBLEM__COND": "-1"}, "cond"),
     ], ids=["x0_length", "x0_length_dr_logistic", "workers_over_m",
             "unknown_schedule", "zeta_over_sqrt_m", "ramp_under_workers",
-            "negative_gamma"])
+            "negative_gamma", "negative_cond"])
     def test_invalid_value_exit_1_names_key(self, tmp_path, monkeypatch,
                                             capsys, config, overrides, key):
         for name, value in overrides.items():

@@ -95,8 +95,8 @@ class TestAffineProjection:
 
 def counting(cset, keep_batches=False):
     """cset with an oracle that logs each per-index evaluation; the batch
-    fields are dropped, so every read takes the per-index reference path,
-    unless keep_batches is set."""
+    is dropped, so every read takes the per-index reference path, unless
+    keep_batches is set."""
     calls = []
 
     def oracle(i, x):
@@ -105,7 +105,7 @@ def counting(cset, keep_batches=False):
 
     if keep_batches:
         return replace(cset, oracle=oracle), calls
-    return ConstraintSet(m=cset.m, oracle=oracle), calls
+    return replace(cset, oracle=oracle, batch=None), calls
 
 
 def disc_set():
@@ -143,7 +143,7 @@ class TestSmoothProjection:
 
 
 class TestBatchJacobianProjection:
-    """batch_eval feeds the projection; the per-index oracle stays the
+    """The batch feeds the projection; the per-index oracle stays the
     reference path, reached by dropping the field."""
 
     @staticmethod
@@ -174,7 +174,7 @@ class TestBatchJacobianProjection:
         assert max_violation(cset, x) > 1e-8
         fast, fast_residual, _ = project_feasible(cset, x)
         ref, ref_residual, _ = project_feasible(
-            replace(cset, batch_eval=None), x)
+            replace(cset, batch=None), x)
         assert fast_residual <= 1e-8 and ref_residual <= 1e-8
         assert np.max(np.abs(fast - ref)) <= 1e-6
 
@@ -202,17 +202,17 @@ class TestBatchJacobianProjection:
         assert calls == []
 
     def test_one_batch_jacobian_per_slsqp_point(self):
-        # the constraint's fun and jac callbacks share one batch_eval at
-        # each point SLSQP visits
+        # the constraint's fun and jac callbacks share one jacobian read
+        # at each point SLSQP visits
         cset, x = self.dr_logistic_set(3000)
         points = []
 
-        def batch_eval(v):
-            points.append(v)
-            return cset.batch_eval(v)
+        def batch(v, jac=True):
+            if jac:
+                points.append(v)
+            return cset.batch(v, jac)
 
-        _, residual, nit = project_feasible(
-            replace(cset, batch_eval=batch_eval), x)
+        _, residual, nit = project_feasible(replace(cset, batch=batch), x)
         assert residual <= 1e-8 and nit > 0
         assert len(points) <= nit + 1
 

@@ -131,6 +131,60 @@ class TestFairnessConstraints:
         val0, _ = cset.eval(0, np.zeros(1))
         assert val0 == pytest.approx(0.8 - 1.0 - 0.05, abs=1e-9)
 
+    def test_stacked_batch_and_one_psi_path(self, monkeypatch):
+        # the fairness set has no closed-form batch: its stacked adapter
+        # looks eval up at call time, so a class-level wrapper sees every
+        # read, and psi reads the mean loss once instead of once per h_i
+        from dataclasses import replace
+
+        from drsum.composite import evaluate_psi
+        from drsum.constraints import ConstraintSet
+        from drsum.reductions import WassersteinConfig, build_wasserstein
+
+        dataset = small_dataset(9)
+        family = LogisticLosses(dataset)
+        cset = build_fairness_constraints(dataset, family,
+                                          FairnessSpec(eps_slack=0.05))
+        x = np.random.default_rng(1).standard_normal(family.dim)
+        problem = build_wasserstein(MeanLossObjective(family), cset,
+                                    WassersteinConfig(alpha=4.0, gamma=0.02),
+                                    shift_anchor=x, dim=family.dim)
+        reference = replace(problem, component_values=None)
+        calls = dict.fromkeys(("eval", "value_grad", "g_oracle", "h_oracle"),
+                              0)
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapper
+
+        monkeypatch.setattr(ConstraintSet, "eval",
+                            counted("eval", ConstraintSet.eval))
+        monkeypatch.setattr(MeanLossObjective, "value_grad",
+                            counted("value_grad", MeanLossObjective.value_grad))
+        reference.g_oracle = counted("g_oracle", reference.g_oracle)
+
+        values = cset.values(x)
+        assert calls["eval"] == cset.m
+        vals, jac = cset.jacobian(x)
+        assert calls["eval"] == 2 * cset.m
+        assert np.array_equal(vals, values)
+        assert jac.shape == (cset.m, family.dim)
+
+        psi = evaluate_psi(problem, x)
+        assert (calls["value_grad"], calls["g_oracle"]) == (1, 0)
+        expected = evaluate_psi(reference, x)
+        assert (calls["value_grad"], calls["g_oracle"]) == (1 + cset.m, cset.m)
+        assert psi == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+        # replace() rebinds a copied adapter to the copy's own oracles
+        zeroed = replace(cset, oracle=lambda i, v: (0.0, np.zeros(v.size)))
+        assert not zeroed.values(x).any()
+        evaluate_psi(replace(reference, h_oracle=counted(
+            "h_oracle", reference.h_oracle)), x)
+        assert calls["h_oracle"] == cset.m
+
     def test_gradients_match_finite_differences(self):
         dataset = small_dataset(9)
         family = LogisticLosses(dataset)

@@ -36,6 +36,8 @@ from drsum.reductions import (
     wasserstein_penalty,
 )
 
+from conftest import closed_form
+
 finite_floats = st.floats(min_value=-20.0, max_value=20.0,
                           allow_nan=False, allow_infinity=False)
 
@@ -171,7 +173,7 @@ def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
         problem = build_kl(family, KlConfig(gamma=gamma), shift_anchor=anchor)
     else:
         problem = build_mean(family)
-    assert problem.component_values is not None
+    assert closed_form(problem.component_values)
     _assert_paths_agree(problem, x)
 
 
@@ -192,8 +194,10 @@ def test_batched_wasserstein_psi_matches_per_index(set_kind, seed, m, scale,
     problem = build_wasserstein(objective, cset,
                                 WassersteinConfig(alpha=alpha, gamma=gamma),
                                 shift_anchor=anchor, dim=dim)
-    # the m=2 fairness set keeps the per-index loop
-    assert (problem.component_values is None) == (set_kind == "fairness")
+    # psi reads the set's batch, which on the m=2 fairness set alone is
+    # the stacked adapter
+    assert closed_form(problem.component_values)
+    assert closed_form(cset.batch) == (set_kind != "fairness")
     _assert_paths_agree(problem, x)
 
 
@@ -225,7 +229,8 @@ def _ball_constraint(center, radius):
 
 
 def _jacobian_set(kind, rng, m, d, mu_positive):
-    """(constraint set with batch_eval, decision dimension) of one kind."""
+    """(constraint set with a closed-form batch, decision dimension) of
+    one kind."""
     if kind == "dr_logistic":
         _, cset = build_dr_logistic(_dataset(rng, m, d),
                                     rng.uniform(0.01, 1.0),
@@ -256,9 +261,9 @@ def test_batch_jacobian_matches_per_index(set_kind, seed, m, d, scale,
     x = scale * rng.standard_normal(dim)
     if set_kind == "dr_logistic" and zero_beta:
         x[:d] = 0.0  # the norm cone's kink: its beta part is zero
-    assert cset.batch_eval is not None
+    assert closed_form(cset.batch)
     values, jac = cset.jacobian(x)
-    ref_values, ref_jac = replace(cset, batch_eval=None).jacobian(x)
+    ref_values, ref_jac = replace(cset, batch=None).jacobian(x)
     assert jac.shape == ref_jac.shape == (cset.m, dim)
     np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(jac, ref_jac, rtol=1e-12, atol=1e-12)

@@ -23,6 +23,8 @@ from drsum.solver import (
     solve_restarted,
 )
 
+from conftest import closed_form
+
 
 def fresh_state(x0, p, d):
     x0 = np.asarray(x0, dtype=float)
@@ -340,7 +342,7 @@ class TestOracleCounting:
         family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
         prob, calls = self.count_calls(
             build_chi2(family, Chi2Config(gamma=10.0)))
-        assert prob.component_values is not None
+        assert closed_form(prob.component_values)
         common = dict(eta=0.02, T=3, K=2, seed=3, grad_map_every=-1)
         x0 = np.zeros(prob.dim_x)
         if method == "vr":
@@ -541,7 +543,8 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         # the anchored shift enters every g_i, so a batch that differs
         # from the per-index values (here by 1e-9) must not move them
         cset = ConstraintSet.affine(np.eye(2), np.ones(2))
-        skewed = replace(cset, batch_values=lambda x: x - 1.0 + 1e-9)
+        skewed = replace(cset, batch=lambda x, jac=True: (
+            (x - 1.0 + 1e-9, np.eye(2)) if jac else x - 1.0 + 1e-9))
         wcfg = WassersteinConfig(alpha=2.0, gamma=0.1)
         x = np.array([0.5, 2.0])
         exact, fuzzy = (
@@ -561,9 +564,8 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         cfg = SolverConfig(eta=0.002, T=3, K=2, seed=3, grad_map_every=2)
         fast = solve_restarted(prob, np.ones(5), cfg, violation_set=cset)
         ref = solve_restarted(replace(prob, component_values=None), np.ones(5),
-                              cfg, violation_set=replace(cset,
-                                                         batch_values=None))
-        assert prob.component_values is not None
+                              cfg, violation_set=replace(cset, batch=None))
+        assert closed_form(prob.component_values) and closed_form(cset.batch)
         self.assert_same_run(fast, ref)
 
     def test_dist_solve(self):
@@ -577,7 +579,7 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         fast = dist_solve(prob, np.zeros(prob.dim_x), cfg)
         ref = dist_solve(replace(prob, component_values=None),
                          np.zeros(prob.dim_x), cfg)
-        assert prob.component_values is not None
+        assert closed_form(prob.component_values)
         self.assert_same_run(fast, ref)
         assert fast.per_device_counters == ref.per_device_counters
 
@@ -591,10 +593,15 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         wcfg = WassersteinConfig(alpha=3.0, gamma=0.05)
         cfg = SolverConfig(eta=0.002, T=60, K=2, seed=0)  # projection runs
         x0 = np.zeros(objective.slope.size)
+        # the reference reads its values per index and keeps the closed
+        # form jacobian, so the projection sees the same rows as the fast run
+        stacked = replace(cset, batch=None)
+        ref_set = replace(cset, batch=lambda x, jac=True: (
+            cset.batch(x) if jac else stacked.values(x)))
         fast = solve_constrained_wasserstein(objective, cset, wcfg, cfg, x0=x0)
-        ref = solve_constrained_wasserstein(
-            objective, replace(cset, batch_values=None), wcfg, cfg, x0=x0)
-        assert cset.batch_values is not None
+        ref = solve_constrained_wasserstein(objective, ref_set, wcfg, cfg,
+                                            x0=x0)
+        assert closed_form(cset.batch) and not closed_form(stacked.batch)
         self.assert_same_run(fast, ref)
         assert np.array_equal(fast.stage_outputs[-1], ref.stage_outputs[-1])
         assert fast.projection["iterations"] == \

@@ -18,10 +18,10 @@ by the number of components it evaluated.
 
 A problem also carries a value-only batch oracle, component_values,
 returning every g_i and h_i value at one point, which is the one path
-of the exact objective (evaluate_psi).  The reductions write it in
-closed form where they can; a problem built without one gets the
-per-index oracles stacked, the reference path.  The estimators and the
-exact gradient always run per index.
+of the exact objective (evaluate_psi).  Every reduction writes one;
+evaluate_psi reads the per-index oracles stacked, the reference path,
+when a problem has none.  The estimators and the exact gradient always
+run per index.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class CompositeProblem:
     f_outer(u)     -> (float value; derivative, shape (p,)), u of shape (p,)
     r_term         -- simple term with value and prox oracles
     component_values(x) -> (g values, shape (m, p); h values, shape (m,)):
-                      every component value in one call; the per-index
-                      oracles stacked when not given
+                      every component value in one call, or None: the
+                      per-index oracles stacked
 
     Arrays in and out are float arrays of exactly these shapes; nothing
     coerces them.
@@ -84,21 +84,12 @@ class CompositeProblem:
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_g < 1 or self.m < 1:
             raise ValueError("dim_x, dim_g and m must be positive")
-        fill_stacked(self, "component_values", CompositeProblem._stacked_values)
 
     def _stacked_values(self, x):
         """Every g_i and h_i value from the per-index oracle fields, read
         at call time: the reference batch."""
         return (np.array([self.g_oracle(i, x)[0] for i in range(self.m)]),
                 np.array([self.h_oracle(i, x)[0] for i in range(self.m)]))
-
-
-def fill_stacked(obj, name, adapter):
-    """Bind obj's per-index adapter method into field `name` when it is
-    None or holds the adapter of the object dataclasses.replace copied."""
-    value = getattr(obj, name)
-    if value is None or getattr(value, "__func__", None) is adapter:
-        setattr(obj, name, adapter.__get__(obj))
 
 
 @dataclass
@@ -173,7 +164,7 @@ def evaluate_psi(problem, x, counter=None):
     counter advances by m per g/h family and by one outer-map call.
     """
     m = problem.m
-    g_vals, h_vals = problem.component_values(x)
+    g_vals, h_vals = (problem.component_values or problem._stacked_values)(x)
     f_val, _ = problem.f_outer(np.sum(g_vals, axis=0) / m)
     if counter is not None:
         counter.g_value_calls += m

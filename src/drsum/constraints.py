@@ -4,9 +4,9 @@ A ConstraintSet holds m inequality constraints c_i(x) <= 0 through a
 per-index oracle returning value and gradient, and one batch over all m
 constraints: batch(x) -> (values (m,), jacobian (m, d)), or the values
 alone with jac=False.  values() feeds the violation metric and the
-exact objective; jacobian() feeds the projection.  A set built without
-a batch gets the per-index oracle stacked row by row, the reference
-path; ConstraintSet.affine, build_dr_logistic and convexify_constraints
+exact objective; jacobian() feeds the projection.  Both read the
+per-index eval stacked row by row, the reference path, when the set has
+no batch; ConstraintSet.affine, build_dr_logistic and convexify_constraints
 write theirs in closed form.  The estimators and the Wasserstein
 g_oracle stay per index.
 
@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .composite import fill_stacked
 
 class ProjectionError(RuntimeError):
     """Projection did not reach the violation tolerance within max_iter."""
@@ -46,7 +45,6 @@ class ConstraintSet:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("constraint set must be nonempty")
-        fill_stacked(self, "batch", ConstraintSet._stacked)
 
     def eval(self, i, x):
         val, grad = self.oracle(i, np.asarray(x, dtype=float))
@@ -59,11 +57,12 @@ class ConstraintSet:
         return (values, np.vstack([grad for _, grad in evals])) if jac else values
 
     def values(self, x):
-        return self.batch(np.asarray(x, dtype=float), jac=False)
+        return (self.batch or self._stacked)(np.asarray(x, dtype=float),
+                                             jac=False)
 
     def jacobian(self, x):
         """(values (m,), jacobian (m, d)) from one batch call."""
-        return self.batch(np.asarray(x, dtype=float))
+        return (self.batch or self._stacked)(np.asarray(x, dtype=float))
 
     @classmethod
     def from_functions(cls, funcs):

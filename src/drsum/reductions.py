@@ -11,10 +11,13 @@ All exponentials run in max-shifted log space; the compiled problems
 carry a fixed shift anchored at a reference point so the estimator
 recursions stay consistent across evaluations.
 
-Each compiled problem carries component_values, every component value
-in one array pass, which the exact objective reads: built from the
-constraint set's batch or the loss family's values(x) where it has one,
-the per-index oracles stacked otherwise.
+One compiler, _compile, writes every reduction's per-index g_oracle and
+h_oracle and its component_values (every component value in one array
+pass, which the exact objective reads) from maps g_i = phi(f_i) and
+h_i = psi(f_i) of one loss or constraint value.  The batch reads the
+loss family's values(x), or the constraint set's values, or the
+per-index eval stacked when a family has no values(x).  kl and
+wasserstein share one shifted-exponential map with one range check.
 """
 
 from __future__ import annotations
@@ -108,13 +111,91 @@ class WorstCaseWeights:
 
 def _as_family(losses, dim=None):
     """Normalize loss input to (m, dim, eval, values) with eval(i, x) ->
-    (val, grad) and values(x) -> all m losses, or None without a batch."""
+    (val, grad) and values(x) -> all m losses, the per-index eval stacked
+    when the family has no values(x)."""
     if hasattr(losses, "eval") and hasattr(losses, "m"):
-        return losses.m, losses.dim, losses.eval, getattr(losses, "values", None)
-    funcs = list(losses)
-    if dim is None:
-        raise ValueError("dim is required when losses is a plain sequence")
-    return len(funcs), dim, lambda i, x: funcs[i](x), None
+        m, d, ev = losses.m, losses.dim, losses.eval
+        values = getattr(losses, "values", None)
+    else:
+        funcs = list(losses)
+        if dim is None:
+            raise ValueError("dim is required when losses is a plain sequence")
+        m, d, ev, values = len(funcs), dim, lambda i, x: funcs[i](x), None
+    if values is None:
+        def values(x):
+            return np.array([ev(i, x)[0] for i in range(m)], dtype=float)
+    return m, d, ev, values
+
+
+def _identity(v):
+    return v, 1.0
+
+
+def _compile(family, g_map, f_outer, h_map=None, h_side=None, r_term=None):
+    """Composite problem with g_i = g_map(f_i), h_i = h_map(f_i) over a
+    family (m, dim, eval, values).  A map takes one loss value or all m
+    to (image, slope); the slope scales the loss gradient.  h is zero
+    without h_map, or h_side = (h_oracle, h_values(x, losses)).
+    """
+    m, d, ev, values = family
+
+    def g_oracle(i, x):
+        val, grad = ev(i, x)
+        gv, slope = g_map(val)
+        return np.array([gv]), slope * np.asarray(grad, dtype=float).reshape(1, -1)
+
+    if h_side is not None:
+        h_oracle, h_values = h_side
+    elif h_map is not None:
+        def h_oracle(i, x):
+            val, grad = ev(i, x)
+            hv, slope = h_map(val)
+            return hv, slope * np.asarray(grad, dtype=float)
+
+        def h_values(x, v):
+            return h_map(v)[0]
+    else:
+        def h_oracle(i, x):
+            return 0.0, np.zeros(d)
+
+        def h_values(x, v):
+            return np.zeros(m)
+
+    def component_values(x):
+        v = values(x)
+        return g_map(v)[0][:, None], h_values(x, v)
+
+    return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
+                            h_oracle=h_oracle, f_outer=f_outer,
+                            r_term=r_term or ZeroTerm(),
+                            component_values=component_values)
+
+
+def _shifted_exp(family, alpha, gamma, anchor, floor=-np.inf):
+    """(shift, map v -> exp(alpha*v/gamma - shift)): the shift is the
+    largest exponent at the anchor, at least floor (zero without one);
+    the map raises NumericalRangeError past EXP_LIMIT."""
+    m, _, ev, _ = family
+    shift = 0.0
+    if anchor is not None:
+        # per index, not the batch: the shift enters the estimators,
+        # which must not move by the batch path's rounding
+        shift = max(floor, float(max(alpha * ev(i, anchor)[0] / gamma
+                                     for i in range(m))))
+
+    def exp_map(v):
+        e = alpha * v / gamma - shift
+        # a scalar is compared as it is; fmax skips NaN like the compare
+        top = np.fmax.reduce(e) if isinstance(e, np.ndarray) else e
+        if top > EXP_LIMIT:
+            raise NumericalRangeError(
+                f"exponent {top:.1f} exceeds range after shift; increase "
+                "gamma or re-anchor"
+            )
+        gv = np.exp(e)
+        return gv, gv * alpha / gamma
+
+    return shift, exp_map
 
 
 def build_chi2(losses, cfg: Chi2Config, dim=None):
@@ -125,28 +206,15 @@ def build_chi2(losses, cfg: Chi2Config, dim=None):
     The brute-force simplex oracle certifies this value on small instances.
     The batch path evaluates each loss once for both g and h.
     """
-    m, d, ev, values = _as_family(losses, dim)
     gamma = cfg.gamma
 
-    def g_oracle(i, x):
-        val, grad = ev(i, x)
-        return np.array([val]), np.asarray(grad, dtype=float).reshape(1, -1)
-
-    def h_oracle(i, x):
-        val, grad = ev(i, x)
-        return val + val * val / (2.0 * gamma), (1.0 + val / gamma) * np.asarray(grad, dtype=float)
+    def h_map(v):
+        return v + v * v / (2.0 * gamma), 1.0 + v / gamma
 
     def f_outer(u):
         return -float(u[0]) ** 2 / (2.0 * gamma), np.array([-float(u[0]) / gamma])
 
-    def component_values(x):
-        val = values(x)
-        return val[:, None], val + val * val / (2.0 * gamma)
-
-    return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer,
-                            component_values=(None if values is None
-                                              else component_values))
+    return _compile(_as_family(losses, dim), _identity, f_outer, h_map)
 
 
 def chi2_worst_case_weights(loss_values, gamma):
@@ -170,24 +238,10 @@ def build_kl(losses, cfg: KlConfig, dim=None, shift_anchor=None):
     where the fixed shift c is the largest exponent seen at the anchor
     point (zero without an anchor).
     """
-    m, d, ev, values = _as_family(losses, dim)
-    gamma = cfg.gamma
-    shift = 0.0
-    if shift_anchor is not None:
-        # center the largest exponent at zero; unlike the constrained
-        # penalty there is no implicit unit term, so a negative shift is
-        # fine (and needed when every loss is deeply negative)
-        shift = float(max(ev(i, shift_anchor)[0] / gamma for i in range(m)))
-
-    def g_oracle(i, x):
-        val, grad = ev(i, x)
-        e = val / gamma - shift
-        if e > EXP_LIMIT:
-            raise NumericalRangeError(
-                f"exponent {e:.1f} exceeds range after shift; increase gamma"
-            )
-        gv = np.exp(e)
-        return np.array([gv]), (gv / gamma) * np.asarray(grad, dtype=float).reshape(1, -1)
+    family = _as_family(losses, dim)
+    # no implicit unit term as in the constrained penalty, so a negative
+    # shift is fine (and needed when every loss is deeply negative)
+    shift, exp_map = _shifted_exp(family, 1.0, cfg.gamma, shift_anchor)
 
     def f_outer(u):
         u0 = float(u[0])
@@ -199,23 +253,7 @@ def build_kl(losses, cfg: KlConfig, dim=None, shift_anchor=None):
             )
         return np.log(u0) + shift, np.array([1.0 / u0])
 
-    def h_oracle(i, x):
-        return 0.0, np.zeros(d)
-
-    def component_values(x):
-        e = values(x) / gamma - shift
-        over = e > EXP_LIMIT
-        if over.any():
-            raise NumericalRangeError(
-                f"exponent {e[over][0]:.1f} exceeds range after shift; "
-                "increase gamma"
-            )
-        return np.exp(e)[:, None], np.zeros(m)
-
-    return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer,
-                            component_values=(None if values is None
-                                              else component_values))
+    return _compile(family, exp_map, f_outer)
 
 
 def kl_worst_case_weights(loss_values, gamma):
@@ -256,16 +294,10 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
     gamma = cfg.resolve_gamma(m)
 
     if isinstance(objective, SimpleTerm):
-        r_term = objective
+        r_term, h_side = objective, None
         if dim is None:
             raise ValueError("dim is required when the objective is a simple term")
         d = dim
-
-        def h_oracle(i, x):
-            return 0.0, np.zeros(d)
-
-        def h_values(x):
-            return np.zeros(m)
     elif hasattr(objective, "value_grad"):
         r_term = ZeroTerm()
         d = dim if dim is not None else getattr(objective, "dim", None)
@@ -276,30 +308,18 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
             val, grad = objective.value_grad(x)
             return float(val), np.asarray(grad, dtype=float)
 
-        def h_values(x):
+        def h_values(x, _):
             return np.full(m, float(objective.value_grad(x)[0]))
+
+        h_side = (h_oracle, h_values)
     else:
         raise TypeError("objective must be a SimpleTerm or expose value_grad(x)")
 
-    shift = 0.0
-    if shift_anchor is not None:
-        # per index, not the batch: the shift enters the estimators,
-        # which must not move by the batch path's rounding
-        vals = np.array([constraints.eval(i, shift_anchor)[0]
-                         for i in range(m)])
-        shift = max(0.0, float(np.max(alpha * vals / gamma)))
+    # read the set's eval at call time, so a class-level wrapper sees it
+    family = (m, d, lambda i, x: constraints.eval(i, x),
+              lambda x: constraints.values(x))
+    shift, exp_map = _shifted_exp(family, alpha, gamma, shift_anchor, floor=0.0)
     base = np.exp(-shift)  # the constant 1 of the penalty, in shifted space
-
-    def g_oracle(i, x):
-        val, grad = constraints.eval(i, x)
-        e = alpha * val / gamma - shift
-        if e > EXP_LIMIT:
-            raise NumericalRangeError(
-                f"constraint exponent {e:.1f} exceeds range after shift; "
-                "increase gamma or re-anchor"
-            )
-        gv = np.exp(e)
-        return np.array([gv]), (gv * alpha / gamma) * np.asarray(grad, dtype=float).reshape(1, -1)
 
     def f_outer(u):
         u0 = float(u[0])
@@ -313,42 +333,16 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
         val = gamma * (np.log(total) - np.log(m + 1.0) + shift)
         return val, np.array([gamma * m / total])
 
-    def component_values(x):
-        e = alpha * constraints.values(x) / gamma - shift
-        over = e > EXP_LIMIT
-        if over.any():
-            raise NumericalRangeError(
-                f"constraint exponent {e[over][0]:.1f} exceeds range after "
-                "shift; increase gamma or re-anchor"
-            )
-        return np.exp(e)[:, None], h_values(x)
-
-    return CompositeProblem(
-        dim_x=d, dim_g=1, m=m, g_oracle=g_oracle, h_oracle=h_oracle,
-        f_outer=f_outer, r_term=r_term, component_values=component_values)
+    return _compile(family, exp_map, f_outer, h_side=h_side, r_term=r_term)
 
 
 def build_mean(losses, dim=None):
     """Plain empirical risk mean(f) as a composite (identity outer map)."""
-    m, d, ev, values = _as_family(losses, dim)
-
-    def g_oracle(i, x):
-        val, grad = ev(i, x)
-        return np.array([val]), np.asarray(grad, dtype=float).reshape(1, -1)
-
-    def h_oracle(i, x):
-        return 0.0, np.zeros(d)
 
     def f_outer(u):
         return float(u[0]), np.array([1.0])
 
-    def component_values(x):
-        return values(x)[:, None], np.zeros(m)
-
-    return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer,
-                            component_values=(None if values is None
-                                              else component_values))
+    return _compile(_as_family(losses, dim), _identity, f_outer)
 
 
 def build_dr_logistic(dataset, eps_radius, kappa_flip):

@@ -4,13 +4,9 @@ import pytest
 
 def closed_form(batch):
     """Whether a batch field (a constraint set's batch or a problem's
-    component_values) holds something other than the per-index stacked
-    adapter its __post_init__ fills in."""
-    from drsum.composite import CompositeProblem
-    from drsum.constraints import ConstraintSet
-
-    return getattr(batch, "__func__", None) not in (
-        ConstraintSet._stacked, CompositeProblem._stacked_values)
+    component_values) is set; an unset one is read as the per-index
+    oracles stacked."""
+    return batch is not None
 
 
 def quadratic_losses(m=16, d=5, seed=7, cond=10.0, noise=0.5):

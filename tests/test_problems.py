@@ -178,7 +178,8 @@ class TestFairnessConstraints:
         assert (calls["value_grad"], calls["g_oracle"]) == (1 + cset.m, cset.m)
         assert psi == pytest.approx(expected, rel=1e-14, abs=0.0)
 
-        # replace() rebinds a copied adapter to the copy's own oracles
+        # the stacked path is resolved at each read, so a replace() copy
+        # reads its own oracles
         zeroed = replace(cset, oracle=lambda i, v: (0.0, np.zeros(v.size)))
         assert not zeroed.values(x).any()
         evaluate_psi(replace(reference, h_oracle=counted(

@@ -11,6 +11,7 @@ from drsum.composite import OracleCounter, evaluate_psi
 from drsum.constraints import ConstraintSet
 from drsum.diagnostics import fit_rate
 from drsum.problems import (
+    BrokenJacobianLosses,
     FairnessSpec,
     LogisticLosses,
     MeanLossObjective,
@@ -92,6 +93,8 @@ def test_fit_rate_recovers_exact_geometric_decay(start, slope, n):
 # -- batched component values against the per-index reference path ------
 
 FAMILIES = ("quadratic", "logistic", "mlp2", "nonconvex_toy")
+# loss inputs without values(x), whose batch stacks the per-index eval
+STACKED_INPUTS = ("plain_sequence", "broken_jacobian")
 CONSTRAINT_SETS = ("dr_logistic", "affine", "convexified", "fairness")
 
 
@@ -133,22 +136,24 @@ def _objective_and_constraints(kind, rng, m, d=3):
 
 def _assert_paths_agree(problem, x):
     """evaluate_psi through component_values equals the per-index loop:
-    same value to rounding, same counters, or the same range error."""
+    same value to rounding, same counters, or the same range error.  The
+    batch path must not read the per-index oracle fields."""
     reference = replace(problem, component_values=None)
+    batch_only = replace(problem, g_oracle=None, h_oracle=None)
     fast_counter, ref_counter = OracleCounter(), OracleCounter()
     try:
         expected = evaluate_psi(reference, x, ref_counter)
     except NumericalRangeError:
         with pytest.raises(NumericalRangeError):
-            evaluate_psi(problem, x, fast_counter)
+            evaluate_psi(batch_only, x, fast_counter)
         return
-    got = evaluate_psi(problem, x, fast_counter)
+    got = evaluate_psi(batch_only, x, fast_counter)
     assert isinstance(got, float)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
     assert fast_counter == ref_counter
 
 
-@pytest.mark.parametrize("family_kind", FAMILIES)
+@pytest.mark.parametrize("family_kind", FAMILIES + STACKED_INPUTS)
 @pytest.mark.parametrize("reduction", ("chi2", "kl", "mean"))
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12),
@@ -157,7 +162,8 @@ def _assert_paths_agree(problem, x):
 def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
                                        scale, gamma, anchored):
     rng = np.random.default_rng(seed)
-    family = _family(family_kind, rng, m)
+    stacked = family_kind in STACKED_INPUTS
+    family = _family("logistic" if stacked else family_kind, rng, m)
     x = scale * rng.standard_normal(family.dim)
     np.testing.assert_allclose(
         family.values(x), [family.eval(i, x)[0] for i in range(m)],
@@ -166,13 +172,19 @@ def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
         np.testing.assert_allclose(
             family.scores(x), [family.score(i, x)[0] for i in range(m)],
             rtol=1e-12, atol=1e-12)
+    losses = family
+    if family_kind == "plain_sequence":
+        losses = [lambda v, i=i: family.eval(i, v) for i in range(m)]
+    elif family_kind == "broken_jacobian":
+        losses = BrokenJacobianLosses(family)
     if reduction == "chi2":
-        problem = build_chi2(family, Chi2Config(gamma=gamma))
+        problem = build_chi2(losses, Chi2Config(gamma=gamma), dim=family.dim)
     elif reduction == "kl":
         anchor = rng.standard_normal(family.dim) if anchored else None
-        problem = build_kl(family, KlConfig(gamma=gamma), shift_anchor=anchor)
+        problem = build_kl(losses, KlConfig(gamma=gamma), dim=family.dim,
+                           shift_anchor=anchor)
     else:
-        problem = build_mean(family)
+        problem = build_mean(losses, dim=family.dim)
     assert closed_form(problem.component_values)
     _assert_paths_agree(problem, x)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -407,3 +409,126 @@ def test_build_mean_is_plain_average():
     assert counter.g_value_calls == 5
     direct_grad = np.mean([losses[i](x)[1] for i in range(5)], axis=0)
     assert np.allclose(grad, direct_grad)
+
+
+def test_chi2_psi_evaluates_each_loss_once_without_batch():
+    # a plain sequence has no values(x): psi stacks the per-index eval
+    # once and reads it for both g and h, not once per side
+    losses, d = affine_losses([0.3, 1.1, 2.0, 0.7],
+                              np.arange(8.0).reshape(4, 2))
+    calls = [0] * len(losses)
+
+    def counted(i):
+        def f(x):
+            calls[i] += 1
+            return losses[i](x)
+        return f
+
+    prob = build_chi2([counted(i) for i in range(len(losses))],
+                      Chi2Config(gamma=0.5), dim=d)
+    x = np.array([0.2, -0.1])
+    psi = evaluate_psi(prob, x)
+    assert calls == [1] * len(losses)
+    reference = build_chi2(losses, Chi2Config(gamma=0.5), dim=d)
+    assert psi == evaluate_psi(replace(reference, component_values=None), x)
+
+
+# -- the per-index oracles pinned bit for bit to their formulas ----------
+
+
+def _pinned_family():
+    from drsum.problems import LogisticLosses, TabularDataset
+
+    rng = np.random.default_rng(12)
+    Z = rng.standard_normal((6, 3))
+    y = np.where(rng.uniform(size=6) < 0.5, 1.0, -1.0)
+    return LogisticLosses(TabularDataset(features=Z, labels=y,
+                                         group_ids=np.zeros(6, dtype=int)))
+
+
+def _assert_oracles_equal(prob, x, g_formula, h_formula):
+    """Every g_oracle / h_oracle output equals its formula exactly."""
+    for i in range(prob.m):
+        (gv, gj), (want_gv, want_gj) = prob.g_oracle(i, x), g_formula(i)
+        (hv, hg), (want_hv, want_hg) = prob.h_oracle(i, x), h_formula(i)
+        assert np.array_equal(gv, want_gv) and gv.shape == (1,)
+        assert np.array_equal(gj, want_gj) and gj.shape == (1, x.size)
+        assert hv == want_hv and type(hv) is type(want_hv)
+        assert np.array_equal(hg, want_hg) and hg.shape == (x.size,)
+
+
+@pytest.mark.parametrize("reduction", ("chi2", "kl", "kl_anchored", "mean"))
+def test_loss_oracles_bit_for_bit(reduction):
+    family = _pinned_family()
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(family.dim)
+    gamma = 0.7
+    d = family.dim
+
+    def zero_h(i):
+        return 0.0, np.zeros(d)
+
+    def g_identity(i):
+        val, grad = family.eval(i, x)
+        return np.array([val]), grad.reshape(1, -1)
+
+    if reduction == "chi2":
+        prob = build_chi2(family, Chi2Config(gamma=gamma))
+
+        def h_formula(i):
+            val, grad = family.eval(i, x)
+            return val + val * val / (2.0 * gamma), (1.0 + val / gamma) * grad
+
+        _assert_oracles_equal(prob, x, g_identity, h_formula)
+    elif reduction == "mean":
+        _assert_oracles_equal(build_mean(family), x, g_identity, zero_h)
+    else:
+        anchor = rng.standard_normal(d) if reduction == "kl_anchored" else None
+        prob = build_kl(family, KlConfig(gamma=gamma), shift_anchor=anchor)
+        shift = 0.0 if anchor is None else float(max(
+            family.eval(i, anchor)[0] / gamma for i in range(family.m)))
+
+        def g_formula(i):
+            val, grad = family.eval(i, x)
+            gv = np.exp(val / gamma - shift)
+            return np.array([gv]), (gv / gamma) * grad.reshape(1, -1)
+
+        _assert_oracles_equal(prob, x, g_formula, zero_h)
+
+
+@pytest.mark.parametrize("objective_kind", ("simple", "smooth"))
+def test_wasserstein_oracles_bit_for_bit(objective_kind):
+    from drsum.problems import MeanLossObjective
+
+    family = _pinned_family()
+    d = family.dim
+    rng = np.random.default_rng(4)
+    cset = convexify_constraints(
+        ConstraintSet.affine(rng.standard_normal((5, d)),
+                             rng.standard_normal(5)),
+        rng.uniform(0.0, 1.0, size=5))
+    x, anchor = rng.standard_normal(d), rng.standard_normal(d)
+    alpha, gamma = 1.7, 0.3
+    if objective_kind == "simple":
+        objective = SquaredNormTerm(1.0)
+
+        def h_formula(i):
+            return 0.0, np.zeros(d)
+    else:
+        objective = MeanLossObjective(family)
+
+        def h_formula(i):
+            val, grad = objective.value_grad(x)
+            return float(val), grad
+    prob = build_wasserstein(objective, cset,
+                             WassersteinConfig(alpha=alpha, gamma=gamma),
+                             shift_anchor=anchor, dim=d)
+    vals = np.array([cset.eval(i, anchor)[0] for i in range(cset.m)])
+    shift = max(0.0, float(np.max(alpha * vals / gamma)))
+
+    def g_formula(i):
+        val, grad = cset.eval(i, x)
+        gv = np.exp(alpha * val / gamma - shift)
+        return np.array([gv]), (gv * alpha / gamma) * grad.reshape(1, -1)
+
+    _assert_oracles_equal(prob, x, g_formula, h_formula)

@@ -14,6 +14,12 @@ The projection onto the feasible set is one SLSQP solve of the
 distance problem for every set, reading the constraints through one
 jacobian() call per SLSQP point; it is exact on convex sets and local
 on nonconvex ones.
+
+scipy is imported only when a projection runs: minimize is a module
+function that imports scipy.optimize on each call (a dictionary lookup
+once loaded) and forwards to scipy's minimize, so unconstrained runs
+never load scipy.  It stays a module attribute, which the projection
+calls by name, so it can be replaced or wrapped there.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class ProjectionError(RuntimeError):

@@ -6,18 +6,39 @@ array expression; classifier families additionally expose the raw score
 and its gradient, which the fairness constraints differentiate through,
 and the batch scores(x) -> (m,).  Everything is deterministic under an
 explicit seed.
+
+The logistic sigmoid comes in two forms, both 1 / (1 + exp(-t)), the
+formula of scipy.special.expit: sigmoid(t) for one float, on math.exp,
+which is bit-identical to expit; and sigmoids(t) for arrays, on np.exp,
+whose SIMD exp can differ from libm in the last bit.  Each call site
+uses the form that matches its argument, so neither pays for a
+dispatch on the argument's shape, and no import of scipy is needed.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .constraints import ConstraintSet
+
+
+def sigmoid(t):
+    """1 / (1 + exp(-t)) of one float, as a Python float."""
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:  # exp(-t) beyond the float range
+        return 0.0
+
+
+def sigmoids(t):
+    """1 / (1 + exp(-t)) elementwise; an overflowing exp gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
 
 
 @dataclass
@@ -113,7 +134,7 @@ class LogisticLosses:
         z = self.dataset.features[i]
         y = self.dataset.labels[i]
         margin = -y * float(z @ x)
-        return float(np.logaddexp(0.0, margin)), -y * float(expit(margin)) * z
+        return float(np.logaddexp(0.0, margin)), -y * sigmoid(margin) * z
 
     def values(self, x):
         return np.logaddexp(0.0, -self.dataset.labels * self.scores(x))
@@ -160,7 +181,7 @@ class Mlp2Losses:
         s, sgrad = self.score(i, x)
         y = self.dataset.labels[i]
         margin = -y * s
-        return float(np.logaddexp(0.0, margin)), -y * float(expit(margin)) * sgrad
+        return float(np.logaddexp(0.0, margin)), -y * sigmoid(margin) * sgrad
 
     def values(self, x):
         return np.logaddexp(0.0, -self.dataset.labels * self.scores(x))
@@ -224,7 +245,7 @@ def make_losses(kind, dataset=None, *, m=None, d=None, seed=0, hidden=4, cond=10
 
 def surrogate_tpr(scores, temp):
     """Sigmoid-relaxed true-positive rate of the given positive-row scores."""
-    return float(np.mean(expit(temp * np.asarray(scores, dtype=float))))
+    return float(np.mean(sigmoids(temp * np.asarray(scores, dtype=float))))
 
 
 def build_fairness_constraints(dataset: TabularDataset, family,
@@ -260,7 +281,7 @@ def build_fairness_constraints(dataset: TabularDataset, family,
         grad = np.zeros(family.dim)
         for i in rows:
             s, sg = family.score(int(i), x)
-            sig = float(expit(temp * s))
+            sig = sigmoid(temp * s)
             val += sig
             grad += temp * sig * (1.0 - sig) * sg
         return val / rows.size, grad / rows.size
@@ -414,7 +435,7 @@ def _fit_logistic(dataset, iters=400, eta=0.5, ridge=1e-4):
     Z, y = dataset.features, dataset.labels
     x = np.zeros(dataset.dim)
     for _ in range(iters):
-        grad = Z.T @ (-y * expit(-y * (Z @ x)))
+        grad = Z.T @ (-y * sigmoids(-y * (Z @ x)))
         x = x - eta * (grad / dataset.m + ridge * x)
     return x
 

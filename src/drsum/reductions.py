@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import expit
-
 from .composite import CompositeProblem
 from .constraints import ConstraintSet
+from .problems import sigmoid, sigmoids
 from .proxlib import AffineTerm, SimpleTerm, ZeroTerm
 
 EXP_LIMIT = 700.0  # largest exponent fed to np.exp after shifting
@@ -379,7 +378,7 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
     def loss_and_grad(beta, z, label):
         margin = -label * float(beta @ z)
         val = float(np.logaddexp(0.0, margin))
-        return val, -label * float(expit(margin)) * z
+        return val, -label * sigmoid(margin) * z
 
     def oracle(i, x):
         beta, lam, s = split(np.asarray(x, dtype=float))
@@ -421,8 +420,8 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
         if not jac:
             return values
         jacobian = constant_jac.copy()
-        jacobian[:m, :d_beta] = (-y * expit(-y * margins))[:, None] * Z
-        jacobian[m:2 * m, :d_beta] = (y * expit(y * margins))[:, None] * Z
+        jacobian[:m, :d_beta] = (-y * sigmoids(-y * margins))[:, None] * Z
+        jacobian[m:2 * m, :d_beta] = (y * sigmoids(y * margins))[:, None] * Z
         if norm > 0:
             jacobian[2 * m, :d_beta] = beta / norm
         return values, jacobian

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -557,3 +560,64 @@ class TestBench:
                 (out / "bench.csv").read_text().splitlines()[1:]]
         assert [r[0] for r in rows] == \
             ["vr_kl"] * 3 + ["unconstrained"] * 3 + ["biased_sgd"] * 3
+
+
+REPO = Path(__file__).resolve().parents[1]
+DR_LOGISTIC_WORKLOAD = str(REPO / "perfbench" / "workloads" / "drlogistic_m20.ini")
+PROJECTION_MODULES = ("scipy.optimize", "scipy.special")
+
+
+def fresh_interpreter(code, *args):
+    """Run code in a new python with src/ on the path; returns its stdout.
+    The test process itself has loaded scipy, so its sys.modules tells
+    nothing about what drsum imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=REPO,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImportFootprint:
+    """scipy is loaded only by experiments with a constraint set, and by
+    them during set-up, so its import time counts there and not in the
+    first solve."""
+
+    def loaded(self, code, *args):
+        out = fresh_interpreter(
+            code + "\nprint(json.dumps(sorted(m for m in sys.modules"
+                   f" if m in {PROJECTION_MODULES!r})))", *args)
+        return json.loads(out.splitlines()[-1])
+
+    def test_importing_the_package_loads_no_scipy(self):
+        assert self.loaded("import json, sys, drsum, drsum.cli") == []
+
+    @pytest.mark.parametrize("config", [CHI2_CONFIG, KL_CONFIG],
+                             ids=["chi2", "kl"])
+    def test_unconstrained_commands_load_no_scipy(self, tmp_path, config):
+        code = (
+            "import json, sys\n"
+            "from drsum.cli import main\n"
+            "for command in ('solve', 'bench'):\n"
+            "    out = sys.argv[2] + '/' + command\n"
+            "    assert main([command, sys.argv[1], '--out', out]) == 0\n")
+        assert self.loaded(code, config, str(tmp_path)) == []
+
+    def test_constrained_setup_loads_the_projection(self, tmp_path):
+        code = (
+            "import json, sys\n"
+            "from drsum.cli import Experiment, load_config\n"
+            "cfg = load_config(sys.argv[1])\n"
+            "cfg['output']['out_dir'] = sys.argv[2]\n"
+            "cfg['solver']['seed'] = '1'  # ends outside the set\n"
+            "exp = Experiment(cfg)\n"
+            "before = set(sys.modules)\n"
+            "report = exp.run()\n"
+            "assert report.counters.projection_calls == 1\n"
+            "assert report.projection['iterations'] > 0, report.projection\n"
+            "new = sorted(set(sys.modules) - before)\n"
+            "assert not new, new[:10]\n")
+        assert "scipy.optimize" in self.loaded(code, DR_LOGISTIC_WORKLOAD,
+                                               str(tmp_path))

@@ -1,5 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from drsum.composite import check_jacobians, full_phi_gradient
 from drsum.problems import (
@@ -15,6 +22,8 @@ from drsum.problems import (
     make_losses,
     make_synthetic,
     make_xor_dataset,
+    sigmoid,
+    sigmoids,
     surrogate_tpr,
 )
 from drsum.reductions import build_mean
@@ -27,6 +36,53 @@ def small_dataset(seed=0, m=12):
     y[0] = 1.0  # at least one positive
     g = rng.integers(0, 2, size=m)
     return TabularDataset(features=Z, labels=y, group_ids=g)
+
+
+def same_bits(got, want):
+    """Equal as IEEE doubles, sign of zero included; any NaN equals NaN."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestSigmoid:
+    """sigmoid is scipy's expit formula on libm's exp, so bit-identical to
+    it; sigmoids runs numpy's exp, which may differ in the last bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats())
+    def test_scalar_is_expit_bit_for_bit(self, t):
+        want = expit(t)
+        assert type(sigmoid(t)) is float
+        assert same_bits(sigmoid(t), want)
+        assert same_bits(sigmoid(np.float64(t)), want)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, math.inf, -math.inf, math.nan,
+                                   709.8, -709.8, 746.0, -746.0])
+    def test_scalar_edges(self, t):
+        assert same_bits(sigmoid(t), expit(t))
+        assert same_bits(sigmoid(np.float64(t)), expit(np.float64(t)))
+
+    def test_scalar_sweep(self):
+        # a sigmoid on numpy's exp differs in the last bit on about 2 %
+        t = np.random.default_rng(0).standard_normal(20_000) * 30.0
+        want = expit(t)
+        got = np.array([sigmoid(float(v)) for v in t])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 64)))
+    def test_array_agrees_with_expit(self, t):
+        # relative 1e-15 down to the smallest normal float; below it the
+        # spacing of subnormals is the only meaningful error
+        np.testing.assert_allclose(sigmoids(t), expit(t), rtol=1e-15,
+                                   atol=np.finfo(float).tiny)
+
+    def test_array_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoids(np.array([-1e4, 1e4]))
+        assert got.tolist() == [0.0, 1.0]
 
 
 class TestLossFamilies:

@@ -44,7 +44,9 @@ from .reductions import (
     chi2_worst_case_weights,
     convexify_constraints,
     kl_worst_case_weights,
+    restart_gamma,
     wasserstein_penalty,
+    wasserstein_stages,
 )
 from .solver import (
     SolverConfig,
@@ -53,7 +55,6 @@ from .solver import (
     TrajectoryRecord,
     expected_oracle_calls,
     run_epoch,
-    solve_constrained_wasserstein,
     solve_restarted,
 )
 from .distributed import (

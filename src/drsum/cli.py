@@ -54,13 +54,14 @@ from .reductions import (
     build_mean,
     chi2_worst_case_weights,
     convexify_constraints,
+    restart_gamma,
     wasserstein_penalty,
+    wasserstein_stages,
 )
 from .solver import (
     SolverConfig,
     Schedule,
     SolverReport,
-    solve_constrained_wasserstein,
     solve_restarted,
     split_batch,
 )
@@ -234,22 +235,20 @@ class Experiment:
                 raise ConfigError(f"kind {self.kind!r} requires a reduction")
             self.problem = build_mean(self.family)
         else:
-            self._build_wasserstein_pieces(gamma)
-
-    def _build_wasserstein_pieces(self, gamma):
-        cfg = self.cfg
-        alpha = _get(cfg, "problem", "alpha", required=True, cast=float)
-        use_gamma_from_restarts = _get(cfg, "problem", "gamma_from_restarts", False, bool)
-        K = _get(cfg, "solver", "k", default=1, cast=int)
-        if use_gamma_from_restarts:
-            self.wcfg = WassersteinConfig(alpha=alpha, K=K)
-        else:
-            if gamma is None:
+            self._build_wasserstein_pieces()
+            alpha = _get(cfg, "problem", "alpha", required=True, cast=float)
+            if _get(cfg, "problem", "gamma_from_restarts", False, bool):
+                # the temperature of the run's solver.k restarts
+                gamma = restart_gamma(_get(cfg, "solver", "k", 1, int),
+                                      self.constraints.m)
+            elif gamma is None:
                 raise ConfigError(
                     "wasserstein reduction needs problem.gamma or "
                     "problem.gamma_from_restarts = true")
             self.wcfg = WassersteinConfig(alpha=alpha, gamma=gamma)
 
+    def _build_wasserstein_pieces(self):
+        cfg = self.cfg
         if self.kind == "corner_toy":
             target = _parse_vector(_get(cfg, "problem", "target", "2,2"))
             bound = _parse_vector(_get(cfg, "problem", "bound", "1,1"))
@@ -359,18 +358,14 @@ class Experiment:
         return x0
 
     def run(self) -> SolverReport:
-        if self.method == "vr":
-            if self.reduction == "wasserstein":
-                return solve_constrained_wasserstein(
-                    self.objective, self.constraints, self.wcfg,
-                    self.solver_cfg, x0=self.x0())
-            return solve_restarted(self.problem, self.x0(), self.solver_cfg)
-        if self.method == "dist_vr":
-            if self.reduction == "wasserstein":
-                raise ConfigError(
-                    "dist_vr does not support the wasserstein reduction; "
-                    "use method = vr")
-            return dist_solve(self.problem, self.x0(), self.solver_cfg)
+        if self.method in ("vr", "dist_vr"):
+            solve = solve_restarted if self.method == "vr" else dist_solve
+            x0 = self.x0()
+            stages = self.problem if self.constraints is None else \
+                wasserstein_stages(self.objective, self.constraints,
+                                   self.wcfg, x0.size)
+            return solve(stages, x0, self.solver_cfg,
+                         constraints=self.constraints)
         problem = self.problem if self.problem is not None else \
             build_mean(self.family)
         return baseline_solve(
@@ -490,7 +485,7 @@ def _check_rows(exp):
             rows.append(("kl-equivalence", gap <= 1e-8, f"gap = {gap:.2e}"))
     if exp.reduction == "wasserstein":
         rng = np.random.default_rng(exp.solver_cfg.seed)
-        gamma = exp.wcfg.resolve_gamma(exp.constraints.m)
+        gamma = exp.wcfg.gamma
         ok = True
         worst = 0.0
         for _ in range(200):

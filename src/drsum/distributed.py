@@ -9,11 +9,12 @@ no failures, and results are independent of worker execution order.
 
 The epoch loop and the stage driver live in the solver module: the
 loop reports each proximal step through one hook, and the driver
-records steps and applies the output rule.  This module supplies the
-partition, the per-worker streams and the per-device accounting.  The
-centralized solver is the p = 1 case of the same loop, so with p = 1
-the sampling stream, the arithmetic, and hence the whole trajectory
-coincide bit for bit with it under the same seed.
+records steps, applies the output rule and ends a constrained run with
+its one projection.  This module supplies the partition, the
+per-worker streams and the per-device accounting.  The centralized
+solver is the p = 1 case of the same loop, so with p = 1 the sampling
+stream, the arithmetic, and hence the whole trajectory coincide bit for
+bit with it under the same seed.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class DistConfig(SolverConfig):
 
     def resolve_partition(self, m):
         if self.p > m:
-            raise ValueError("more workers than components")
+            raise ValueError(f"more workers ({self.p}) than components ({m})")
         if self.partition is not None:
             shards = [np.asarray(s, dtype=int) for s in self.partition]
             if len(shards) != self.p:
@@ -94,12 +95,13 @@ def dist_run_epoch(problem, state, t, dcfg: DistConfig, shards,
 
 
 def dist_solve(problem_builder, x0, dcfg: DistConfig, *,
-               violation_set=None, exec_order=None, probe=None) -> SolverReport:
-    """K warm-started stages of the simulated distributed solver.
+               constraints=None, exec_order=None, probe=None) -> SolverReport:
+    """K warm-started stages of the simulated distributed solver; given a
+    constraint set, the server ends the run with one projection onto it.
 
     The report carries one OracleCounter per device (that device's g/h
-    evaluations) alongside the merged totals; the server-side outer-map
-    and prox calls live only in the totals.
+    evaluations) alongside the merged totals; the server-side outer-map,
+    prox and projection calls live only in the totals.
     """
     worker_rngs = [np.random.default_rng(dcfg.seed ^ i) for i in range(dcfg.p)]
     device_counters = [OracleCounter() for _ in range(dcfg.p)]
@@ -110,8 +112,9 @@ def dist_solve(problem_builder, x0, dcfg: DistConfig, *,
         worker_rngs, device_counters, server_counter,
         exec_order=exec_order, **hook)
     report = _run_stages(problem_builder, x0, dcfg, epoch, device_counters,
-                         violation_set=violation_set, probe=probe)
-    # devices count only g/h calls, the server only outer-map and prox calls
+                         server_counter, constraints=constraints, probe=probe)
+    # devices count only g/h calls, the server the outer-map, prox and
+    # projection calls
     report.counters = sum(device_counters, server_counter)
     report.per_device_counters = device_counters
     return report

@@ -431,12 +431,14 @@ class NonconvexToyLosses:
 def _fit_logistic(dataset, iters=400, eta=0.5, ridge=1e-4):
     """Quick full-gradient logistic fit used by the bias-planting generator:
     one matrix-vector gradient (the sum of the per-row eval gradients)
-    per iteration."""
+    per iteration.  The loop enters errstate once; with labels +-1,
+    -y / (1 + exp(y z)) is -y * sigmoids(-y z) bit for bit."""
     Z, y = dataset.features, dataset.labels
     x = np.zeros(dataset.dim)
-    for _ in range(iters):
-        grad = Z.T @ (-y * sigmoids(-y * (Z @ x)))
-        x = x - eta * (grad / dataset.m + ridge * x)
+    with np.errstate(over="ignore"):
+        for _ in range(iters):
+            grad = Z.T @ (-y / (1.0 + np.exp(y * (Z @ x))))
+            x = x - eta * (grad / dataset.m + ridge * x)
     return x
 
 

@@ -68,31 +68,25 @@ class KlConfig:
 
 @dataclass
 class WassersteinConfig:
-    """Constraint scale alpha and smoothing temperature gamma.
-
-    gamma may be given directly, or derived from the restart count K as
-    exp(-K)/ln(m+1) (the schedule that shrinks the smoothing bias to the
-    target accuracy); call resolve_gamma(m) in the latter case.
-    """
+    """Constraint scale alpha and smoothing temperature gamma (see
+    restart_gamma for the temperature a restart count sets)."""
 
     alpha: float
-    gamma: float | None = None
-    K: int | None = None
+    gamma: float
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.gamma is None and self.K is None:
-            raise ValueError("provide gamma or K")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.K is not None and self.K < 1:
-            raise ValueError("K must be a positive integer")
 
-    def resolve_gamma(self, m):
-        if self.gamma is not None:
-            return self.gamma
-        return float(np.exp(-self.K) / np.log(m + 1))
+
+def restart_gamma(K, m):
+    """exp(-K)/ln(m+1): the temperature that shrinks the smoothing bias
+    gamma*ln(m+1) of m constraints to exp(-K) after K restarts."""
+    if K < 1:
+        raise ValueError("K must be a positive integer")
+    return float(np.exp(-K) / np.log(m + 1))
 
 
 @dataclass
@@ -290,7 +284,7 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
     """
     m = constraints.m
     alpha = cfg.alpha
-    gamma = cfg.resolve_gamma(m)
+    gamma = cfg.gamma
 
     if isinstance(objective, SimpleTerm):
         r_term, h_side = objective, None
@@ -333,6 +327,19 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
         return val, np.array([gamma * m / total])
 
     return _compile(family, exp_map, f_outer, h_side=h_side, r_term=r_term)
+
+
+def wasserstein_stages(objective, constraints, cfg: WassersteinConfig, dim):
+    """Stage builder (k, x_start) -> build_wasserstein(..., shift_anchor=
+    x_start): every stage keeps the temperature and re-anchors the
+    compiled exponentials at its warm start."""
+
+    def builder(k, x_start):  # looked up per call, so wrappers see it
+        return build_wasserstein(objective, constraints, cfg,
+                                 shift_anchor=np.asarray(x_start, dtype=float),
+                                 dim=dim)
+
+    return builder
 
 
 def build_mean(losses, dim=None):

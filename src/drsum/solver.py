@@ -3,18 +3,18 @@
 Each epoch opens with batch estimates of the inner value, jacobian and
 extra-gradient means, then runs incremental inner steps that correct all
 three estimators with sampled deltas before every proximal step.  A
-restart driver chains stages, warm-starting each from the last output;
-constrained runs finish with a single feasibility projection.
+restart driver chains stages, warm-starting each from the last output.
 
 The epoch loop exists once, in sharded form (_sharded_epoch), and
 reports each proximal step through one hook; the one stage/restart
-driver (_run_stages) records the steps, applies the output rule and
-checks the run for divergence.  The centralized solver (run_epoch,
-solve_restarted) is their 1-worker case: one shard holding every
-index, sampled from the solver's stream with weight 1.0.  The
+driver (_run_stages) records the steps, applies the output rule,
+checks the run for divergence and, given a constraint set, ends the run
+with the single terminal projection onto it.  The centralized solver
+(run_epoch, solve_restarted) is their 1-worker case: one shard holding
+every index, sampled from the solver's stream with weight 1.0.  The
 simulated multi-worker solver in the distributed module runs the same
-loop with one shard per worker, and the reference baselines in the
-diagnostics module run it with one step per epoch.
+loop and driver with one shard per worker, and the reference baselines
+in the diagnostics module run them with one step per epoch.
 
 Determinism contract: a run is fully determined by (problem, config,
 seed).  Full passes (batch or inner sample size equal to m) never touch
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -319,20 +318,31 @@ def run_epoch(problem, state, t, schedule, eta, rng, counter=None, *,
         [counter], counter, stage=stage, on_step=on_step)
 
 
-def _run_stages(problem_builder, x0, config, epoch, counters, *,
-                violation_set=None, probe=None) -> SolverReport:
+def _smooth_value(problem, x):
+    """r(x) + mean_i h_i(x): Psi without the outer map, which for a
+    Wasserstein problem is the objective without the penalty."""
+    _, h_vals = (problem.component_values or problem._stacked_values)(x)
+    return float(problem.r_term.value(x) + float(np.sum(h_vals)) / problem.m)
+
+
+def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
+                *, constraints=None, probe=None) -> SolverReport:
     """K warm-started stages of T epochs, each epoch(problem, state, t,
     stage=..., on_step=...) -> state; problem_builder is a fixed
     CompositeProblem or a callable (stage_index, x_start) -> problem.
 
     After every proximal step the driver calls probe(stage, t, j, x,
     grad_est), records the new iterate (counter snapshots summed over
-    `counters`, the gradient mapping at the grad_map_every cadence) and
-    keeps it as an output candidate.  Each stage outputs its last
-    iterate, or a uniform-random one drawn from the selection stream.
-    A run whose recorded psi exceeds DIVERGENCE_FACTOR * max(1,
-    |psi(x0)|) on stage 1's problem raises DivergenceError at its end,
-    naming the first such step.  The caller attaches the report's counters.
+    `counters`, the gradient mapping at the grad_map_every cadence, the
+    violation of `constraints` if given) and keeps it as an output
+    candidate.  Each stage outputs its last iterate, or a uniform-random
+    one drawn from the selection stream.  A run whose recorded psi
+    exceeds DIVERGENCE_FACTOR * max(1, |psi(x0)|) on stage 1's problem
+    raises DivergenceError at its end, naming the first such step.
+    Given constraints, the run ends with one projection onto them,
+    counted in server_counter, and its report dict: _smooth_value before
+    and after, their gap, the residual and the iterations.  final_psi is
+    read on the last stage's problem.  The caller attaches the counters.
     """
     builder = problem_builder
     if isinstance(problem_builder, CompositeProblem):
@@ -355,8 +365,8 @@ def _run_stages(problem_builder, x0, config, epoch, counters, *,
             at_cadence = every == 0 and j == tau - 1
         gm = (gradient_mapping(problem, config.eta, x_new)[1]
               if config.eta > 0 and at_cadence else None)
-        viol = (max_violation(violation_set, x_new)
-                if violation_set is not None else None)
+        viol = (max_violation(constraints, x_new)
+                if constraints is not None else None)
         records.append(TrajectoryRecord(
             stage=stage, epoch=t, step=j, psi=evaluate_psi(problem, x_new),
             grad_map_sq=gm, max_violation=viol,
@@ -390,83 +400,39 @@ def _run_stages(problem_builder, x0, config, epoch, counters, *,
             f"diverged at stage {tripped.stage}, epoch {tripped.epoch}, "
             f"step {tripped.step}: psi {tripped.psi:.3e} exceeds "
             f"{psi_limit:.3e}")
-    final_psi = evaluate_psi(problem, x)
+    projection = None
+    if constraints is not None:
+        x_raw = x
+        x, residual, iterations = project_feasible(constraints, x_raw)
+        server_counter.projection_calls += 1
+        before, after = (_smooth_value(problem, v) for v in (x_raw, x))
+        projection = {
+            "objective_before": before, "objective_after": after,
+            "gap": after - before, "residual": residual,
+            "iterations": iterations}
     return SolverReport(
         trajectory=records,
         counters=None,
         final_x=x,
         wall_time=time.perf_counter() - start,
-        final_psi=final_psi,
+        final_psi=evaluate_psi(problem, x),
         stage_outputs=stage_outputs,
+        projection=projection,
     )
 
 
 def solve_restarted(problem_builder, x0, config: SolverConfig, *,
-                    violation_set=None, probe=None) -> SolverReport:
+                    constraints=None, probe=None) -> SolverReport:
     """K warm-started stages.  problem_builder is either a fixed
     CompositeProblem or a callable (stage_index, x_start) -> problem,
-    which lets parameterized objectives re-anchor per stage."""
+    which lets parameterized objectives re-anchor per stage.  Given
+    constraints, the run ends with one projection onto them."""
     counter = OracleCounter()
     rng = np.random.default_rng(config.seed)
     # run_epoch is looked up per call, so wrappers of the module name see it
     epoch = lambda problem, state, t, **hook: run_epoch(
         problem, state, t, config.schedule, config.eta, rng, counter, **hook)
     report = _run_stages(problem_builder, x0, config, epoch, [counter],
-                         violation_set=violation_set, probe=probe)
+                         counter, constraints=constraints, probe=probe)
     report.counters = counter
-    return report
-
-
-def _objective_value(objective, x):
-    if hasattr(objective, "value"):
-        return float(objective.value(x))
-    return float(objective.value_grad(x)[0])
-
-
-def solve_constrained_wasserstein(objective, constraints, wcfg, config: SolverConfig,
-                                  x0, projection_tol=1e-8,
-                                  projection_max_iter=100_000) -> SolverReport:
-    """Restarted solve of the smoothed constrained problem, started at
-    x0, followed by a single terminal projection onto the feasible set.
-
-    The smoothing temperature is held at the configured value for every
-    stage; each stage re-anchors the compiled exponentials at its warm
-    start.  The report's projection dict carries the objective before
-    and after the single projection, their gap, the residual and the
-    iteration count.  The alpha > G_r/rho condition of the projection
-    guarantee is checked by `drsum check`, not here.
-    """
-    from .reductions import build_wasserstein
-
-    if wcfg.K is not None and wcfg.K != config.K:
-        warnings.warn(
-            f"restart counts disagree: temperature derived for K={wcfg.K}, "
-            f"running K={config.K}"
-        )
-
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-
-    def builder(k, x_start):
-        return build_wasserstein(objective, constraints, wcfg,
-                                 shift_anchor=np.asarray(x_start, dtype=float),
-                                 dim=dim)
-
-    start = time.perf_counter()
-    report = solve_restarted(builder, x0, config, violation_set=constraints)
-
-    x_raw = report.final_x
-    x_proj, residual, iterations = project_feasible(
-        constraints, x_raw, tol=projection_tol, max_iter=projection_max_iter)
-    report.counters.projection_calls += 1
-    report.final_psi = evaluate_psi(builder(config.K, x_raw), x_proj)
-
-    report.final_x = x_proj
-    before = _objective_value(objective, x_raw)
-    after = _objective_value(objective, x_proj)
-    report.projection = {
-        "objective_before": before, "objective_after": after,
-        "gap": after - before, "residual": residual,
-        "iterations": iterations}
-    report.wall_time = time.perf_counter() - start
     return report

@@ -37,14 +37,15 @@ from drsum.reductions import (
     build_chi2,
     build_kl,
     build_mean,
+    restart_gamma,
     wasserstein_penalty,
+    wasserstein_stages,
 )
 from drsum.reductions import KlConfig
 from drsum.solver import (
     SolverConfig,
     Schedule,
     expected_oracle_calls,
-    solve_constrained_wasserstein,
     solve_restarted,
 )
 
@@ -228,14 +229,14 @@ def test_criterion_8_single_projection_and_gap_decay():
     cset = ConstraintSet.affine(np.eye(2), np.ones(2))
     gaps = {}
     for K in (2, 4, 6, 8):
-        wcfg = WassersteinConfig(alpha=2.0, K=K)
-        gamma = wcfg.resolve_gamma(2)
+        gamma = restart_gamma(K, 2)
+        wcfg = WassersteinConfig(alpha=2.0, gamma=gamma)
         # local curvature of the smoothed penalty caps the step size
         eta = 1.0 / (1.0 + 2.0 * 2.0**2 / (4.0 * gamma))
         T = max(1, int(np.ceil(16.0 / eta / (2 * K))))
         cfg = SolverConfig(eta=eta, T=T, K=K, seed=0)
-        rep = solve_constrained_wasserstein(objective, cset, wcfg, cfg,
-                                            x0=np.zeros(2))
+        rep = solve_restarted(wasserstein_stages(objective, cset, wcfg, 2),
+                              np.zeros(2), cfg, constraints=cset)
         gaps[K] = rep.projection["gap"]
         if K == 8:
             assert np.linalg.norm(rep.final_x - np.array([1.0, 1.0])) < 1e-3
@@ -305,11 +306,12 @@ def test_criterion_10_desk_scale_fairness():
 
     spec = FairnessSpec(eps_slack=eps, surrogate_temp=5.0)
     cset = build_fairness_constraints(data, fam, spec)
-    rep = solve_constrained_wasserstein(
-        MeanLossObjective(fam), cset,
-        WassersteinConfig(alpha=4.0, gamma=0.02),
-        SolverConfig(eta=0.1, T=60, K=2, seed=0),
-        x0=np.zeros(fam.dim), projection_tol=1e-6)
+    stages = wasserstein_stages(MeanLossObjective(fam), cset,
+                                WassersteinConfig(alpha=4.0, gamma=0.02),
+                                fam.dim)
+    rep = solve_restarted(stages, np.zeros(fam.dim),
+                          SolverConfig(eta=0.1, T=60, K=2, seed=0),
+                          constraints=cset)
     viol = max_fairness_violation(data, fam, rep.final_x, eps)
     err = error_rate(data, fam, rep.final_x)
     assert viol <= 0.06

@@ -272,6 +272,37 @@ class TestDrLogisticSolve:
         assert not (tmp_path / "dr").exists()
 
 
+class TestDistributedWasserstein:
+    """dist_vr runs a constrained config on the same driver as vr."""
+
+    def test_two_workers_solve_robust_logistic(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", "dist_vr")
+        monkeypatch.setenv("DRSUM_SOLVER__WORKERS", "2")
+        out = tmp_path / "run"
+        assert main(["solve", str(CONFIGS / "robust_logistic.ini"),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["method"] == "dist_vr"
+        assert summary["projection"]["residual"] <= 1e-8
+        assert summary["final_max_violation"] <= 1e-8
+        assert summary["counters"]["projection_calls"] == 1
+        assert [c["projection_calls"]
+                for c in summary["per_device_counters"]] == [0, 0]
+
+    def test_more_workers_than_constraints_exit_1(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # the fairness set has m = 2 group constraints
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", "dist_vr")
+        monkeypatch.setenv("DRSUM_SOLVER__WORKERS", "3")
+        out = tmp_path / "run"
+        assert main(["solve", str(CONFIGS / "fairness_wasserstein.ini"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "more workers (3)" in err
+        assert not out.exists()
+
+
 class TestNumericalFailure:
     @pytest.mark.parametrize("overrides, error", [
         ({"DRSUM_SOLVER__ETA": "0.3"}, "non-finite iterate at stage"),

@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from drsum.constraints import ConstraintSet
+from drsum.constraints import ConstraintSet, max_violation
 
 from drsum.distributed import (
     DistConfig,
@@ -11,7 +11,15 @@ from drsum.distributed import (
     dist_solve,
     split_batch,
 )
-from drsum.reductions import Chi2Config, build_chi2, build_mean
+from drsum.problems import make_synthetic
+from drsum.reductions import (
+    Chi2Config,
+    WassersteinConfig,
+    build_chi2,
+    build_dr_logistic,
+    build_mean,
+    wasserstein_stages,
+)
 from drsum.solver import SolverConfig, Schedule, expected_oracle_calls, solve_restarted
 
 from conftest import quadratic_losses
@@ -54,8 +62,8 @@ class TestSingleWorkerEquivalence:
         dist_cfg = DistConfig(**common, p=1)
 
         central = solve_restarted(prob, np.zeros(d), central_cfg,
-                                  violation_set=cset)
-        dist = dist_solve(prob, np.zeros(d), dist_cfg, violation_set=cset)
+                                  constraints=cset)
+        dist = dist_solve(prob, np.zeros(d), dist_cfg, constraints=cset)
 
         assert np.array_equal(central.final_x, dist.final_x)
 
@@ -81,6 +89,45 @@ class TestSingleWorkerEquivalence:
             DistConfig(eta=0.05, T=3, K=1, seed=5, p=1,
                        output_rule="uniform_random_iterate"))
         assert np.array_equal(central.final_x, dist.final_x)
+
+
+class TestConstrainedRun:
+    """A Wasserstein run is the same driver on the sharded loop: the
+    server ends it with the one projection."""
+
+    @staticmethod
+    def dr_logistic_run(cfg_type, **extra):
+        data = make_synthetic("two_group_bias", m=6, seed=1, min_gap=0.05)
+        objective, cset = build_dr_logistic(data, eps_radius=0.1,
+                                            kappa_flip=1.0)
+        x0 = np.zeros(objective.slope.size)
+        stages = wasserstein_stages(objective, cset,
+                                    WassersteinConfig(alpha=3.0, gamma=0.05),
+                                    x0.size)
+        cfg = cfg_type(eta=0.002, T=60, K=2, seed=0, **extra)
+        solve = dist_solve if cfg_type is DistConfig else solve_restarted
+        return solve(stages, x0, cfg, constraints=cset), cset
+
+    def test_single_worker_bit_identical(self):
+        central, _ = self.dr_logistic_run(SolverConfig)
+        dist, _ = self.dr_logistic_run(DistConfig, p=1)
+        assert central.projection["iterations"] > 0  # the projection runs
+        assert np.array_equal(central.final_x, dist.final_x)
+        assert [{k: v for k, v in asdict(r).items() if k != "wall_s"}
+                for r in central.trajectory] == \
+            [{k: v for k, v in asdict(r).items() if k != "wall_s"}
+             for r in dist.trajectory]
+        assert dist.counters.as_dict() == central.counters.as_dict()
+        assert dist.projection == central.projection
+        assert dist.final_psi == central.final_psi
+
+    def test_two_workers_project_once_on_the_server(self):
+        report, cset = self.dr_logistic_run(DistConfig, p=2)
+        assert report.projection["residual"] <= 1e-8
+        assert max_violation(cset, report.final_x) <= 1e-8
+        assert [c.projection_calls for c in report.per_device_counters] == \
+            [0, 0]
+        assert report.counters.projection_calls == 1
 
 
 class TestFullBatchEquivalence:
@@ -190,7 +237,7 @@ class TestAggregationOrder:
 class TestValidation:
     def test_more_workers_than_components(self):
         prob, d = chi2_problem(m=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"more workers \(8\)"):
             dist_solve(prob, np.zeros(d), DistConfig(eta=0.1, T=1, p=8))
 
     def test_partition_must_cover_indices(self):

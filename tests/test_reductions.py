@@ -20,6 +20,7 @@ from drsum.reductions import (
     chi2_worst_case_weights,
     convexify_constraints,
     kl_worst_case_weights,
+    restart_gamma,
     wasserstein_penalty,
 )
 
@@ -287,8 +288,9 @@ class TestBuildWasserstein:
             evaluate_psi(prob, np.array([2.0, 2.0]))
 
     def test_gamma_from_restart_count(self):
-        cfg = WassersteinConfig(alpha=2.0, K=4)
-        assert cfg.resolve_gamma(2) == pytest.approx(np.exp(-4.0) / np.log(3.0))
+        assert restart_gamma(4, 2) == pytest.approx(np.exp(-4.0) / np.log(3.0))
+        with pytest.raises(ValueError):
+            restart_gamma(0, 2)
 
 
 class TestDrLogistic:

@@ -13,13 +13,19 @@ from drsum.composite import (
 )
 from drsum.constraints import ConstraintSet
 from drsum.proxlib import SquaredNormTerm
-from drsum.reductions import Chi2Config, WassersteinConfig, build_chi2, build_mean
+from drsum.reductions import (
+    Chi2Config,
+    WassersteinConfig,
+    build_chi2,
+    build_mean,
+    restart_gamma,
+    wasserstein_stages,
+)
 from drsum.solver import (
     SolverConfig,
     Schedule,
     expected_oracle_calls,
     run_epoch,
-    solve_constrained_wasserstein,
     solve_restarted,
 )
 
@@ -381,7 +387,7 @@ class TestRecordCadence:
         x0 = np.full(d, 0.25)
         probed = []
         report = solve_restarted(
-            prob, x0, cfg, violation_set=cset,
+            prob, x0, cfg, constraints=cset,
             probe=lambda s, t, j, x, g: probed.append((s, t, j, x.copy())))
 
         steps = [(k, t, j) for k in range(1, K + 1)
@@ -413,6 +419,13 @@ class TestVarianceReduction:
         assert last <= 0.10 * first
 
 
+def constrained_solve(objective, cset, wcfg, cfg, x0):
+    """The Wasserstein stages of (objective, cset) solved from x0, ending
+    with the one projection onto cset."""
+    return solve_restarted(wasserstein_stages(objective, cset, wcfg, x0.size),
+                           x0, cfg, constraints=cset)
+
+
 class TestConstrainedSolve:
     def toy(self):
         objective = SquaredNormTerm(1.0, center=np.array([2.0, 2.0]))
@@ -421,13 +434,12 @@ class TestConstrainedSolve:
 
     def test_two_dim_toy_converges_to_corner(self):
         objective, cset = self.toy()
-        wcfg = WassersteinConfig(alpha=2.0, K=4)
-        gamma = wcfg.resolve_gamma(2)
+        gamma = restart_gamma(4, 2)
+        wcfg = WassersteinConfig(alpha=2.0, gamma=gamma)
         eta = 1.0 / (1.0 + 2.0 * 2.0**2 / (4.0 * gamma))
         T = math.ceil(5.0 / (math.sqrt(2.0) * eta))
         cfg = SolverConfig(eta=eta, T=T, K=4, seed=0)
-        report = solve_constrained_wasserstein(objective, cset, wcfg, cfg,
-                                               x0=np.zeros(2))
+        report = constrained_solve(objective, cset, wcfg, cfg, np.zeros(2))
         assert np.linalg.norm(report.final_x - np.array([1.0, 1.0])) < 1e-3
         assert report.projection["residual"] <= 1e-8
         assert report.counters.projection_calls == 1
@@ -439,8 +451,7 @@ class TestConstrainedSolve:
         cset = ConstraintSet.affine(np.eye(2), np.ones(2))
         wcfg = WassersteinConfig(alpha=2.0, gamma=0.05)
         cfg = SolverConfig(eta=0.2, T=40, K=2, seed=1)
-        report = solve_constrained_wasserstein(objective, cset, wcfg, cfg,
-                                               x0=np.zeros(2))
+        report = constrained_solve(objective, cset, wcfg, cfg, np.zeros(2))
         assert np.array_equal(report.final_x, report.stage_outputs[-1])
         assert report.projection["gap"] == 0.0
         assert report.projection["iterations"] == 0
@@ -460,9 +471,30 @@ class TestConstrainedSolve:
         objective, cset = self.toy()
         wcfg = WassersteinConfig(alpha=2.0, gamma=0.1)
         cfg = SolverConfig(eta=0.05, T=1, K=1, seed=0)
-        report = solve_constrained_wasserstein(objective, cset, wcfg, cfg,
-                                               x0=np.zeros(2))
+        report = constrained_solve(objective, cset, wcfg, cfg, np.zeros(2))
         assert report.wall_time >= 0.05
+
+    def test_each_stage_builds_its_problem_once(self, monkeypatch):
+        import drsum.reductions
+
+        build = drsum.reductions.build_wasserstein
+        anchors = []
+
+        def counted(*args, shift_anchor=None, **kwargs):
+            anchors.append(shift_anchor.copy())
+            return build(*args, shift_anchor=shift_anchor, **kwargs)
+
+        monkeypatch.setattr(drsum.reductions, "build_wasserstein", counted)
+        objective, cset = self.toy()
+        wcfg = WassersteinConfig(alpha=2.0, gamma=0.1)
+        cfg = SolverConfig(eta=0.05, T=2, K=3, seed=0)
+        report = constrained_solve(objective, cset, wcfg, cfg, np.zeros(2))
+        assert report.counters.projection_calls == 1
+        # stage k anchors at its warm start, stage k-1's output
+        assert len(anchors) == cfg.K
+        starts = [np.zeros(2)] + report.stage_outputs[:-1]
+        for anchor, start in zip(anchors, starts):
+            assert np.array_equal(anchor, start)
 
 
 class TestRobustLogisticSolve:
@@ -478,9 +510,8 @@ class TestRobustLogisticSolve:
         # exponential-valued constraints need steps well below the
         # curvature scale gamma/alpha^2 or the range guard fires
         cfg = SolverConfig(eta=0.002, T=300, K=2, seed=0)
-        rep = solve_constrained_wasserstein(
-            objective, cset, wcfg, cfg,
-            x0=np.zeros(objective.slope.size), projection_tol=1e-6)
+        rep = constrained_solve(objective, cset, wcfg, cfg,
+                                np.zeros(objective.slope.size))
         assert max_violation(cset, rep.final_x) <= 1e-6
         assert rep.counters.projection_calls == 1
         # slack objective stays finite and the projection never helps it
@@ -496,9 +527,8 @@ class TestRobustLogisticSolve:
         wcfg = WassersteinConfig(alpha=3.0, gamma=0.05)
         cfg = SolverConfig(eta=0.05, T=400, K=1, seed=0)
         with pytest.raises(NumericalRangeError):
-            solve_constrained_wasserstein(
-                objective, cset, wcfg, cfg,
-                x0=np.zeros(objective.slope.size))
+            constrained_solve(objective, cset, wcfg, cfg,
+                              np.zeros(objective.slope.size))
 
     def test_aggressive_step_error_names_its_step(self):
         from drsum.problems import make_synthetic
@@ -511,9 +541,8 @@ class TestRobustLogisticSolve:
         cfg = SolverConfig(eta=0.05, T=400, K=1, seed=0)
         with pytest.raises(NumericalRangeError,
                            match=r"^\w+: .+ at stage 1, epoch \d+, step \d+$"):
-            solve_constrained_wasserstein(
-                objective, cset, wcfg, cfg,
-                x0=np.zeros(objective.slope.size))
+            constrained_solve(objective, cset, wcfg, cfg,
+                              np.zeros(objective.slope.size))
 
 
 class TestBatchDiagnosticsLeaveSolverAlone:
@@ -562,9 +591,9 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         prob = build_chi2(family, Chi2Config(gamma=10.0))
         cset = ConstraintSet.affine(np.eye(5), np.full(5, 0.1))
         cfg = SolverConfig(eta=0.002, T=3, K=2, seed=3, grad_map_every=2)
-        fast = solve_restarted(prob, np.ones(5), cfg, violation_set=cset)
+        fast = solve_restarted(prob, np.ones(5), cfg, constraints=cset)
         ref = solve_restarted(replace(prob, component_values=None), np.ones(5),
-                              cfg, violation_set=replace(cset, batch=None))
+                              cfg, constraints=replace(cset, batch=None))
         assert closed_form(prob.component_values) and closed_form(cset.batch)
         self.assert_same_run(fast, ref)
 
@@ -583,7 +612,7 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         self.assert_same_run(fast, ref)
         assert fast.per_device_counters == ref.per_device_counters
 
-    def test_solve_constrained_wasserstein(self):
+    def test_constrained_solve_restarted(self):
         from drsum.problems import make_synthetic
         from drsum.reductions import build_dr_logistic
 
@@ -598,9 +627,8 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         stacked = replace(cset, batch=None)
         ref_set = replace(cset, batch=lambda x, jac=True: (
             cset.batch(x) if jac else stacked.values(x)))
-        fast = solve_constrained_wasserstein(objective, cset, wcfg, cfg, x0=x0)
-        ref = solve_constrained_wasserstein(objective, ref_set, wcfg, cfg,
-                                            x0=x0)
+        fast = constrained_solve(objective, cset, wcfg, cfg, x0)
+        ref = constrained_solve(objective, ref_set, wcfg, cfg, x0)
         assert closed_form(cset.batch) and not closed_form(stacked.batch)
         self.assert_same_run(fast, ref)
         assert np.array_equal(fast.stage_outputs[-1], ref.stage_outputs[-1])

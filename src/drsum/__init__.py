@@ -9,6 +9,7 @@ from .composite import (
     evaluate_psi,
     full_phi_gradient,
     gradient_mapping,
+    per_index,
 )
 from .constraints import (
     ConstraintSet,
@@ -33,6 +34,7 @@ from .reductions import (
     DivergenceError,
     KlConfig,
     NumericalRangeError,
+    OuterDomainError,
     WassersteinConfig,
     WorstCaseWeights,
     brute_force_penalized_max,

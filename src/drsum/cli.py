@@ -467,8 +467,7 @@ def _check_rows(exp):
     if exp.reduction in ("chi2", "kl") and exp.problem.m <= 12:
         rng = np.random.default_rng(exp.solver_cfg.seed)
         x = 0.5 * rng.standard_normal(exp.problem.dim_x)
-        values = np.array([exp.family.eval(i, x)[0]
-                           for i in range(exp.family.m)])
+        values = exp.family.values(x)
         gamma = float(exp.cfg["problem"]["gamma"])
         psi = evaluate_psi(exp.problem, x)
         if exp.reduction == "chi2":

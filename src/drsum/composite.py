@@ -9,19 +9,27 @@ maps into R^p, and f an outer scalar map on R^p.  All solvers consume
 problems in this form; the reductions module compiles the robust
 objectives into it.
 
-Oracles are pure functions of (index, point), so a problem instance is
-safely shareable read-only across threads.  Every helper calls the
+The oracle fields are batch-first: g_oracle and h_oracle take a 1-D
+array of component indices (repeats allowed) and return every sampled
+row in one call, so an estimator update costs one call per field and
+point, however many rows it samples.  per_index stacks per-index
+callables (i, x) -> (value, derivative) into such a field; it serves
+hand-built problems, plain sequences of loss functions and constraint
+oracles, and it is the reference the batch paths are tested against.
+at_index reads one component through a batch field.
+
+Oracles are pure functions of (indices, point), so a problem instance
+is safely shareable read-only across threads.  Every helper calls the
 oracle fields directly and trusts the output shapes CompositeProblem
 documents; check_jacobians validates a hand-built problem.  Accounting
 is explicit: a helper given an OracleCounter advances it once per batch,
-by the number of components it evaluated.
+by the number of rows it evaluated.
 
 A problem also carries a value-only batch oracle, component_values,
 returning every g_i and h_i value at one point, which is the one path
 of the exact objective (evaluate_psi).  Every reduction writes one;
-evaluate_psi reads the per-index oracles stacked, the reference path,
-when a problem has none.  The estimators and the exact gradient always
-run per index.
+evaluate_psi reads the g and h fields over every index when a problem
+has none.
 """
 
 from __future__ import annotations
@@ -60,16 +68,17 @@ class OracleCounter:
 class CompositeProblem:
     """Composite finite-sum objective in canonical form.
 
-    g_oracle(i, x) -> (value, shape (p,); jacobian, shape (p, d))
-    h_oracle(i, x) -> (float value; gradient, shape (d,))
-    f_outer(u)     -> (float value; derivative, shape (p,)), u of shape (p,)
-    r_term         -- simple term with value and prox oracles
+    For a 1-D integer array idx of n component indices (repeats allowed):
+    g_oracle(idx, x) -> (values, shape (n, p); jacobians, shape (n, p, d))
+    h_oracle(idx, x) -> (values, shape (n,); gradients, shape (n, d))
+    f_outer(u)       -> (float value; derivative, shape (p,)), u of shape (p,)
+    r_term           -- simple term with value and prox oracles
     component_values(x) -> (g values, shape (m, p); h values, shape (m,)):
                       every component value in one call, or None: the
-                      per-index oracles stacked
+                      g and h fields over every index
 
     Arrays in and out are float arrays of exactly these shapes; nothing
-    coerces them.
+    coerces them.  Row k of each output belongs to component idx[k].
     """
 
     dim_x: int
@@ -86,10 +95,29 @@ class CompositeProblem:
             raise ValueError("dim_x, dim_g and m must be positive")
 
     def _stacked_values(self, x):
-        """Every g_i and h_i value from the per-index oracle fields, read
-        at call time: the reference batch."""
-        return (np.array([self.g_oracle(i, x)[0] for i in range(self.m)]),
-                np.array([self.h_oracle(i, x)[0] for i in range(self.m)]))
+        """Every g_i and h_i value from one call of each oracle field over
+        every index, read at call time: the reference batch."""
+        every = np.arange(self.m)
+        return self.g_oracle(every, x)[0], self.h_oracle(every, x)[0]
+
+
+def per_index(oracle):
+    """Batch oracle (idx, x) -> (values, derivatives) stacking a per-index
+    oracle (i, x) -> (value, derivative) row by row, in index order."""
+
+    def batch(idx, x):
+        rows = [oracle(i, x) for i in idx]
+        return (np.array([value for value, _ in rows], dtype=float),
+                np.array([deriv for _, deriv in rows], dtype=float))
+
+    return batch
+
+
+def at_index(oracle, i, x):
+    """(value, derivative) of component i through a batch oracle field:
+    the one-row batch [i]."""
+    value, deriv = oracle(np.array([i]), x)
+    return value[0], deriv[0]
 
 
 @dataclass
@@ -103,30 +131,30 @@ class EpochState:
     x_prev: np.ndarray
 
 
-def batch_estimates(problem, indices, x, counter=None):
-    """Means of g values, g jacobians and h gradients over the index batch.
-
-    Summation runs in the given index order so full passes are
-    reproducible bit for bit.
-    """
-    g, h = problem.g_oracle, problem.h_oracle
-    p, d = problem.dim_g, problem.dim_x
-    y = np.zeros(p)
-    z = np.zeros((p, d))
-    w = np.zeros(d)
-    n = 0
-    for i in indices:
-        gv, gj = g(i, x)
-        y += gv
-        z += gj
-        w += h(i, x)[1]
-        n += 1
-    if n == 0:
+def _index_batch(indices):
+    idx = np.asarray(indices)
+    if idx.size == 0:
         raise ValueError("empty index batch")
+    return idx
+
+
+def _charge(counter, calls):
     if counter is not None:
-        counter.g_value_calls += n
-        counter.h_gradient_calls += n
-    return y / n, z / n, w / n
+        counter.g_value_calls += calls
+        counter.h_gradient_calls += calls
+
+
+def batch_estimates(problem, indices, x, counter=None):
+    """Means of g values, g jacobians and h gradients over the index batch:
+    one call per oracle field, reduced over the rows in index order.
+    Charges n calls per family for n indices."""
+    idx = _index_batch(indices)
+    n = idx.size
+    g_vals, g_jacs = problem.g_oracle(idx, x)
+    h_grads = problem.h_oracle(idx, x)[1]
+    _charge(counter, n)
+    return (g_vals.sum(axis=0) / n, g_jacs.sum(axis=0) / n,
+            h_grads.sum(axis=0) / n)
 
 
 def delta_update(problem, indices, x_new, x_old, y, z, w, counter=None):
@@ -134,27 +162,19 @@ def delta_update(problem, indices, x_new, x_old, y, z, w, counter=None):
 
     Returns (y', z', w') with, e.g.,
         y' = y + (1/|S|) sum_{i in S} [g_i(x_new) - g_i(x_old)],
-    evaluating both points for every sampled index.
+    calling each oracle field once per point on the whole batch and
+    charging 2n calls per family for n indices.
     """
-    g, h = problem.g_oracle, problem.h_oracle
-    p, d = problem.dim_g, problem.dim_x
-    dy = np.zeros(p)
-    dz = np.zeros((p, d))
-    dw = np.zeros(d)
-    n = 0
-    for i in indices:
-        gv_new, gj_new = g(i, x_new)
-        gv_old, gj_old = g(i, x_old)
-        dy += gv_new - gv_old
-        dz += gj_new - gj_old
-        dw += h(i, x_new)[1] - h(i, x_old)[1]
-        n += 1
-    if n == 0:
-        raise ValueError("empty index batch")
-    if counter is not None:
-        counter.g_value_calls += 2 * n
-        counter.h_gradient_calls += 2 * n
-    return y + dy / n, z + dz / n, w + dw / n
+    idx = _index_batch(indices)
+    n = idx.size
+    g_new, j_new = problem.g_oracle(idx, x_new)
+    g_old, j_old = problem.g_oracle(idx, x_old)
+    h_new = problem.h_oracle(idx, x_new)[1]
+    h_old = problem.h_oracle(idx, x_old)[1]
+    _charge(counter, 2 * n)
+    return (y + (g_new - g_old).sum(axis=0) / n,
+            z + (j_new - j_old).sum(axis=0) / n,
+            w + (h_new - h_old).sum(axis=0) / n)
 
 
 def evaluate_psi(problem, x, counter=None):
@@ -179,7 +199,7 @@ def full_phi_gradient(problem, x, counter=None):
     Chain rule with the exact batch means:  Dg(x)^T f'(g(x)) + grad h(x).
     Increments the counters by m per family when given one.
     """
-    y, z, w = batch_estimates(problem, range(problem.m), x, counter)
+    y, z, w = batch_estimates(problem, np.arange(problem.m), x, counter)
     _, fprime = problem.f_outer(y)
     if counter is not None:
         counter.f_outer_calls += 1
@@ -220,8 +240,8 @@ class JacobianReport:
 def check_jacobians(problem, num_probes=20, seed=0, scale=1.0):
     """Compare analytic jacobians/gradients against central differences.
 
-    Probes random (i, x) pairs; relative error is ||analytic - fd|| over
-    max(1, ||fd||).  A g jacobian whose shape is not (p, d) counts as an
+    Probes random (i, x) pairs, one row at a time; relative error is
+    ||analytic - fd|| over max(1, ||fd||).  A g jacobian whose shape is not (p, d) counts as an
     infinite error.  Reports the worst error per oracle family and never
     aborts.
     """
@@ -234,14 +254,14 @@ def check_jacobians(problem, num_probes=20, seed=0, scale=1.0):
         i = int(rng.integers(0, m))
         step = 1e-6 * (1.0 + float(np.max(np.abs(x))))
 
-        u, jac = g(i, x)
+        u, jac = at_index(g, i, x)
         if np.shape(jac) == (p, d):
-            fd = _central_differences(lambda v: g(i, v)[0], x, step)
+            fd = _central_differences(lambda v: at_index(g, i, v)[0], x, step)
             worst_g = max(worst_g, _rel_err(jac, fd))
         else:
             worst_g = np.inf
-        fd = _central_differences(lambda v: h(i, v)[0], x, step)
-        worst_h = max(worst_h, _rel_err(h(i, x)[1], fd))
+        fd = _central_differences(lambda v: at_index(h, i, v)[0], x, step)
+        worst_h = max(worst_h, _rel_err(at_index(h, i, x)[1], fd))
 
         # probe the outer map at the inner value actually produced; skip
         # probes that step outside its domain (e.g. log of a nonpositive

@@ -5,10 +5,11 @@ per-index oracle returning value and gradient, and one batch over all m
 constraints: batch(x) -> (values (m,), jacobian (m, d)), or the values
 alone with jac=False.  values() feeds the violation metric and the
 exact objective; jacobian() feeds the projection.  Both read the
-per-index eval stacked row by row, the reference path, when the set has
-no batch; ConstraintSet.affine, build_dr_logistic and convexify_constraints
-write theirs in closed form.  The estimators and the Wasserstein
-g_oracle stay per index.
+per-index eval stacked row by row (composite.per_index), the reference
+path, when the set has no batch; ConstraintSet.affine, build_dr_logistic
+and convexify_constraints write theirs in closed form.  The Wasserstein
+g_oracle reads the per-index eval of the sampled rows through the same
+adapter.
 
 The projection onto the feasible set is one SLSQP solve of the
 distance problem for every set, reading the constraints through one
@@ -28,6 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .composite import per_index
 
 
 def minimize(*args, **kwargs):
@@ -64,9 +67,8 @@ class ConstraintSet:
 
     def _stacked(self, x, jac=True):
         """The per-index eval stacked row by row: the reference batch."""
-        evals = [self.eval(i, x) for i in range(self.m)]
-        values = np.array([val for val, _ in evals])
-        return (values, np.vstack([grad for _, grad in evals])) if jac else values
+        values, jacobian = per_index(self.eval)(range(self.m), x)
+        return (values, jacobian) if jac else values
 
     def values(self, x):
         return (self.batch or self._stacked)(np.asarray(x, dtype=float),

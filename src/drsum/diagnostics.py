@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .composite import at_index
 from .solver import SolverReport, solve_restarted
 
 
@@ -51,7 +52,7 @@ def estimate_constants(problem, num_probes=200, seed=0, center=None,
     d, m = problem.dim_x, problem.m
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     g, h, f = problem.g_oracle, problem.h_oracle, problem.f_outer
-    ubar = sum(g(i, center)[0] for i in range(m)) / m
+    ubar = g(np.arange(m), center)[0].sum(axis=0) / m
     u_lo, u_hi = ubar - u_radius * np.abs(ubar), ubar + u_radius * np.abs(ubar)
     l_g = L_g = l_h = L_h = l_f = L_f = 0.0
     for _ in range(num_probes):
@@ -61,12 +62,12 @@ def estimate_constants(problem, num_probes=200, seed=0, center=None,
         dx = float(np.linalg.norm(x1 - x2))
         if dx < 1e-12:
             continue
-        g1, j1 = g(i, x1)
-        g2, j2 = g(i, x2)
+        g1, j1 = at_index(g, i, x1)
+        g2, j2 = at_index(g, i, x2)
         l_g = max(l_g, float(np.linalg.norm(g1 - g2)) / dx)
         L_g = max(L_g, float(np.linalg.norm(j1 - j2)) / dx)
-        h1, hg1 = h(i, x1)
-        h2, hg2 = h(i, x2)
+        h1, hg1 = at_index(h, i, x1)
+        h2, hg2 = at_index(h, i, x2)
         l_h = max(l_h, abs(h1 - h2) / dx)
         L_h = max(L_h, float(np.linalg.norm(hg1 - hg2)) / dx)
         u1 = rng.uniform(u_lo, u_hi)

@@ -1,11 +1,12 @@
 """Concrete losses, datasets, synthetic generators, and fairness constraints.
 
-Loss families expose per-sample oracles eval(i, x) -> (value, gradient)
-and a value-only batch values(x) -> (m,) of every per-row loss in one
+Loss families expose a batch oracle eval(idx, x) -> (values (n,),
+gradients (n, d)) over a 1-D array of row indices (repeats allowed) and
+a value-only batch values(x) -> (m,) of every per-row loss, each in one
 array expression; classifier families additionally expose the raw score
-and its gradient, which the fairness constraints differentiate through,
-and the batch scores(x) -> (m,).  Everything is deterministic under an
-explicit seed.
+of one row and its gradient, score(i, x), which the fairness constraints
+differentiate through, and the batch scores(x) -> (m,).  Everything is
+deterministic under an explicit seed.
 
 The logistic sigmoid comes in two forms, both 1 / (1 + exp(-t)), the
 formula of scipy.special.expit: sigmoid(t) for one float, on math.exp,
@@ -103,9 +104,10 @@ class QuadraticLosses:
         self.m = self.A.shape[0]
         self.dim = self.A.shape[1]
 
-    def eval(self, i, x):
-        resid = float(self.A[i] @ x - self.b[i])
-        return 0.5 * resid * resid, resid * self.A[i]
+    def eval(self, idx, x):
+        rows = self.A[idx]
+        resid = rows @ x - self.b[idx]
+        return 0.5 * resid * resid, resid[:, None] * rows
 
     def values(self, x):
         resid = self.A @ x - self.b
@@ -130,11 +132,12 @@ class LogisticLosses:
     def scores(self, x):
         return self.dataset.features @ x
 
-    def eval(self, i, x):
-        z = self.dataset.features[i]
-        y = self.dataset.labels[i]
-        margin = -y * float(z @ x)
-        return float(np.logaddexp(0.0, margin)), -y * sigmoid(margin) * z
+    def eval(self, idx, x):
+        Z = self.dataset.features[idx]
+        y = self.dataset.labels[idx]
+        margins = -y * (Z @ x)
+        grads = (-y * sigmoids(margins))[:, None] * Z
+        return np.logaddexp(0.0, margins), grads
 
     def values(self, x):
         return np.logaddexp(0.0, -self.dataset.labels * self.scores(x))
@@ -177,11 +180,19 @@ class Mlp2Losses:
         W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
         return np.tanh(self.dataset.features @ W.T + b1) @ v + b2
 
-    def eval(self, i, x):
-        s, sgrad = self.score(i, x)
-        y = self.dataset.labels[i]
-        margin = -y * s
-        return float(np.logaddexp(0.0, margin)), -y * sigmoid(margin) * sgrad
+    def eval(self, idx, x):
+        W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
+        Z = self.dataset.features[idx]
+        t = np.tanh(Z @ W.T + b1)
+        dt = (1.0 - t * t) * v  # per-row, per-unit sensitivity
+        n = len(Z)
+        sgrad = np.concatenate(
+            [(dt[:, :, None] * Z[:, None, :]).reshape(n, -1), dt, t,
+             np.ones((n, 1))], axis=1)
+        y = self.dataset.labels[idx]
+        margins = -y * (t @ v + b2)
+        grads = (-y * sigmoids(margins))[:, None] * sgrad
+        return np.logaddexp(0.0, margins), grads
 
     def values(self, x):
         return np.logaddexp(0.0, -self.dataset.labels * self.scores(x))
@@ -195,13 +206,9 @@ class MeanLossObjective:
         self.dim = family.dim
 
     def value_grad(self, x):
-        total = 0.0
-        grad = np.zeros(self.family.dim)
-        for i in range(self.family.m):
-            v, g = self.family.eval(i, x)
-            total += v
-            grad += g
-        return total / self.family.m, grad / self.family.m
+        m = self.family.m
+        vals, grads = self.family.eval(np.arange(m), x)
+        return float(np.sum(vals)) / m, grads.sum(axis=0) / m
 
 
 class BrokenJacobianLosses:
@@ -213,9 +220,12 @@ class BrokenJacobianLosses:
         self.m = family.m
         self.dim = family.dim
 
-    def eval(self, i, x):
-        v, g = self.family.eval(i, x)
+    def eval(self, idx, x):
+        v, g = self.family.eval(idx, x)
         return v, self.scale * g
+
+    def values(self, x):
+        return self.family.values(x)
 
 
 def make_losses(kind, dataset=None, *, m=None, d=None, seed=0, hidden=4, cond=10.0):
@@ -409,16 +419,16 @@ class NonconvexToyLosses:
         self.m = self.c.size
         self.dim = d
 
-    def eval(self, i, x):
+    def eval(self, idx, x):
         x = np.asarray(x, dtype=float)
         x1 = float(x[0])
         rest = x[1:]
-        val = 0.25 * (x1 * x1 - self.c[i]) ** 2 + self.g[i] * x1 \
-            + 0.5 * float(rest @ rest)
-        grad = np.empty_like(x)
-        grad[0] = x1 * (x1 * x1 - self.c[i]) + self.g[i]
-        grad[1:] = rest
-        return val, grad
+        c, g = self.c[idx], self.g[idx]
+        vals = 0.25 * (x1 * x1 - c) ** 2 + g * x1 + 0.5 * float(rest @ rest)
+        grads = np.empty((len(c), x.size))
+        grads[:, 0] = x1 * (x1 * x1 - c) + g
+        grads[:, 1:] = rest
+        return vals, grads
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -430,8 +440,8 @@ class NonconvexToyLosses:
 
 def _fit_logistic(dataset, iters=400, eta=0.5, ridge=1e-4):
     """Quick full-gradient logistic fit used by the bias-planting generator:
-    one matrix-vector gradient (the sum of the per-row eval gradients)
-    per iteration.  The loop enters errstate once; with labels +-1,
+    one matrix-vector gradient (the sum of the eval gradients over every
+    row) per iteration.  The loop enters errstate once; with labels +-1,
     -y / (1 + exp(y z)) is -y * sigmoids(-y z) bit for bit."""
     Z, y = dataset.features, dataset.labels
     x = np.zeros(dataset.dim)

@@ -11,13 +11,17 @@ All exponentials run in max-shifted log space; the compiled problems
 carry a fixed shift anchored at a reference point so the estimator
 recursions stay consistent across evaluations.
 
-One compiler, _compile, writes every reduction's per-index g_oracle and
+One compiler, _compile, writes every reduction's batch g_oracle and
 h_oracle and its component_values (every component value in one array
 pass, which the exact objective reads) from maps g_i = phi(f_i) and
-h_i = psi(f_i) of one loss or constraint value.  The batch reads the
-loss family's values(x), or the constraint set's values, or the
-per-index eval stacked when a family has no values(x).  kl and
-wasserstein share one shifted-exponential map with one range check.
+h_i = psi(f_i) of the loss or constraint values, applied to a whole
+batch of rows at once.  The oracles read the family's batch
+eval(idx, x); a plain sequence of loss functions, and the per-index
+constraint oracle of the Wasserstein form, go through
+composite.per_index.  component_values reads the loss family's
+values(x), or the constraint set's values, or the batch eval over every
+index when a family has no values(x).  kl and wasserstein share one
+shifted-exponential map with one range check.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import CompositeProblem
+from .composite import CompositeProblem, per_index
 from .constraints import ConstraintSet
 from .problems import sigmoid, sigmoids
 from .proxlib import AffineTerm, SimpleTerm, ZeroTerm
@@ -42,6 +46,11 @@ class NumericalRangeError(FloatingPointError):
 class DivergenceError(NumericalRangeError):
     """A run whose objective grew far past its start while staying
     finite."""
+
+
+class OuterDomainError(NumericalRangeError):
+    """A mean estimate outside the outer map's domain: the log argument
+    of the kl or Wasserstein outer map is not positive."""
 
 
 @dataclass
@@ -103,9 +112,11 @@ class WorstCaseWeights:
 
 
 def _as_family(losses, dim=None):
-    """Normalize loss input to (m, dim, eval, values) with eval(i, x) ->
-    (val, grad) and values(x) -> all m losses, the per-index eval stacked
-    when the family has no values(x)."""
+    """Normalize loss input to (m, dim, eval, values): eval(idx, x) ->
+    (values (n,), gradients (n, d)) over an index array, values(x) -> all
+    m losses.  A plain sequence of callables x -> (value, gradient) is
+    stacked by per_index; a family without values(x) reads its eval over
+    every index."""
     if hasattr(losses, "eval") and hasattr(losses, "m"):
         m, d, ev = losses.m, losses.dim, losses.eval
         values = getattr(losses, "values", None)
@@ -113,43 +124,52 @@ def _as_family(losses, dim=None):
         funcs = list(losses)
         if dim is None:
             raise ValueError("dim is required when losses is a plain sequence")
-        m, d, ev, values = len(funcs), dim, lambda i, x: funcs[i](x), None
+        m, d, values = len(funcs), dim, None
+        ev = per_index(lambda i, x: funcs[i](x))
     if values is None:
+        every = np.arange(m)
+
         def values(x):
-            return np.array([ev(i, x)[0] for i in range(m)], dtype=float)
+            return ev(every, x)[0]
     return m, d, ev, values
 
 
 def _identity(v):
-    return v, 1.0
+    return v, None  # unit slope: the gradients pass through unscaled
+
+
+def _scaled(slope, grads):
+    """Row k of grads (n, d) times slope[k]; grads itself for no slope."""
+    return grads if slope is None else slope[:, None] * grads
 
 
 def _compile(family, g_map, f_outer, h_map=None, h_side=None, r_term=None):
     """Composite problem with g_i = g_map(f_i), h_i = h_map(f_i) over a
-    family (m, dim, eval, values).  A map takes one loss value or all m
-    to (image, slope); the slope scales the loss gradient.  h is zero
-    without h_map, or h_side = (h_oracle, h_values(x, losses)).
+    family (m, dim, eval, values).  A map takes an array of loss values
+    to (image, slope), elementwise; the slope scales each row's loss
+    gradient, and None stands for slope 1.  h is zero without h_map, or
+    h_side = (h_oracle, h_values(x, losses)).
     """
     m, d, ev, values = family
 
-    def g_oracle(i, x):
-        val, grad = ev(i, x)
-        gv, slope = g_map(val)
-        return np.array([gv]), slope * np.asarray(grad, dtype=float).reshape(1, -1)
+    def g_oracle(idx, x):
+        vals, grads = ev(idx, x)
+        gv, slope = g_map(vals)
+        return gv[:, None], _scaled(slope, grads)[:, None, :]
 
     if h_side is not None:
         h_oracle, h_values = h_side
     elif h_map is not None:
-        def h_oracle(i, x):
-            val, grad = ev(i, x)
-            hv, slope = h_map(val)
-            return hv, slope * np.asarray(grad, dtype=float)
+        def h_oracle(idx, x):
+            vals, grads = ev(idx, x)
+            hv, slope = h_map(vals)
+            return hv, _scaled(slope, grads)
 
         def h_values(x, v):
             return h_map(v)[0]
     else:
-        def h_oracle(i, x):
-            return 0.0, np.zeros(d)
+        def h_oracle(idx, x):
+            return np.zeros(len(idx)), np.zeros((len(idx), d))
 
         def h_values(x, v):
             return np.zeros(m)
@@ -171,15 +191,15 @@ def _shifted_exp(family, alpha, gamma, anchor, floor=-np.inf):
     m, _, ev, _ = family
     shift = 0.0
     if anchor is not None:
-        # per index, not the batch: the shift enters the estimators,
-        # which must not move by the batch path's rounding
-        shift = max(floor, float(max(alpha * ev(i, anchor)[0] / gamma
-                                     for i in range(m))))
+        # through eval, the path the estimators read, not values(x): the
+        # shift enters every g_i, so it must not move by the rounding of
+        # the value-only batch
+        shift = max(floor, float(np.max(
+            alpha * ev(np.arange(m), anchor)[0] / gamma)))
 
     def exp_map(v):
         e = alpha * v / gamma - shift
-        # a scalar is compared as it is; fmax skips NaN like the compare
-        top = np.fmax.reduce(e) if isinstance(e, np.ndarray) else e
+        top = np.fmax.reduce(e)  # skips NaN, which the compare would too
         if top > EXP_LIMIT:
             raise NumericalRangeError(
                 f"exponent {top:.1f} exceeds range after shift; increase "
@@ -239,7 +259,7 @@ def build_kl(losses, cfg: KlConfig, dim=None, shift_anchor=None):
     def f_outer(u):
         u0 = float(u[0])
         if u0 <= 0.0:
-            raise NumericalRangeError(
+            raise OuterDomainError(
                 f"mean estimate u = {u0:.3e} is non-positive, outside ln's "
                 "domain (a variance-reduced estimate can cross zero; else all "
                 "shifted exponentials underflowed: re-anchor or raise gamma)"
@@ -297,9 +317,11 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
         if d is None:
             raise ValueError("cannot infer decision dimension; pass dim")
 
-        def h_oracle(i, x):
+        def h_oracle(idx, x):
             val, grad = objective.value_grad(x)
-            return float(val), np.asarray(grad, dtype=float)
+            n = len(idx)
+            return (np.full(n, float(val)),
+                    np.tile(np.asarray(grad, dtype=float), (n, 1)))
 
         def h_values(x, _):
             return np.full(m, float(objective.value_grad(x)[0]))
@@ -308,8 +330,9 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
     else:
         raise TypeError("objective must be a SimpleTerm or expose value_grad(x)")
 
-    # read the set's eval at call time, so a class-level wrapper sees it
-    family = (m, d, lambda i, x: constraints.eval(i, x),
+    # the constraint rows one by one, reading the set's eval at call time
+    # so a class-level wrapper sees it
+    family = (m, d, per_index(lambda i, x: constraints.eval(i, x)),
               lambda x: constraints.values(x))
     shift, exp_map = _shifted_exp(family, alpha, gamma, shift_anchor, floor=0.0)
     base = np.exp(-shift)  # the constant 1 of the penalty, in shifted space
@@ -318,7 +341,7 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
         u0 = float(u[0])
         total = base + m * u0
         if total <= 0.0:
-            raise NumericalRangeError(
+            raise OuterDomainError(
                 f"mean estimate u = {u0:.3e} is non-positive, and so is the "
                 f"log argument {total:.3e} (a variance-reduced estimate can "
                 "cross zero; else the penalty underflowed: re-anchor the shift)"

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from drsum.composite import at_index, per_index
+
 
 def closed_form(batch):
     """Whether a batch field (a constraint set's batch or a problem's
     component_values) is set; an unset one is read as the per-index
     oracles stacked."""
     return batch is not None
+
+
+def rowwise(batch):
+    """A batch oracle field read one row at a time: the per-index adapter
+    over its one-row calls, the reference a batch path must agree with."""
+    return per_index(lambda i, x: at_index(batch, i, x))
 
 
 def quadratic_losses(m=16, d=5, seed=7, cond=10.0, noise=0.5):

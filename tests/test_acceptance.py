@@ -15,6 +15,7 @@ from drsum.composite import (
     evaluate_psi,
     full_phi_gradient,
     gradient_mapping,
+    per_index,
 )
 from drsum.constraints import ConstraintSet
 from drsum.diagnostics import baseline_solve, fit_rate
@@ -337,7 +338,8 @@ def test_criterion_11_bias_floor_of_naive_sgd():
     def f_outer(u):
         return float(u[0]) ** 2, np.array([2.0 * u[0]])
 
-    prob = CompositeProblem(1, 1, 16, g_oracle, h_oracle, f_outer)
+    prob = CompositeProblem(1, 1, 16, per_index(g_oracle), per_index(h_oracle),
+                            f_outer)
     eta = 0.05
     rep = solve_restarted(prob, np.zeros(1),
                           SolverConfig(eta=eta, T=30, K=1, seed=2))

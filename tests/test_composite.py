@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from drsum.composite import (
     evaluate_psi,
     full_phi_gradient,
     gradient_mapping,
+    per_index,
 )
 from drsum.proxlib import BoxTerm, ZeroTerm
 
@@ -30,8 +33,9 @@ def make_linear_quadratic(seed=0, d=3, p=2, m=4):
     def f_outer(u):
         return 0.5 * float(u @ u) + float(b @ u), u + b
 
-    return CompositeProblem(dim_x=d, dim_g=p, m=m, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer)
+    return CompositeProblem(dim_x=d, dim_g=p, m=m,
+                            g_oracle=per_index(g_oracle),
+                            h_oracle=per_index(h_oracle), f_outer=f_outer)
 
 
 def scalar_problem(phi="half_sq", r_term=None):
@@ -53,8 +57,9 @@ def scalar_problem(phi="half_sq", r_term=None):
         return 0.0, np.zeros(1)
 
     dim = 2 if phi == "half_sq" else 1
-    return CompositeProblem(dim_x=dim, dim_g=1, m=1, g_oracle=g_oracle,
-                            h_oracle=h_oracle, f_outer=f_outer,
+    return CompositeProblem(dim_x=dim, dim_g=1, m=1,
+                            g_oracle=per_index(g_oracle),
+                            h_oracle=per_index(h_oracle), f_outer=f_outer,
                             r_term=r_term or ZeroTerm())
 
 
@@ -70,7 +75,8 @@ class TestFullGradient:
         def f_outer(u):
             return 0.5 * float(u[0]) ** 2, u.copy()
 
-        prob = CompositeProblem(1, 1, 1, g_oracle, h_oracle, f_outer)
+        prob = CompositeProblem(1, 1, 1, per_index(g_oracle),
+                                per_index(h_oracle), f_outer)
         grad = full_phi_gradient(prob, np.array([3.0]))
         assert grad == pytest.approx(np.array([3.0]))
 
@@ -87,7 +93,8 @@ class TestFullGradient:
         def f_outer(u):
             return float(u[0]), np.array([1.0])
 
-        prob = CompositeProblem(4, 1, 5, g_oracle, h_oracle, f_outer)
+        prob = CompositeProblem(4, 1, 5, per_index(g_oracle),
+                                per_index(h_oracle), f_outer)
         grad = full_phi_gradient(prob, rng.standard_normal(4))
         assert np.allclose(grad, slopes.mean(axis=0), atol=1e-12)
 
@@ -170,8 +177,8 @@ class TestCheckJacobians:
         prob = make_linear_quadratic()
         good_g = prob.g_oracle
 
-        def bad_g(i, x):
-            val, jac = good_g(i, x)
+        def bad_g(idx, x):
+            val, jac = good_g(idx, x)
             return val, jac * 1.5
 
         broken = CompositeProblem(prob.dim_x, prob.dim_g, prob.m, bad_g,
@@ -186,9 +193,9 @@ class TestCheckJacobians:
         prob = make_linear_quadratic()
         good_g = prob.g_oracle
 
-        def flat_g(i, x):
-            val, jac = good_g(i, x)
-            return val, jac[0]
+        def flat_g(idx, x):
+            val, jac = good_g(idx, x)
+            return val, jac[:, 0]
 
         broken = CompositeProblem(prob.dim_x, prob.dim_g, prob.m, flat_g,
                                   prob.h_oracle, prob.f_outer)
@@ -206,3 +213,71 @@ def test_counters_monotone_and_copy():
     values = [s.g_value_calls for s in snaps]
     assert values == sorted(values)
     assert snaps[-1].as_dict()["g_value_calls"] == 3 * prob.m
+
+
+class TestBatchCalls:
+    """Each estimator helper calls each oracle field once per point on the
+    whole batch, never row by row, and charges one call per row."""
+
+    @staticmethod
+    def recorded(problem):
+        """The problem with g_oracle / h_oracle logging each call's rows."""
+        log = {"g": [], "h": []}
+
+        def logged(name, oracle):
+            def wrapped(idx, x):
+                log[name].append(len(idx))
+                return oracle(idx, x)
+            return wrapped
+
+        return replace(problem, g_oracle=logged("g", problem.g_oracle),
+                       h_oracle=logged("h", problem.h_oracle)), log
+
+    def test_each_field_once_per_point_per_batch(self, monkeypatch):
+        from drsum.composite import batch_estimates, delta_update
+        from drsum.problems import QuadraticLosses, make_synthetic
+        from drsum.reductions import Chi2Config, build_chi2
+
+        family_calls = []
+        original = QuadraticLosses.eval
+
+        def eval_logged(self, idx, x):
+            family_calls.append(len(idx))
+            return original(self, idx, x)
+
+        # patched before the build, which binds the family's eval
+        monkeypatch.setattr(QuadraticLosses, "eval", eval_logged)
+        family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
+        prob, log = self.recorded(build_chi2(family, Chi2Config(gamma=10.0)))
+        idx = np.array([3, 3, 0, 15, 7])
+        x_old, x_new = np.zeros(5), np.ones(5)
+        counter = OracleCounter()
+
+        y, z, w = batch_estimates(prob, idx, x_old, counter)
+        assert log == {"g": [5], "h": [5]}
+        assert counter == OracleCounter(5, 5)
+        delta_update(prob, idx, x_new, x_old, y, z, w, counter)
+        assert log == {"g": [5, 5, 5], "h": [5, 5, 5]}
+        assert counter == OracleCounter(15, 15)
+        full_phi_gradient(prob, x_new, counter)
+        assert log == {"g": [5, 5, 5, 16], "h": [5, 5, 5, 16]}
+        assert counter == OracleCounter(31, 31, 1)
+        # chi2's g and h each read the family once per call
+        assert family_calls == [5, 5, 5, 5, 5, 5, 16, 16]
+
+    def test_solve_calls_each_field_once_per_batch(self):
+        # m = 16: tau = S = 4, B = 16; per epoch one opening call and two
+        # calls (one per point) at each of the tau - 1 corrections
+        from drsum.problems import make_synthetic
+        from drsum.reductions import Chi2Config, build_chi2
+        from drsum.solver import SolverConfig, expected_oracle_calls, \
+            solve_restarted
+
+        family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
+        prob, log = self.recorded(build_chi2(family, Chi2Config(gamma=10.0)))
+        cfg = SolverConfig(eta=0.02, T=3, K=2, seed=3, grad_map_every=-1)
+        report = solve_restarted(prob, np.zeros(5), cfg)
+        per_epoch = [16] + [4] * 6
+        assert log["g"] == log["h"] == per_epoch * 6
+        assert report.counters.g_value_calls == sum(log["g"]) == \
+            expected_oracle_calls(cfg.schedule, 3, 16, 2)

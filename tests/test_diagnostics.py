@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drsum.composite import CompositeProblem
+from drsum.composite import CompositeProblem, per_index
 from drsum.diagnostics import (
     baseline_solve,
     estimate_constants,
@@ -27,7 +27,8 @@ def linear_value_problem(slopes):
     def f_outer(u):
         return float(u[0]), np.array([1.0])
 
-    return CompositeProblem(1, 1, slopes.size, g_oracle, h_oracle, f_outer)
+    return CompositeProblem(1, 1, slopes.size, per_index(g_oracle),
+                            per_index(h_oracle), f_outer)
 
 
 class TestEstimateConstants:
@@ -52,16 +53,15 @@ class TestEstimateConstants:
     def test_quadratic_h_matches_spectral_bound(self):
         fam = make_synthetic("strongly_convex_quadratic", m=4, d=3, seed=5)
 
-        def h_oracle(i, x):
-            return fam.eval(i, x)
-
         def g_oracle(i, x):
             return np.zeros(1), np.zeros((1, 3))
 
         def f_outer(u):
             return 0.0, np.zeros(1)
 
-        prob = CompositeProblem(3, 1, 4, g_oracle, h_oracle, f_outer)
+        # h_i are the family's losses, read through its batch eval
+        prob = CompositeProblem(3, 1, 4, per_index(g_oracle), fam.eval,
+                                f_outer)
         true_L = max(float(np.linalg.norm(a) ** 2) for a in fam.A)
         est = estimate_constants(prob, num_probes=2000, seed=0)
         assert est.L_h <= true_L + 1e-9
@@ -82,7 +82,7 @@ class TestEstimateConstants:
         from drsum.reductions import KlConfig, build_kl
         losses, d, _, _ = quadratic_losses(m=4, d=3, seed=1)
         prob = build_kl(losses, KlConfig(gamma=1.0), dim=d)
-        ubar = np.mean([prob.g_oracle(i, np.zeros(d))[0][0] for i in range(4)])
+        ubar = np.mean(prob.g_oracle(np.arange(4), np.zeros(d))[0])
         est = estimate_constants(prob, num_probes=200, seed=0)
         assert 0.0 < est.L_f <= 4.0 / ubar**2
         assert 0.0 < est.l_f <= 2.0 / ubar
@@ -142,7 +142,8 @@ class TestBaselines:
         def f_outer(u):
             return float(u[0]) ** 2, np.array([2.0 * u[0]])
 
-        prob = CompositeProblem(1, 1, 16, g_oracle, h_oracle, f_outer)
+        prob = CompositeProblem(1, 1, 16, per_index(g_oracle),
+                                per_index(h_oracle), f_outer)
         naive = baseline_solve(prob, "naive_biased_sgd",
                                SolverConfig(eta=0.05, T=400, seed=1),
                                batch_size=2)
@@ -162,9 +163,9 @@ class TestBaselines:
         offsets = 2.0 * slopes + 0.2 * rng.standard_normal(16)
         prob = CompositeProblem(
             1, 1, 16,
-            lambda i, x: (np.array([slopes[i] * x[0] + offsets[i]]),
-                          np.array([[slopes[i]]])),
-            lambda i, x: (0.0, np.zeros(1)),
+            per_index(lambda i, x: (np.array([slopes[i] * x[0] + offsets[i]]),
+                                    np.array([[slopes[i]]]))),
+            per_index(lambda i, x: (0.0, np.zeros(1))),
             lambda u: (float(u[0]) ** 2, np.array([2.0 * u[0]])))
         eta, seed, batch, iters = 0.05, 1, 2, 25
         stream = np.random.default_rng(seed)

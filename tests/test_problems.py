@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from drsum.composite import check_jacobians, full_phi_gradient
+from drsum.composite import at_index, check_jacobians, full_phi_gradient
 from drsum.problems import (
     BrokenJacobianLosses,
     FairnessSpec,
@@ -90,7 +90,7 @@ class TestLossFamilies:
         family = make_losses("logistic", small_dataset())
         x = np.zeros(family.dim)
         for i in range(family.m):
-            val, _ = family.eval(i, x)
+            val, _ = at_index(family.eval, i, x)
             assert val == pytest.approx(np.log(2.0))
 
     def test_logistic_gradients_pass_checker(self):
@@ -129,7 +129,7 @@ class TestLossFamilies:
         obj = MeanLossObjective(family)
         val, grad = obj.value_grad(np.zeros(family.dim))
         assert val == pytest.approx(np.log(2.0))
-        direct = np.mean([family.eval(i, np.zeros(family.dim))[1]
+        direct = np.mean([at_index(family.eval, i, np.zeros(family.dim))[1]
                           for i in range(family.m)], axis=0)
         assert np.allclose(grad, direct)
 
@@ -145,8 +145,8 @@ class ConstantScoreFamily:
     def score(self, i, x):
         return float(self.scores[i]), np.zeros(self.dim)
 
-    def eval(self, i, x):
-        return 0.0, np.zeros(self.dim)
+    def eval(self, idx, x):
+        return np.zeros(len(idx)), np.zeros((len(idx), self.dim))
 
 
 class TestFairnessConstraints:
@@ -190,7 +190,8 @@ class TestFairnessConstraints:
     def test_stacked_batch_and_one_psi_path(self, monkeypatch):
         # the fairness set has no closed-form batch: its stacked adapter
         # looks eval up at call time, so a class-level wrapper sees every
-        # read, and psi reads the mean loss once instead of once per h_i
+        # read, and psi reads the mean loss once instead of once per h_i;
+        # the oracle fields are counted in rows
         from dataclasses import replace
 
         from drsum.composite import evaluate_psi
@@ -209,17 +210,20 @@ class TestFairnessConstraints:
         calls = dict.fromkeys(("eval", "value_grad", "g_oracle", "h_oracle"),
                               0)
 
-        def counted(name, method):
+        def counted(name, method, weight=lambda *args: 1):
             def wrapper(*args):
-                calls[name] += 1
+                calls[name] += weight(*args)
                 return method(*args)
             return wrapper
+
+        def rows(idx, x):
+            return len(idx)
 
         monkeypatch.setattr(ConstraintSet, "eval",
                             counted("eval", ConstraintSet.eval))
         monkeypatch.setattr(MeanLossObjective, "value_grad",
                             counted("value_grad", MeanLossObjective.value_grad))
-        reference.g_oracle = counted("g_oracle", reference.g_oracle)
+        reference.g_oracle = counted("g_oracle", reference.g_oracle, rows)
 
         values = cset.values(x)
         assert calls["eval"] == cset.m
@@ -231,7 +235,8 @@ class TestFairnessConstraints:
         psi = evaluate_psi(problem, x)
         assert (calls["value_grad"], calls["g_oracle"]) == (1, 0)
         expected = evaluate_psi(reference, x)
-        assert (calls["value_grad"], calls["g_oracle"]) == (1 + cset.m, cset.m)
+        # the reference's h field reads the mean loss once for every row
+        assert (calls["value_grad"], calls["g_oracle"]) == (2, cset.m)
         assert psi == pytest.approx(expected, rel=1e-14, abs=0.0)
 
         # the stacked path is resolved at each read, so a replace() copy
@@ -239,7 +244,7 @@ class TestFairnessConstraints:
         zeroed = replace(cset, oracle=lambda i, v: (0.0, np.zeros(v.size)))
         assert not zeroed.values(x).any()
         evaluate_psi(replace(reference, h_oracle=counted(
-            "h_oracle", reference.h_oracle)), x)
+            "h_oracle", reference.h_oracle, rows)), x)
         assert calls["h_oracle"] == cset.m
 
     def test_gradients_match_finite_differences(self):
@@ -361,7 +366,7 @@ class TestSynthetic:
         for _ in range(400):
             grad = np.zeros(dataset.dim)
             for i in range(m):
-                grad += family.eval(i, x_ref)[1]
+                grad += at_index(family.eval, i, x_ref)[1]
             x_ref = x_ref - 0.5 * (grad / m + 1e-4 * x_ref)
         np.testing.assert_allclose(_fit_logistic(dataset), x_ref,
                                    rtol=1e-12, atol=1e-12)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsum.composite import OracleCounter, evaluate_psi
+from drsum.composite import (
+    OracleCounter,
+    at_index,
+    batch_estimates,
+    delta_update,
+    evaluate_psi,
+)
 from drsum.constraints import ConstraintSet
 from drsum.diagnostics import fit_rate
 from drsum.problems import (
@@ -37,7 +43,7 @@ from drsum.reductions import (
     wasserstein_penalty,
 )
 
-from conftest import closed_form
+from conftest import closed_form, rowwise
 
 finite_floats = st.floats(min_value=-20.0, max_value=20.0,
                           allow_nan=False, allow_infinity=False)
@@ -93,7 +99,9 @@ def test_fit_rate_recovers_exact_geometric_decay(start, slope, n):
 # -- batched component values against the per-index reference path ------
 
 FAMILIES = ("quadratic", "logistic", "mlp2", "nonconvex_toy")
-# loss inputs without values(x), whose batch stacks the per-index eval
+# loss inputs over a logistic family: a plain sequence of loss functions
+# (no values(x); its batch stacks the per-index callables) and the
+# fault-injecting wrapper
 STACKED_INPUTS = ("plain_sequence", "broken_jacobian")
 CONSTRAINT_SETS = ("dr_logistic", "affine", "convexified", "fairness")
 
@@ -166,7 +174,7 @@ def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
     family = _family("logistic" if stacked else family_kind, rng, m)
     x = scale * rng.standard_normal(family.dim)
     np.testing.assert_allclose(
-        family.values(x), [family.eval(i, x)[0] for i in range(m)],
+        family.values(x), [at_index(family.eval, i, x)[0] for i in range(m)],
         rtol=1e-12, atol=1e-12)
     if hasattr(family, "scores"):
         np.testing.assert_allclose(
@@ -174,7 +182,7 @@ def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
             rtol=1e-12, atol=1e-12)
     losses = family
     if family_kind == "plain_sequence":
-        losses = [lambda v, i=i: family.eval(i, v) for i in range(m)]
+        losses = [lambda v, i=i: at_index(family.eval, i, v) for i in range(m)]
     elif family_kind == "broken_jacobian":
         losses = BrokenJacobianLosses(family)
     if reduction == "chi2":
@@ -284,3 +292,105 @@ def test_batch_jacobian_matches_per_index(set_kind, seed, m, d, scale,
         val, grad = cset.eval(i, x)
         assert ref_values[i] == val
         assert np.array_equal(ref_jac[i], grad)
+
+
+# -- batched estimators against the per-index adapter --------------------
+
+
+def _estimator_problem(kind, rng, m, gamma, anchored):
+    """(problem, decision dimension) of a loss family under chi2, kl or
+    mean (a plain sequence of loss functions among them), or of the
+    Wasserstein form over a constraint set."""
+    if kind in CONSTRAINT_SETS:
+        objective, cset, dim = _objective_and_constraints(kind, rng, m)
+        anchor = rng.standard_normal(dim) if anchored else None
+        return build_wasserstein(objective, cset,
+                                 WassersteinConfig(alpha=1.0, gamma=gamma),
+                                 shift_anchor=anchor, dim=dim), dim
+    family_kind, reduction = kind
+    family = _family("logistic" if family_kind == "plain_sequence"
+                     else family_kind, rng, m)
+    losses = family
+    if family_kind == "plain_sequence":
+        losses = [lambda v, i=i: at_index(family.eval, i, v) for i in range(m)]
+    dim = family.dim
+    if reduction == "chi2":
+        return build_chi2(losses, Chi2Config(gamma=gamma), dim=dim), dim
+    if reduction == "kl":
+        anchor = rng.standard_normal(dim) if anchored else None
+        return build_kl(losses, KlConfig(gamma=gamma), dim=dim,
+                        shift_anchor=anchor), dim
+    return build_mean(losses, dim=dim), dim
+
+
+ESTIMATOR_PROBLEMS = (
+    [(family, reduction) for family in FAMILIES + ("plain_sequence",)
+     for reduction in ("chi2", "kl", "mean")] + list(CONSTRAINT_SETS))
+
+
+def _estimators(problem, idx, x_new, x_old):
+    """The opening batch at x_old, then one delta correction to x_new over
+    the reversed multiset, with the counter after each."""
+    counter = OracleCounter()
+    opened = batch_estimates(problem, idx, x_old, counter)
+    opened_calls = counter.copy()
+    corrected = delta_update(problem, idx[::-1], x_new, x_old, *opened,
+                             counter)
+    return opened, corrected, opened_calls, counter
+
+
+def _row_by_row(problem, idx, x_new, x_old):
+    """_estimators written as the per-index loop over one-row calls."""
+    n = idx.size
+
+    def rows(i, x):
+        (gv, gj), (_, hg) = (at_index(field, i, x) for field in
+                             (problem.g_oracle, problem.h_oracle))
+        return gv, gj, hg
+
+    opened = [sum(parts) / n for parts in
+              zip(*(rows(i, x_old) for i in idx))]
+    deltas = [sum(parts) / n for parts in
+              zip(*(tuple(a - b for a, b in zip(rows(i, x_new),
+                                                 rows(i, x_old)))
+                    for i in idx[::-1]))]
+    corrected = [a + b for a, b in zip(opened, deltas)]
+    return (tuple(opened), tuple(corrected), OracleCounter(n, n),
+            OracleCounter(3 * n, 3 * n))
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_PROBLEMS, ids=str)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 10),
+       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=20),
+       scale=st.floats(0.0, 2.0), gamma=st.floats(0.2, 5.0),
+       anchored=st.booleans())
+def test_batched_estimators_match_per_index(kind, seed, m, picks, scale,
+                                            gamma, anchored):
+    """batch_estimates and delta_update, one call per field and point,
+    equal the per-index loop over one-row calls (through the per_index
+    adapter and without it) to rounding, on an index multiset with
+    repeats.  They charge exactly n calls per family for the opening
+    batch and 2n for the correction, or every path raises the range
+    error."""
+    rng = np.random.default_rng(seed)
+    problem, dim = _estimator_problem(kind, rng, m, gamma, anchored)
+    adapted = replace(problem, g_oracle=rowwise(problem.g_oracle),
+                      h_oracle=rowwise(problem.h_oracle))
+    idx = np.array(picks) % problem.m
+    x_old = scale * rng.standard_normal(dim)
+    x_new = x_old + 0.1 * rng.standard_normal(dim)
+    try:
+        want = _row_by_row(problem, idx, x_new, x_old)
+    except NumericalRangeError:
+        for path in (problem, adapted):
+            with pytest.raises(NumericalRangeError, match="exceeds range"):
+                _estimators(path, idx, x_new, x_old)
+        return
+    for got in (_estimators(problem, idx, x_new, x_old),
+                _estimators(adapted, idx, x_new, x_old)):
+        for got_part, want_part in zip(got[0] + got[1], want[0] + want[1]):
+            assert got_part.shape == want_part.shape
+            np.testing.assert_allclose(got_part, want_part, rtol=1e-12,
+                                       atol=1e-12)
+        assert got[2:] == want[2:]

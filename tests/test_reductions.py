@@ -177,6 +177,20 @@ class TestKl:
         with pytest.raises(NumericalRangeError):
             evaluate_psi(prob, np.zeros(d))
 
+    def test_outer_domain_error_is_typed(self):
+        from drsum import OuterDomainError
+
+        losses, d = affine_losses([0.0])
+        kl = build_kl(losses, KlConfig(gamma=1.0), dim=d)
+        wasserstein = build_wasserstein(
+            SquaredNormTerm(1.0), ConstraintSet.affine(np.eye(1), np.zeros(1)),
+            WassersteinConfig(alpha=1.0, gamma=1.0), dim=1)
+        # the Wasserstein log argument is 1 + m u
+        for prob, u in ((kl, 0.0), (kl, -1.0), (wasserstein, -2.0)):
+            with pytest.raises(OuterDomainError, match="is non-positive"):
+                prob.f_outer(np.array([u]))
+        assert issubclass(OuterDomainError, NumericalRangeError)
+
     def test_anchor_handles_deeply_negative_losses(self):
         # every exponential underflows without the (negative) shift
         losses, d = affine_losses([-400.0, -405.0])
@@ -435,7 +449,10 @@ def test_chi2_psi_evaluates_each_loss_once_without_batch():
     assert psi == evaluate_psi(replace(reference, component_values=None), x)
 
 
-# -- the per-index oracles pinned bit for bit to their formulas ----------
+# -- the batch oracles pinned bit for bit to their formulas --------------
+
+# every row once, out of order, and two rows repeated
+PINNED_ROWS = np.array([5, 0, 3, 3, 1, 4, 2, 0])
 
 
 def _pinned_family():
@@ -448,15 +465,16 @@ def _pinned_family():
                                          group_ids=np.zeros(6, dtype=int)))
 
 
-def _assert_oracles_equal(prob, x, g_formula, h_formula):
-    """Every g_oracle / h_oracle output equals its formula exactly."""
-    for i in range(prob.m):
-        (gv, gj), (want_gv, want_gj) = prob.g_oracle(i, x), g_formula(i)
-        (hv, hg), (want_hv, want_hg) = prob.h_oracle(i, x), h_formula(i)
-        assert np.array_equal(gv, want_gv) and gv.shape == (1,)
-        assert np.array_equal(gj, want_gj) and gj.shape == (1, x.size)
-        assert hv == want_hv and type(hv) is type(want_hv)
-        assert np.array_equal(hg, want_hg) and hg.shape == (x.size,)
+def _assert_oracles_equal(prob, x, g_formula, h_formula, idx=PINNED_ROWS):
+    """Every g_oracle / h_oracle output over the index batch equals its
+    formula, written over the same rows, exactly."""
+    n, d = idx.size, x.size
+    (gv, gj), (want_gv, want_gj) = prob.g_oracle(idx, x), g_formula(idx)
+    (hv, hg), (want_hv, want_hg) = prob.h_oracle(idx, x), h_formula(idx)
+    assert np.array_equal(gv, want_gv) and gv.shape == (n, 1)
+    assert np.array_equal(gj, want_gj) and gj.shape == (n, 1, d)
+    assert np.array_equal(hv, want_hv) and hv.shape == (n,)
+    assert np.array_equal(hg, want_hg) and hg.shape == (n, d)
 
 
 @pytest.mark.parametrize("reduction", ("chi2", "kl", "kl_anchored", "mean"))
@@ -467,19 +485,20 @@ def test_loss_oracles_bit_for_bit(reduction):
     gamma = 0.7
     d = family.dim
 
-    def zero_h(i):
-        return 0.0, np.zeros(d)
+    def zero_h(idx):
+        return np.zeros(idx.size), np.zeros((idx.size, d))
 
-    def g_identity(i):
-        val, grad = family.eval(i, x)
-        return np.array([val]), grad.reshape(1, -1)
+    def g_identity(idx):
+        val, grad = family.eval(idx, x)
+        return val[:, None], grad[:, None, :]
 
     if reduction == "chi2":
         prob = build_chi2(family, Chi2Config(gamma=gamma))
 
-        def h_formula(i):
-            val, grad = family.eval(i, x)
-            return val + val * val / (2.0 * gamma), (1.0 + val / gamma) * grad
+        def h_formula(idx):
+            val, grad = family.eval(idx, x)
+            return (val + val * val / (2.0 * gamma),
+                    (1.0 + val / gamma)[:, None] * grad)
 
         _assert_oracles_equal(prob, x, g_identity, h_formula)
     elif reduction == "mean":
@@ -487,13 +506,13 @@ def test_loss_oracles_bit_for_bit(reduction):
     else:
         anchor = rng.standard_normal(d) if reduction == "kl_anchored" else None
         prob = build_kl(family, KlConfig(gamma=gamma), shift_anchor=anchor)
-        shift = 0.0 if anchor is None else float(max(
-            family.eval(i, anchor)[0] / gamma for i in range(family.m)))
+        shift = 0.0 if anchor is None else float(np.max(
+            family.eval(np.arange(family.m), anchor)[0] / gamma))
 
-        def g_formula(i):
-            val, grad = family.eval(i, x)
+        def g_formula(idx):
+            val, grad = family.eval(idx, x)
             gv = np.exp(val / gamma - shift)
-            return np.array([gv]), (gv / gamma) * grad.reshape(1, -1)
+            return gv[:, None], ((gv / gamma)[:, None] * grad)[:, None, :]
 
         _assert_oracles_equal(prob, x, g_formula, zero_h)
 
@@ -514,23 +533,26 @@ def test_wasserstein_oracles_bit_for_bit(objective_kind):
     if objective_kind == "simple":
         objective = SquaredNormTerm(1.0)
 
-        def h_formula(i):
-            return 0.0, np.zeros(d)
+        def h_formula(idx):
+            return np.zeros(idx.size), np.zeros((idx.size, d))
     else:
         objective = MeanLossObjective(family)
 
-        def h_formula(i):
+        def h_formula(idx):
             val, grad = objective.value_grad(x)
-            return float(val), grad
+            return np.full(idx.size, float(val)), np.tile(grad, (idx.size, 1))
     prob = build_wasserstein(objective, cset,
                              WassersteinConfig(alpha=alpha, gamma=gamma),
                              shift_anchor=anchor, dim=d)
     vals = np.array([cset.eval(i, anchor)[0] for i in range(cset.m)])
     shift = max(0.0, float(np.max(alpha * vals / gamma)))
 
-    def g_formula(i):
-        val, grad = cset.eval(i, x)
+    def g_formula(idx):
+        # the constraint rows are read one by one, as per-index evals
+        val = np.array([cset.eval(i, x)[0] for i in idx])
+        grad = np.array([cset.eval(i, x)[1] for i in idx])
         gv = np.exp(alpha * val / gamma - shift)
-        return np.array([gv]), (gv * alpha / gamma) * grad.reshape(1, -1)
+        return gv[:, None], ((gv * alpha / gamma)[:, None] * grad)[:, None, :]
 
-    _assert_oracles_equal(prob, x, g_formula, h_formula)
+    _assert_oracles_equal(prob, x, g_formula, h_formula,
+                          idx=PINNED_ROWS[PINNED_ROWS < cset.m])

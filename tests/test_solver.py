@@ -10,6 +10,7 @@ from drsum.composite import (
     delta_update,
     evaluate_psi,
     full_phi_gradient,
+    per_index,
 )
 from drsum.constraints import ConstraintSet
 from drsum.proxlib import SquaredNormTerm
@@ -119,7 +120,8 @@ class TestRunEpoch:
             return float(u[0]), np.array([1.0])
 
         from drsum.composite import CompositeProblem
-        prob = CompositeProblem(1, 1, 2, g_oracle, h_oracle, f_outer)
+        prob = CompositeProblem(1, 1, 2, per_index(g_oracle),
+                                per_index(h_oracle), f_outer)
         x0 = np.array([1.5])
         eta = 0.1
         state = run_epoch(prob, fresh_state(x0, 1, 1), 1,
@@ -322,16 +324,16 @@ class TestSolveRestarted:
 
 class TestOracleCounting:
     """The counters advance once per batch; they must still equal the
-    calls the oracles actually receive."""
+    rows the oracles actually receive."""
 
     @staticmethod
     def count_calls(problem):
         calls = {"g": 0, "h": 0}
 
         def counted(family, oracle):
-            def wrapped(i, x):
-                calls[family] += 1
-                return oracle(i, x)
+            def wrapped(idx, x):
+                calls[family] += len(idx)
+                return oracle(idx, x)
             return wrapped
 
         return replace(problem, g_oracle=counted("g", problem.g_oracle),
@@ -581,7 +583,8 @@ class TestBatchDiagnosticsLeaveSolverAlone:
                               shift_anchor=np.array([3.0, -1.0]), dim=2)
             for c in (cset, skewed))
         for i in range(2):
-            for a, b in zip(exact.g_oracle(i, x), fuzzy.g_oracle(i, x)):
+            for a, b in zip(exact.g_oracle(np.array([i]), x),
+                            fuzzy.g_oracle(np.array([i]), x)):
                 assert np.array_equal(a, b)
 
     def test_solve_restarted(self):
@@ -637,6 +640,29 @@ class TestBatchDiagnosticsLeaveSolverAlone:
 
 
 class TestFailLoud:
+    def test_out_of_range_row_inside_a_batch_is_located(self):
+        # f_i(x) = 0.5 (a_i x - 0.5)^2 on d = 1 with one steep row: every
+        # exponent is 0.125 at x0 = 0, and after the first step the steep
+        # row's passes EXP_LIMIT, so the step-1 correction over the rows
+        # [0, 3, 1] raises from inside one batch call
+        from drsum.problems import QuadraticLosses
+        from drsum.reductions import KlConfig, NumericalRangeError, build_kl
+
+        steep = QuadraticLosses(np.array([[1.0], [1.0], [1.0], [30.0]]),
+                                np.full(4, 0.5))
+        prob = build_kl(steep, KlConfig(gamma=1.0))
+        with pytest.raises(NumericalRangeError, match="exceeds range"):
+            batch_estimates(prob, np.array([0, 3, 1]), np.array([4.125]))
+        batch_estimates(prob, np.array([0, 1, 2]), np.array([4.125]))
+        with pytest.raises(NumericalRangeError,
+                           match=r"^NumericalRangeError: exponent 7595\.3 "
+                                 r"exceeds range after shift; .+ at stage 1, "
+                                 r"epoch 1, step 1$") as raised:
+            run_epoch(prob, fresh_state(np.zeros(1), 1, 1), 1,
+                      StubSchedule(tau=2, S=3, B=4), 1.0,
+                      StubRng([np.array([0, 3, 1])]))
+        assert type(raised.value.__cause__) is NumericalRangeError
+
     @pytest.mark.parametrize("tau", [1, 3])
     def test_non_finite_gradient_estimate_named(self, tau):
         # h_i(x) = exp(-800 x) overflows at x0 = -1, and the box prox clips
@@ -650,8 +676,9 @@ class TestFailLoud:
             return value, np.array([-800.0 * value])
 
         prob = CompositeProblem(
-            1, 1, 4, lambda i, x: (np.zeros(1), np.zeros((1, 1))), h_oracle,
-            lambda u: (0.0, np.zeros(1)), r_term=BoxTerm(-1.0, 1.0))
+            1, 1, 4, per_index(lambda i, x: (np.zeros(1), np.zeros((1, 1)))),
+            per_index(h_oracle), lambda u: (0.0, np.zeros(1)),
+            r_term=BoxTerm(-1.0, 1.0))
         cfg = SolverConfig(eta=0.1, T=3,
                            schedule=Schedule(mode="full_batch", tau=tau))
         with np.errstate(over="ignore"), pytest.raises(

@@ -467,7 +467,7 @@ def _check_rows(exp):
     if exp.reduction in ("chi2", "kl") and exp.problem.m <= 12:
         rng = np.random.default_rng(exp.solver_cfg.seed)
         x = 0.5 * rng.standard_normal(exp.problem.dim_x)
-        values = exp.family.values(x)
+        values = exp.family.eval(np.arange(exp.family.m), x)[0]
         gamma = float(exp.cfg["problem"]["gamma"])
         psi = evaluate_psi(exp.problem, x)
         if exp.reduction == "chi2":

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .composite import at_index
 from .constraints import ConstraintSet
 
 
@@ -167,20 +168,8 @@ class Mlp2Losses:
         b2 = x[-1]
         return W, b1, v, b2
 
-    def score(self, i, x):
-        W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
-        z = self.dataset.features[i]
-        t = np.tanh(W @ z + b1)
-        s = float(v @ t + b2)
-        dt = (1.0 - t * t) * v  # per-unit sensitivity
-        grad = np.concatenate([np.outer(dt, z).ravel(), dt, t, [1.0]])
-        return s, grad
-
-    def scores(self, x):
-        W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
-        return np.tanh(self.dataset.features @ W.T + b1) @ v + b2
-
-    def eval(self, idx, x):
+    def _score_rows(self, idx, x):
+        """Scores of the rows idx (n,) and their parameter gradients (n, D)."""
         W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
         Z = self.dataset.features[idx]
         t = np.tanh(Z @ W.T + b1)
@@ -189,8 +178,20 @@ class Mlp2Losses:
         sgrad = np.concatenate(
             [(dt[:, :, None] * Z[:, None, :]).reshape(n, -1), dt, t,
              np.ones((n, 1))], axis=1)
+        return t @ v + b2, sgrad
+
+    def score(self, i, x):
+        s, grad = at_index(self._score_rows, i, x)
+        return float(s), grad
+
+    def scores(self, x):
+        W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
+        return np.tanh(self.dataset.features @ W.T + b1) @ v + b2
+
+    def eval(self, idx, x):
+        s, sgrad = self._score_rows(idx, x)
         y = self.dataset.labels[idx]
-        margins = -y * (t @ v + b2)
+        margins = -y * s
         grads = (-y * sigmoids(margins))[:, None] * sgrad
         return np.logaddexp(0.0, margins), grads
 
@@ -223,9 +224,6 @@ class BrokenJacobianLosses:
     def eval(self, idx, x):
         v, g = self.family.eval(idx, x)
         return v, self.scale * g
-
-    def values(self, x):
-        return self.family.values(x)
 
 
 def make_losses(kind, dataset=None, *, m=None, d=None, seed=0, hidden=4, cond=10.0):

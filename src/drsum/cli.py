@@ -161,10 +161,6 @@ class Experiment:
         except ValueError as exc:  # a value the library rejects
             raise ConfigError(f"invalid value: {exc}")
         self._resolve_output()
-        if self.constraints is not None:
-            # the terminal projection's SLSQP: load scipy here, in set-up,
-            # not in the first solve
-            import scipy.optimize  # noqa: F401
 
     # -- problem assembly -------------------------------------------------
 

@@ -403,13 +403,15 @@ def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
     projection = None
     if constraints is not None:
         x_raw = x
+        reads = constraints.jacobian_calls
         x, residual, iterations = project_feasible(constraints, x_raw)
         server_counter.projection_calls += 1
         before, after = (_smooth_value(problem, v) for v in (x_raw, x))
         projection = {
             "objective_before": before, "objective_after": after,
             "gap": after - before, "residual": residual,
-            "iterations": iterations}
+            "iterations": iterations,
+            "jacobian_calls": constraints.jacobian_calls - reads}
     return SolverReport(
         trajectory=records,
         counters=None,

@@ -258,6 +258,44 @@ class TestDrLogisticSolve:
         assert main(["solve", cfg]) == 2
         assert "nonconvergence" in capsys.readouterr().err
 
+    def test_summary_reports_the_projection_cost(self, tmp_path,
+                                                 monkeypatch):
+        # the projecting drlogistic_m20 run: one jacobian() per point the
+        # SQP visits, the start and one trial per iteration, and no other
+        # jacobian() read in the whole solve
+        from drsum.constraints import ConstraintSet
+
+        reads = []
+        jacobian = ConstraintSet.jacobian
+
+        def counted(self, x):
+            reads.append(x)
+            return jacobian(self, x)
+
+        monkeypatch.setattr(ConstraintSet, "jacobian", counted)
+        out = tmp_path / "dr"
+        assert main(["solve", DR_LOGISTIC_WORKLOAD, "--seed", "1",
+                     "--out", str(out)]) == 0
+        projection = json.loads((out / "summary.json").read_text())[
+            "projection"]
+        assert projection["iterations"] == 8
+        assert projection["jacobian_calls"] == len(reads) == 9
+
+    def test_projection_error_maps_to_exit_2(self, tmp_path, monkeypatch,
+                                             capsys):
+        import drsum.solver
+
+        project = drsum.solver.project_feasible
+        monkeypatch.setattr(drsum.solver, "project_feasible",
+                            lambda cset, x: project(cset, x, max_iter=1))
+        out = tmp_path / "dr"
+        assert main(["solve", DR_LOGISTIC_WORKLOAD, "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver nonconvergence: ProjectionError: no convergence in 1 "
+            "iterations: residual ")
+        assert not (out / "summary.json").exists()
+
     def test_bench_rejects_config_before_solving(self, tmp_path, monkeypatch,
                                                  capsys):
         import drsum.cli
@@ -615,9 +653,9 @@ def fresh_interpreter(code, *args):
 
 
 class TestImportFootprint:
-    """scipy is loaded only by experiments with a constraint set, and by
-    them during set-up, so its import time counts there and not in the
-    first solve."""
+    """No command loads scipy: the terminal projection is drsum's own
+    numpy SQP, so scipy serves only the tests and the benchmark's
+    reference solutions."""
 
     def loaded(self, code, *args):
         out = fresh_interpreter(
@@ -639,7 +677,9 @@ class TestImportFootprint:
             "    assert main([command, sys.argv[1], '--out', out]) == 0\n")
         assert self.loaded(code, config, str(tmp_path)) == []
 
-    def test_constrained_setup_loads_the_projection(self, tmp_path):
+    def test_projecting_run_loads_no_scipy(self, tmp_path):
+        # the run projects (iterations > 0), imports nothing while it
+        # runs, and has loaded no scipy by its end, set-up included
         code = (
             "import json, sys\n"
             "from drsum.cli import Experiment, load_config\n"
@@ -653,5 +693,4 @@ class TestImportFootprint:
             "assert report.projection['iterations'] > 0, report.projection\n"
             "new = sorted(set(sys.modules) - before)\n"
             "assert not new, new[:10]\n")
-        assert "scipy.optimize" in self.loaded(code, DR_LOGISTIC_WORKLOAD,
-                                               str(tmp_path))
+        assert self.loaded(code, DR_LOGISTIC_WORKLOAD, str(tmp_path)) == []

@@ -93,6 +93,30 @@ class TestAffineProjection:
         assert err.value.residual > 0
 
 
+class TestProjectionError:
+    """The error names why the solve stopped and the residual there."""
+
+    def test_inconsistent_linearization_names_its_iteration(self):
+        # affine constraints are their own linearization: x1 <= -1 and
+        # x1 >= 1 have no common point, which the first subproblem finds
+        cset = ConstraintSet.affine(np.array([[1.0], [-1.0]]),
+                                    np.array([-1.0, -1.0]))
+        with pytest.raises(ProjectionError) as err:
+            project_feasible(cset, np.array([0.0]))
+        assert str(err.value) == ("linearized constraints infeasible at "
+                                  "iteration 0: residual 1.000e+00")
+        assert err.value.residual == 1.0
+
+    def test_iteration_bound_names_itself(self):
+        # the disc from (2, 2): one step lands on the tangent plane
+        # y1 + y2 = 2.25, still outside the disc
+        with pytest.raises(ProjectionError) as err:
+            project_feasible(disc_set(), np.array([2.0, 2.0]), max_iter=1)
+        assert str(err.value).startswith(
+            "no convergence in 1 iterations: residual ")
+        assert err.value.residual == pytest.approx(2 * 1.125 ** 2 - 1.0)
+
+
 def counting(cset, keep_batches=False):
     """cset with an oracle that logs each per-index evaluation; the batch
     is dropped, so every read takes the per-index reference path, unless
@@ -178,43 +202,44 @@ class TestBatchJacobianProjection:
         assert fast_residual <= 1e-8 and ref_residual <= 1e-8
         assert np.max(np.abs(fast - ref)) <= 1e-6
 
-    def test_objective_call_makes_no_per_index_evaluation(self, monkeypatch):
+    def test_solve_makes_no_per_index_evaluation(self, monkeypatch):
+        # the set has a batch, so the SQP never reads a row on its own
         import drsum.constraints
 
         cset, x = self.dr_logistic_set(3000)
         logged, calls = counting(cset, keep_batches=True)
-        per_call = []
+        per_solve = []
         minimize = drsum.constraints.minimize
 
-        def counted_minimize(fun, x0, **kwargs):
-            def counted(v):
-                before = len(calls)
-                out = fun(v)
-                per_call.append(len(calls) - before)
-                return out
-
-            return minimize(counted, x0, **kwargs)
+        def counted_minimize(*args, **kwargs):
+            before = len(calls)
+            out = minimize(*args, **kwargs)
+            per_solve.append(len(calls) - before)
+            return out
 
         monkeypatch.setattr(drsum.constraints, "minimize", counted_minimize)
         _, residual, _ = project_feasible(logged, x)
         assert residual <= 1e-8
-        assert per_call and set(per_call) == {0}
+        assert per_solve == [0]
         assert calls == []
 
-    def test_one_batch_jacobian_per_slsqp_point(self):
-        # the constraint's fun and jac callbacks share one jacobian read
-        # at each point SLSQP visits
+    def test_one_batch_jacobian_per_sqp_point(self):
+        # every point the SQP visits, the start and each line search
+        # trial, is read through one jacobian() call, and no point twice
         cset, x = self.dr_logistic_set(3000)
         points = []
 
         def batch(v, jac=True):
             if jac:
-                points.append(v)
+                points.append(v.copy())
             return cset.batch(v, jac)
 
-        _, residual, nit = project_feasible(replace(cset, batch=batch), x)
+        counted = replace(cset, batch=batch, jacobian_calls=0)
+        _, residual, nit = project_feasible(counted, x)
         assert residual <= 1e-8 and nit > 0
-        assert len(points) <= nit + 1
+        assert counted.jacobian_calls == len(points) >= nit + 1
+        assert np.array_equal(points[0], x)
+        assert len({v.tobytes() for v in points}) == len(points)
 
     def test_dykstra_reads_the_batch(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -223,6 +248,10 @@ class TestBatchJacobianProjection:
         x_proj, _, _ = project_feasible(cset, np.array([2.0, 2.0]))
         assert calls == []
         assert np.allclose(x_proj, [0.5, 0.5], atol=1e-8)
+
+
+CASES = ["3000", "3001", "3002", "12006", "disc", "disc_and_halfspace",
+         "affine_box", "fairness"]
 
 
 class TestEuclideanProjection:
@@ -236,10 +265,25 @@ class TestEuclideanProjection:
             return disc_set(), np.array([2.0, 2.0])
         if name == "disc_and_halfspace":
             return disc_and_halfspace_set(), np.array([1.5, 1.5])
+        if name == "affine_box":
+            A = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
+            return (ConstraintSet.affine(A, np.r_[np.ones(6), 1.5]),
+                    np.array([2.0, -3.0, 0.5]))
+        if name == "fairness":
+            # equal opportunity on the planted-bias data: nonconvex, so
+            # the projection is local
+            from drsum.problems import (FairnessSpec,
+                                        build_fairness_constraints,
+                                        make_losses, make_synthetic)
+
+            data = make_synthetic("two_group_bias", m=120, seed=3, min_gap=0.2)
+            family = make_losses("logistic", data)
+            cset = build_fairness_constraints(
+                data, family, FairnessSpec(eps_slack=0.05, surrogate_temp=5.0))
+            return cset, 2.0 * np.random.default_rng(0).standard_normal(3)
         return TestBatchJacobianProjection.dr_logistic_set(int(name))
 
-    @pytest.mark.parametrize("name", ["3000", "3001", "3002", "12006", "disc",
-                                      "disc_and_halfspace"])
+    @pytest.mark.parametrize("name", CASES)
     def test_kkt(self, name):
         from scipy.optimize import nnls
 
@@ -253,6 +297,24 @@ class TestEuclideanProjection:
         assert np.any(active), f"no active constraint, max c_i {values.max():.3e}"
         _, dual_residual = nnls(jac[active].T, x - y)
         assert dual_residual <= 1e-6 * np.linalg.norm(x - y)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_agrees_with_scipy_slsqp(self, name):
+        # scipy's SLSQP, Kraft's own code, on the same distance problem; on
+        # the disc it ends with a line search message, at the projection
+        from scipy.optimize import minimize
+
+        cset, x = self.case(name)
+        assert max_violation(cset, x) > 1e-8
+        y, residual, _ = project_feasible(cset, x)
+        ref = minimize(lambda v: (0.5 * (v - x) @ (v - x), v - x), x,
+                       jac=True, method="SLSQP",
+                       constraints={"type": "ineq",
+                                    "fun": lambda v: -cset.values(v),
+                                    "jac": lambda v: -cset.jacobian(v)[1]},
+                       options={"maxiter": 1000, "ftol": 1e-12})
+        assert residual <= 1e-8
+        assert np.max(np.abs(y - ref.x)) <= 1e-6
 
 
 class TestConstraintSet:

@@ -14,7 +14,7 @@ from drsum.composite import (
     delta_update,
     evaluate_psi,
 )
-from drsum.constraints import ConstraintSet
+from drsum.constraints import ConstraintSet, least_distance, nnls
 from drsum.diagnostics import fit_rate
 from drsum.problems import (
     BrokenJacobianLosses,
@@ -394,3 +394,85 @@ def test_batched_estimators_match_per_index(kind, seed, m, picks, scale,
             np.testing.assert_allclose(got_part, want_part, rtol=1e-12,
                                        atol=1e-12)
         assert got[2:] == want[2:]
+
+
+# small integers: exact dependencies (repeated, scaled and zero columns,
+# more columns than rows) come up often
+small_ints = st.integers(-4, 4)
+
+
+def _integers(draw, *shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(small_ints, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@st.composite
+def nnls_instances(draw):
+    """(A, b, start) with columns made dependent on purpose."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    A = _integers(draw, rows, cols)
+    kind = draw(st.sampled_from(["plain", "repeated", "zero"]))
+    if kind == "repeated" and cols > 1:
+        A[:, -1] = 2.0 * A[:, 0]
+    if kind == "zero":
+        A[:, draw(st.integers(0, cols - 1))] = 0.0
+    start = draw(st.lists(st.integers(0, cols - 1), unique=True,
+                          max_size=cols))
+    return A, _integers(draw, rows), start
+
+
+@settings(max_examples=300, deadline=None)
+@given(nnls_instances())
+def test_nnls_matches_scipy(instance):
+    """The normal-equation Lawson-Hanson solve, from any warm start, meets
+    the KKT conditions, which make A u - b the unique optimal residual,
+    and its residual is no longer than scipy's (which can stop short on
+    dependent columns)."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    A, b, start = instance
+    u = nnls(A, b, start)
+    ref, ref_norm = scipy_nnls(A, b, maxiter=50 * A.shape[1])
+    scale = 1.0 + np.linalg.norm(A) * (1.0 + np.linalg.norm(b))
+    gradient = A.T @ (b - A @ u)
+    assert u.shape == ref.shape and np.all(u >= 0)
+    assert np.all(gradient <= 1e-9 * scale)
+    assert np.all(np.abs(gradient[u > 0]) <= 1e-9 * scale)
+    assert np.linalg.norm(A @ u - b) <= ref_norm + 1e-9 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(nnls_instances(), st.booleans())
+def test_least_distance_matches_scipy(instance, infeasible):
+    """min ||w|| subject to G w >= h, one constraint row per column of
+    the instance.  The feasible instances hold the point w0 = b by
+    construction, and the answer meets the KKT conditions (w = G^T lam,
+    lam >= 0, lam_i (G w - h)_i = 0, G w >= h) and is no longer than
+    scipy's nnls makes it through the same Lawson-Hanson reduction.  The
+    infeasible ones add the rows g w >= 1 and -g w >= 1."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    A, w0, start = instance
+    G = A.T
+    h = G @ w0 - np.abs(np.arange(len(G)) % 3)
+    if infeasible:
+        g = np.ones(G.shape[1])
+        G, h = np.vstack([G, g, -g]), np.r_[h, 1.0, 1.0]
+    solved = least_distance(G, h, start)
+    if infeasible:
+        assert solved is None
+        return
+    assert solved is not None
+    w, lam = solved
+    slack = G @ w - h
+    tol = 1e-8 * (1.0 + np.abs(G).sum() + np.abs(h).max())
+    assert np.all(lam >= 0) and np.allclose(G.T @ lam, w, atol=tol)
+    assert np.all(slack >= -tol) and np.all(lam * np.abs(slack) <= tol)
+    E = np.vstack([G.T, h])
+    f = np.zeros(E.shape[0])
+    f[-1] = 1.0
+    u, _ = scipy_nnls(E, f, maxiter=50 * E.shape[1])
+    residual = E @ u - f
+    assert np.linalg.norm(w) <= np.linalg.norm(w0) + tol
+    assert np.linalg.norm(w) <= np.linalg.norm(residual[:-1] / residual[-1]) + tol

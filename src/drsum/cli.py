@@ -447,13 +447,32 @@ def cmd_solve(cfg):
     return 0
 
 
+def _constraint_rows(cset, x0, seed):
+    """At a seeded point near x0, eval on m + 1 seeded rows (so one
+    repeats) must equal those rows of the whole-set read to 1e-12, and
+    the values-only read must equal its values exactly."""
+    rng = np.random.default_rng(seed)
+    x = x0 + 0.5 * rng.standard_normal(x0.size)
+    idx = rng.integers(0, cset.m, size=cset.m + 1)
+    full = cset.eval(None, x)
+    worst = max(float(np.max(np.abs(got - want[idx])))
+                for got, want in zip(cset.eval(idx, x), full))
+    exact = np.array_equal(cset.eval(None, x, jac=False), full[0])
+    return ("constraint-rows", worst <= 1e-12 and exact, f"rows off by "
+            f"{worst:.1e}, values-only read {'exact' if exact else 'differs'}")
+
+
 def _check_rows(exp):
     rows = []
+    problem = exp.problem
+    if exp.reduction == "wasserstein":  # the first stage, anchored at x0
+        x0 = exp.x0()
+        problem = wasserstein_stages(exp.objective, exp.constraints,
+                                     exp.wcfg, x0.size)(1, x0)
+    jac = check_jacobians(problem, num_probes=25, seed=exp.solver_cfg.seed)
+    rows.append(("jacobian-check", jac.max_rel_error <= 1e-5,
+                 f"max rel err {jac.max_rel_error:.2e}"))
     if exp.problem is not None:
-        jac = check_jacobians(exp.problem, num_probes=25,
-                              seed=exp.solver_cfg.seed)
-        rows.append(("jacobian-check", jac.max_rel_error <= 1e-5,
-                     f"max rel err {jac.max_rel_error:.2e}"))
         est = estimate_constants(exp.problem, num_probes=100,
                                  seed=exp.solver_cfg.seed, center=exp.x0())
         finite = all(np.isfinite(v) for v in
@@ -493,6 +512,8 @@ def _check_rows(exp):
             worst = max(worst, err)
             ok = ok and err <= 1e-9
         rows.append(("sandwich", ok, f"worst excursion {worst:.2e}"))
+        rows.append(_constraint_rows(exp.constraints, exp.x0(),
+                                     exp.solver_cfg.seed))
         rho = _get(exp.cfg, "problem", "rho", default=None, cast=float)
         G_r = _get(exp.cfg, "problem", "g_r", default=None, cast=float)
         if rho and G_r:

@@ -12,11 +12,11 @@ objectives into it.
 The oracle fields are batch-first: g_oracle and h_oracle take a 1-D
 array of component indices (repeats allowed) and return every sampled
 row in one call, so an estimator update costs one call per field and
-point, however many rows it samples.  per_index stacks per-index
-callables (i, x) -> (value, derivative) into such a field; it serves
-hand-built problems, plain sequences of loss functions and constraint
-oracles, and it is the reference the batch paths are tested against.
-at_index reads one component through a batch field.
+point, however many rows it samples; loss families and constraint sets
+read rows with the same eval(idx, x).  per_index stacks per-index
+callables (i, x) -> (value, derivative) into such a field, for hand-built
+problems, plain sequences of loss functions and from_functions
+constraint sets.  at_index reads one component through a batch field.
 
 Oracles are pure functions of (indices, point), so a problem instance
 is safely shareable read-only across threads.  Every helper calls the
@@ -241,9 +241,9 @@ def check_jacobians(problem, num_probes=20, seed=0, scale=1.0):
     """Compare analytic jacobians/gradients against central differences.
 
     Probes random (i, x) pairs, one row at a time; relative error is
-    ||analytic - fd|| over max(1, ||fd||).  A g jacobian whose shape is not (p, d) counts as an
-    infinite error.  Reports the worst error per oracle family and never
-    aborts.
+    ||analytic - fd|| over max(1, ||fd||).  A g jacobian whose shape is not
+    (p, d) counts as an infinite error.  Reports the worst error per oracle
+    family and never aborts.
     """
     g, h, f = problem.g_oracle, problem.h_oracle, problem.f_outer
     rng = np.random.default_rng(seed)
@@ -263,13 +263,20 @@ def check_jacobians(problem, num_probes=20, seed=0, scale=1.0):
         fd = _central_differences(lambda v: at_index(h, i, v)[0], x, step)
         worst_h = max(worst_h, _rel_err(at_index(h, i, x)[1], fd))
 
-        # probe the outer map at the inner value actually produced; skip
-        # probes that step outside its domain (e.g. log of a nonpositive
-        # argument) so the checker reports instead of aborting
-        ustep = 1e-6 * (1.0 + float(np.max(np.abs(u))))
+        # probe the outer map at the inner value actually produced, by a
+        # step of 1e-6 max|u| (1e-6 at u = 0) grown tenfold while rounding
+        # hides a difference, up to 1e-6 (1 + max|u|); skip probes outside
+        # its domain (a log's) so the checker reports instead of aborting
+        size = float(np.max(np.abs(u)))
+        ustep = 1e-6 * (size or 1.0)
         try:
+            value, deriv = f(u)
             fd = _central_differences(lambda v: f(v)[0], u, ustep)
-            worst_f = max(worst_f, _rel_err(f(u)[1], fd))
+            while not (np.all(2.0 * ustep * np.abs(fd) > 1e-8 * abs(value))
+                       or ustep >= 1e-6 * (1.0 + size)):
+                ustep *= 10.0
+                fd = _central_differences(lambda v: f(v)[0], u, ustep)
+            worst_f = max(worst_f, _rel_err(deriv, fd))
         except (ArithmeticError, ValueError):
             pass
     return JacobianReport(worst_g, worst_h, worst_f, num_probes)

@@ -1,15 +1,13 @@
 """Constraint sets, violation metrics, and the terminal feasibility projection.
 
-A ConstraintSet holds m inequality constraints c_i(x) <= 0 through a
-per-index oracle returning value and gradient, and one batch over all m
-constraints: batch(x) -> (values (m,), jacobian (m, d)), or the values
-alone with jac=False.  values() feeds the violation metric and the
-exact objective; jacobian() feeds the projection.  Both read the
-per-index eval stacked row by row (composite.per_index), the reference
-path, when the set has no batch; ConstraintSet.affine, build_dr_logistic
-and convexify_constraints write theirs in closed form.  The Wasserstein
-g_oracle reads the per-index eval of the sampled rows through the same
-adapter.
+A ConstraintSet holds m constraints c_i(x) <= 0 behind one field, read
+like a loss family: batch(idx, x, jac=True) -> (values (n,), jacobian
+(n, d)) of the rows idx (repeats allowed, None for all m), the values
+alone with jac=False.  eval reads it: the Wasserstein g_oracle reads the
+sampled rows, values() all values (the violation metric and the exact
+objective) and the counted jacobian() all rows (the projection).
+affine, build_dr_logistic and convexify_constraints index their rows in
+closed form; from_functions (the fairness set) stacks its callables.
 
 The projection onto the feasible set solves the distance problem
 min ||y - x||^2/2 subject to c(y) <= 0 with minimize, a sequential
@@ -28,7 +26,7 @@ be replaced or wrapped there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,12 +44,12 @@ class ProjectionError(RuntimeError):
 
 @dataclass
 class ConstraintSet:
-    """m constraints c_i(x) <= 0 with value/gradient access."""
+    """m constraints c_i(x) <= 0, read in batches of rows."""
 
     m: int
-    oracle: Callable  # (index, x) -> (value, gradient)
-    # (x, jac=True) -> (values (m,), jacobian (m, d)); values alone if not jac
-    batch: Optional[Callable] = None
+    # (idx, x, jac=True) -> (values (n,), jacobian (n, d)) of the rows idx,
+    # every row for idx None; the values alone if not jac
+    batch: Callable
     # jacobian() calls so far: the projection's cost, read as a difference
     jacobian_calls: int = field(default=0, compare=False)
 
@@ -59,33 +57,31 @@ class ConstraintSet:
         if self.m < 1:
             raise ValueError("constraint set must be nonempty")
 
-    def eval(self, i, x):
-        val, grad = self.oracle(i, np.asarray(x, dtype=float))
-        return float(val), np.asarray(grad, dtype=float)
-
-    def _stacked(self, x, jac=True):
-        """The per-index eval stacked row by row: the reference batch."""
-        values, jacobian = per_index(self.eval)(range(self.m), x)
-        return (values, jacobian) if jac else values
+    def eval(self, idx, x, jac=True):
+        """The rows idx (an index array, or None for all m) at x."""
+        return self.batch(None if idx is None else np.asarray(idx),
+                          np.asarray(x, dtype=float), jac=jac)
 
     def values(self, x):
-        return (self.batch or self._stacked)(np.asarray(x, dtype=float),
-                                             jac=False)
+        return self.eval(None, x, jac=False)
 
     def jacobian(self, x):
         """(values (m,), jacobian (m, d)) from one batch call, counted."""
         self.jacobian_calls += 1
-        return (self.batch or self._stacked)(np.asarray(x, dtype=float))
+        return self.eval(None, x)
 
     @classmethod
     def from_functions(cls, funcs):
         """Build from a list of per-constraint callables x -> (value, grad)."""
         funcs = list(funcs)
+        stacked = per_index(lambda i, x: funcs[i](x))
 
-        def oracle(i, x):
-            return funcs[i](x)
+        def batch(idx, x, jac=True):
+            values, jacobian = stacked(
+                range(len(funcs)) if idx is None else idx, x)
+            return (values, jacobian) if jac else values
 
-        return cls(m=len(funcs), oracle=oracle)
+        return cls(m=len(funcs), batch=batch)
 
     @classmethod
     def affine(cls, A, b):
@@ -95,14 +91,12 @@ class ConstraintSet:
         if A.shape[0] != b.shape[0]:
             raise ValueError("A and b row counts disagree")
 
-        def oracle(i, x):
-            return float(A[i] @ x - b[i]), A[i].copy()
+        def batch(idx, x, jac=True):
+            rows = slice(None) if idx is None else idx
+            values = A[rows] @ x - b[rows]
+            return (values, A[rows]) if jac else values
 
-        def batch(x, jac=True):
-            values = A @ x - b
-            return (values, A) if jac else values
-
-        return cls(m=A.shape[0], oracle=oracle, batch=batch)
+        return cls(m=A.shape[0], batch=batch)
 
 
 def max_violation(cset, x):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -294,13 +295,13 @@ def build_fairness_constraints(dataset: TabularDataset, family,
             grad += temp * sig * (1.0 - sig) * sg
         return val / rows.size, grad / rows.size
 
-    def oracle(j, x):
-        x = np.asarray(x, dtype=float)
+    def constraint(rows, x):
         tpr_all, g_all = tpr_and_grad(positives_all, x)
-        tpr_grp, g_grp = tpr_and_grad(group_positives[j], x)
+        tpr_grp, g_grp = tpr_and_grad(rows, x)
         return tpr_all - tpr_grp - eps, g_all - g_grp
 
-    return ConstraintSet(m=len(groups), oracle=oracle)
+    return ConstraintSet.from_functions(
+        partial(constraint, rows) for rows in group_positives)
 
 
 def group_true_positive_rates(dataset: TabularDataset, family, x):

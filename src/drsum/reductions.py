@@ -16,8 +16,8 @@ h_oracle and its component_values (every component value in one array
 pass, which the exact objective reads) from maps g_i = phi(f_i) and
 h_i = psi(f_i) of the loss or constraint values, applied to a whole
 batch of rows at once.  The oracles read the family's batch
-eval(idx, x); a plain sequence of loss functions, and the per-index
-constraint oracle of the Wasserstein form, go through
+eval(idx, x), or the constraint set's eval(idx, x) in the Wasserstein
+form; a plain sequence of loss functions goes through
 composite.per_index.  component_values reads the loss family's
 values(x), or the constraint set's values, or the batch eval over every
 index when a family has no values(x).  kl and wasserstein share one
@@ -32,7 +32,7 @@ import numpy as np
 
 from .composite import CompositeProblem, per_index
 from .constraints import ConstraintSet
-from .problems import sigmoid, sigmoids
+from .problems import sigmoids
 from .proxlib import AffineTerm, SimpleTerm, ZeroTerm
 
 EXP_LIMIT = 700.0  # largest exponent fed to np.exp after shifting
@@ -330,9 +330,9 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
     else:
         raise TypeError("objective must be a SimpleTerm or expose value_grad(x)")
 
-    # the constraint rows one by one, reading the set's eval at call time
-    # so a class-level wrapper sees it
-    family = (m, d, per_index(lambda i, x: constraints.eval(i, x)),
+    # the sampled constraint rows in one batch, reading the set's eval at
+    # call time so a class-level wrapper sees it
+    family = (m, d, lambda idx, x: constraints.eval(idx, x),
               lambda x: constraints.values(x))
     shift, exp_map = _shifted_exp(family, alpha, gamma, shift_anchor, floor=0.0)
     base = np.exp(-shift)  # the constant 1 of the penalty, in shifted space
@@ -402,61 +402,32 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
     slope[d_beta + 1:] = 1.0 / m
     objective = AffineTerm(slope)
 
-    def split(x):
-        return x[:d_beta], float(x[d_beta]), x[d_beta + 1:]
+    # each row's sample j, margin sign and coefficient on lam: the true
+    # rows, the flipped rows, then the norm cone (sample 0, sign 0)
+    every = np.arange(2 * m + 1)
+    sample = np.concatenate([every[:m], every[:m], [0]])
+    sign = np.concatenate([-y, y, [0.0]])
+    lam_coef = np.concatenate([np.zeros(m), np.full(m, -kappa_flip), [-1.0]])
 
-    def loss_and_grad(beta, z, label):
-        margin = -label * float(beta @ z)
-        val = float(np.logaddexp(0.0, margin))
-        return val, -label * sigmoid(margin) * z
-
-    def oracle(i, x):
-        beta, lam, s = split(np.asarray(x, dtype=float))
-        grad = np.zeros(dim)
-        if i < m:
-            val, gbeta = loss_and_grad(beta, Z[i], y[i])
-            grad[:d_beta] = gbeta
-            grad[d_beta + 1 + i] = -1.0
-            return val - s[i], grad
-        if i < 2 * m:
-            j = i - m
-            val, gbeta = loss_and_grad(beta, Z[j], -y[j])
-            grad[:d_beta] = gbeta
-            grad[d_beta] = -kappa_flip
-            grad[d_beta + 1 + j] = -1.0
-            return val - lam * kappa_flip - s[j], grad
+    def batch(idx, x, jac=True):
+        beta, lam, s = x[:d_beta], float(x[d_beta]), x[d_beta + 1:]
+        rows = every if idx is None else idx
+        cone = rows == 2 * m
+        j = sample[rows]
+        t = sign[rows] * (Z @ beta)[j]
         norm = float(np.linalg.norm(beta))
-        if norm > 0:
-            grad[:d_beta] = beta / norm
-        grad[d_beta] = -1.0
-        return norm - lam, grad
-
-    # the jacobian's constant entries: the -1 slack of each sample's two
-    # rows, -kappa on lam in the flipped rows, -1 on lam in the norm cone
-    rows = np.arange(m)
-    constant_jac = np.zeros((2 * m + 1, dim))
-    constant_jac[rows, d_beta + 1 + rows] = -1.0
-    constant_jac[m + rows, d_beta + 1 + rows] = -1.0
-    constant_jac[m:2 * m, d_beta] = -kappa_flip
-    constant_jac[2 * m, d_beta] = -1.0
-
-    def batch(x, jac=True):
-        beta, lam, s = split(np.asarray(x, dtype=float))
-        margins = Z @ beta
-        norm = float(np.linalg.norm(beta))
-        true = np.logaddexp(0.0, -y * margins) - s
-        flipped = np.logaddexp(0.0, y * margins) - lam * kappa_flip - s
-        values = np.concatenate([true, flipped, [norm - lam]])
+        values = np.logaddexp(0.0, t) + lam_coef[rows] * lam - s[j]
+        values[cone] = norm - lam
         if not jac:
             return values
-        jacobian = constant_jac.copy()
-        jacobian[:m, :d_beta] = (-y * sigmoids(-y * margins))[:, None] * Z
-        jacobian[m:2 * m, :d_beta] = (y * sigmoids(y * margins))[:, None] * Z
-        if norm > 0:
-            jacobian[2 * m, :d_beta] = beta / norm
+        jacobian = np.zeros((values.size, dim))
+        jacobian[:, :d_beta] = (sign[rows] * sigmoids(t))[:, None] * Z[j]
+        jacobian[:, d_beta] = lam_coef[rows]
+        jacobian[~cone, d_beta + 1 + j[~cone]] = -1.0
+        jacobian[cone, :d_beta] = beta / norm if norm > 0 else 0.0
         return values, jacobian
 
-    return objective, ConstraintSet(m=2 * m + 1, oracle=oracle, batch=batch)
+    return objective, ConstraintSet(m=2 * m + 1, batch=batch)
 
 
 def convexify_constraints(cset: ConstraintSet, mu_vec):
@@ -467,19 +438,15 @@ def convexify_constraints(cset: ConstraintSet, mu_vec):
     if np.any(mu < 0):
         raise ValueError("mu entries must be nonnegative")
 
-    def oracle(i, x):
-        x = np.asarray(x, dtype=float)
-        val, grad = cset.eval(i, x)
-        return val + mu[i] * float(x @ x), grad + 2.0 * mu[i] * x
-
-    def batch(x, jac=True):
-        shift = mu * float(x @ x)
+    def batch(idx, x, jac=True):
+        rows = slice(None) if idx is None else idx
+        shift = mu[rows] * float(x @ x)
         if not jac:
-            return cset.values(x) + shift
-        vals, jacobian = cset.jacobian(x)
-        return vals + shift, jacobian + 2.0 * mu[:, None] * x
+            return cset.eval(idx, x, jac=False) + shift
+        vals, jacobian = cset.eval(idx, x)
+        return vals + shift, jacobian + 2.0 * mu[rows, None] * x
 
-    return ConstraintSet(m=cset.m, oracle=oracle, batch=batch)
+    return ConstraintSet(m=cset.m, batch=batch)
 
 
 def _project_simplex(v):

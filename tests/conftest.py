@@ -1,13 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from drsum.composite import at_index, per_index
+from drsum.constraints import ConstraintSet
+from drsum.problems import sigmoid
 
 
 def closed_form(batch):
-    """Whether a batch field (a constraint set's batch or a problem's
-    component_values) is set; an unset one is read as the per-index
-    oracles stacked."""
+    """Whether a problem's component_values field is set; an unset one is
+    read as the g and h fields over every index."""
     return batch is not None
 
 
@@ -44,3 +47,73 @@ def quadratic_losses(m=16, d=5, seed=7, cond=10.0, noise=0.5):
 @pytest.fixture
 def quad16():
     return quadratic_losses(m=16, d=5, seed=7, cond=10.0)
+
+
+# -- per-index constraint rows: the references the closed-form batches of
+# ConstraintSet.affine, build_dr_logistic and convexify_constraints are
+# tested against, written one row at a time; each is (i, x) -> (value,
+# gradient)
+
+
+def reference_set(rows, m):
+    """A constraint set reading the per-index rows one at a time."""
+    return ConstraintSet.from_functions([partial(rows, i) for i in range(m)])
+
+
+def affine_rows(A, b):
+    def oracle(i, x):
+        return float(A[i] @ x - b[i]), A[i].copy()
+
+    return oracle
+
+
+def convexified_rows(rows, mu):
+    """rows(i, x) + mu_i ||x||^2 with the matching gradient."""
+
+    def oracle(i, x):
+        x = np.asarray(x, dtype=float)
+        val, grad = rows(i, x)
+        return val + mu[i] * float(x @ x), grad + 2.0 * mu[i] * x
+
+    return oracle
+
+
+def dr_logistic_rows(dataset, kappa_flip):
+    """The 2m + 1 rows of build_dr_logistic over (beta, lam, s): the true
+    and flipped logistic losses of each sample minus its slack (and
+    lam * kappa on the flipped one), then the norm cone ||beta|| - lam."""
+    Z, y = ((dataset.features, dataset.labels)
+            if hasattr(dataset, "features") else dataset)
+    m, d_beta = Z.shape
+    dim = d_beta + 1 + m
+
+    def split(x):
+        return x[:d_beta], float(x[d_beta]), x[d_beta + 1:]
+
+    def loss_and_grad(beta, z, label):
+        margin = -label * float(beta @ z)
+        val = float(np.logaddexp(0.0, margin))
+        return val, -label * sigmoid(margin) * z
+
+    def oracle(i, x):
+        beta, lam, s = split(np.asarray(x, dtype=float))
+        grad = np.zeros(dim)
+        if i < m:
+            val, gbeta = loss_and_grad(beta, Z[i], y[i])
+            grad[:d_beta] = gbeta
+            grad[d_beta + 1 + i] = -1.0
+            return val - s[i], grad
+        if i < 2 * m:
+            j = i - m
+            val, gbeta = loss_and_grad(beta, Z[j], -y[j])
+            grad[:d_beta] = gbeta
+            grad[d_beta] = -kappa_flip
+            grad[d_beta + 1 + j] = -1.0
+            return val - lam * kappa_flip - s[j], grad
+        norm = float(np.linalg.norm(beta))
+        if norm > 0:
+            grad[:d_beta] = beta / norm
+        grad[d_beta] = -1.0
+        return norm - lam, grad
+
+    return oracle

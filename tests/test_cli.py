@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -566,6 +567,43 @@ class TestCheck:
         assert "sandwich" in out
         assert "alpha-condition" in out
         assert "warning" in out
+
+    @pytest.mark.parametrize("name", ["robust_logistic",
+                                      "fairness_wasserstein"])
+    def test_wasserstein_configs_check_jacobians_and_rows(self, name,
+                                                          capsys):
+        assert main(["check", str(CONFIGS / f"{name}.ini")]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^jacobian-check +PASS ", out, re.M)
+        assert re.search(r"^constraint-rows +PASS ", out, re.M)
+
+    @pytest.mark.parametrize("fault", ["rows", "values_only"])
+    def test_constraint_rows_catches_a_faulty_batch(self, fault, monkeypatch,
+                                                    capsys):
+        # a batch that reads the wrong rows, or whose values-only read
+        # differs in the last bits, fails the check with exit 3
+        from dataclasses import replace
+
+        import drsum.cli
+
+        build = drsum.cli.build_dr_logistic
+
+        def faulty(*args, **kwargs):
+            objective, cset = build(*args, **kwargs)
+
+            def batch(idx, x, jac=True):
+                if fault == "rows" and idx is not None:
+                    idx = (idx + 1) % cset.m
+                out = cset.batch(idx, x, jac=jac)
+                return out if jac or fault == "rows" else out * (1 + 1e-15)
+
+            return objective, replace(cset, batch=batch)
+
+        monkeypatch.setattr(drsum.cli, "build_dr_logistic", faulty)
+        assert main(["check", str(CONFIGS / "robust_logistic.ini")]) == 3
+        captured = capsys.readouterr()
+        assert re.search(r"^constraint-rows +FAIL ", captured.out, re.M)
+        assert "constraint-rows" in captured.err
 
 
 class TestBench:

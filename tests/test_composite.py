@@ -187,6 +187,45 @@ class TestCheckJacobians:
         assert report.max_rel_error_g > 1e-2
 
 
+    @staticmethod
+    def robust_logistic_stage():
+        """The stage-1 compiled problem of configs/robust_logistic.ini."""
+        from pathlib import Path
+
+        from drsum.cli import Experiment, load_config
+        from drsum.reductions import wasserstein_stages
+
+        exp = Experiment(load_config(Path(__file__).resolve().parents[1]
+                                     / "configs" / "robust_logistic.ini"))
+        x0 = exp.x0()
+        return wasserstein_stages(exp.objective, exp.constraints, exp.wcfg,
+                                  x0.size)(1, x0)
+
+    @pytest.mark.parametrize("scale, seed", [(0.1, 0), (1.0, 0), (1.0, 4),
+                                             (1.0, 28)])
+    def test_wasserstein_log_near_zero(self, scale, seed):
+        # at scale 0.1 (seed 0) a probe reads u = 1.17e-6, where an
+        # absolute step of 1e-6 (1 + |u|) misread the log's derivative by
+        # 33% (by 44% and 38% on seeds 4 and 28 at scale 1.0); at scale
+        # 1.0 probes also read u far below the penalty's constant term,
+        # where a step of 1e-6 |u| alone is lost in rounding
+        report = check_jacobians(self.robust_logistic_stage(), seed=seed,
+                                 scale=scale)
+        assert 0.0 < report.max_rel_error_f <= 1e-5
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_detects_wrong_outer_derivative(self, scale):
+        prob = self.robust_logistic_stage()
+        good_f = prob.f_outer
+
+        def bad_f(u):
+            val, deriv = good_f(u)
+            return val, 1.5 * deriv
+
+        report = check_jacobians(replace(prob, f_outer=bad_f), seed=0,
+                                 scale=scale)
+        assert report.max_rel_error_f > 1e-2
+
     def test_misshaped_g_jacobian_is_a_failed_probe(self):
         # p = 2: a (d,) jacobian cannot be the (p, d) one, and the checker
         # reports it instead of raising

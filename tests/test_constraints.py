@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import dr_logistic_rows, reference_set
+from drsum.composite import at_index
 from drsum.constraints import (
     ConstraintSet,
     ProjectionError,
@@ -18,11 +20,8 @@ class TestMaxViolation:
         assert max_violation(cset, np.array([-1.0, 0.5])) == 0.0
 
     def test_componentwise_max(self):
-        def oracle(i, x):
-            vals = [-1.0, 0.3, 0.1]
-            return vals[i], np.zeros(1)
-
-        cset = ConstraintSet(m=3, oracle=oracle)
+        cset = ConstraintSet.from_functions(
+            [lambda x, v=v: (v, np.zeros(1)) for v in (-1.0, 0.3, 0.1)])
         assert max_violation(cset, np.zeros(1)) == pytest.approx(0.3)
 
     def test_dr_logistic_binding_loss(self):
@@ -117,35 +116,37 @@ class TestProjectionError:
         assert err.value.residual == pytest.approx(2 * 1.125 ** 2 - 1.0)
 
 
-def counting(cset, keep_batches=False):
-    """cset with an oracle that logs each per-index evaluation; the batch
-    is dropped, so every read takes the per-index reference path, unless
-    keep_batches is set."""
+def counting(cset):
+    """cset with a batch that logs the rows of each read that names its
+    rows; a read of the whole set (idx None) is not logged."""
     calls = []
 
-    def oracle(i, x):
-        calls.append(i)
-        return cset.oracle(i, x)
+    def batch(idx, x, jac=True):
+        if idx is not None:
+            calls.append(idx)
+        return cset.batch(idx, x, jac=jac)
 
-    if keep_batches:
-        return replace(cset, oracle=oracle), calls
-    return replace(cset, oracle=oracle, batch=None), calls
+    return replace(cset, batch=batch), calls
+
+
+def disc(x):
+    return float(x @ x) - 1.0, 2.0 * x
 
 
 def disc_set():
-    def oracle(i, x):
-        return float(x @ x) - 1.0, 2.0 * x
-
-    return ConstraintSet(m=1, oracle=oracle)
+    return ConstraintSet.from_functions([disc])
 
 
 def disc_and_halfspace_set():
-    def oracle(i, x):
-        if i == 0:
-            return float(x @ x) - 1.0, 2.0 * x
-        return float(x[0]), np.array([1.0, 0.0])
+    return ConstraintSet.from_functions(
+        [disc, lambda x: (float(x[0]), np.array([1.0, 0.0]))])
 
-    return ConstraintSet(m=2, oracle=oracle)
+
+def drlogistic_data(seed):
+    """The drlogistic_m20 data of one data seed."""
+    from drsum.problems import make_synthetic
+
+    return make_synthetic("two_group_bias", m=20, seed=seed, min_gap=0.05)
 
 
 class TestSmoothProjection:
@@ -167,18 +168,17 @@ class TestSmoothProjection:
 
 
 class TestBatchJacobianProjection:
-    """The batch feeds the projection; the per-index oracle stays the
-    reference path, reached by dropping the field."""
+    """The batch feeds the projection; the per-index rows in conftest are
+    the reference path."""
 
     @staticmethod
     def dr_logistic_set(seed):
         """The drlogistic_m20 set of one data seed and the point its solve
         hands to the terminal projection."""
-        from drsum.problems import make_synthetic
         from drsum.reductions import WassersteinConfig, build_wasserstein
         from drsum.solver import SolverConfig, solve_restarted
 
-        data = make_synthetic("two_group_bias", m=20, seed=seed, min_gap=0.05)
+        data = drlogistic_data(seed)
         objective, cset = build_dr_logistic(data, eps_radius=0.1,
                                             kappa_flip=1.0)
         wcfg = WassersteinConfig(alpha=3.0, gamma=0.05)
@@ -198,16 +198,17 @@ class TestBatchJacobianProjection:
         assert max_violation(cset, x) > 1e-8
         fast, fast_residual, _ = project_feasible(cset, x)
         ref, ref_residual, _ = project_feasible(
-            replace(cset, batch=None), x)
+            reference_set(dr_logistic_rows(drlogistic_data(seed), 1.0),
+                          cset.m), x)
         assert fast_residual <= 1e-8 and ref_residual <= 1e-8
         assert np.max(np.abs(fast - ref)) <= 1e-6
 
     def test_solve_makes_no_per_index_evaluation(self, monkeypatch):
-        # the set has a batch, so the SQP never reads a row on its own
+        # the SQP reads the whole set at each point, never a subset of rows
         import drsum.constraints
 
         cset, x = self.dr_logistic_set(3000)
-        logged, calls = counting(cset, keep_batches=True)
+        logged, calls = counting(cset)
         per_solve = []
         minimize = drsum.constraints.minimize
 
@@ -229,10 +230,10 @@ class TestBatchJacobianProjection:
         cset, x = self.dr_logistic_set(3000)
         points = []
 
-        def batch(v, jac=True):
+        def batch(idx, v, jac=True):
             if jac:
                 points.append(v.copy())
-            return cset.batch(v, jac)
+            return cset.batch(idx, v, jac=jac)
 
         counted = replace(cset, batch=batch, jacobian_calls=0)
         _, residual, nit = project_feasible(counted, x)
@@ -243,8 +244,7 @@ class TestBatchJacobianProjection:
 
     def test_dykstra_reads_the_batch(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        cset, calls = counting(ConstraintSet.affine(A, np.ones(3)),
-                               keep_batches=True)
+        cset, calls = counting(ConstraintSet.affine(A, np.ones(3)))
         x_proj, _, _ = project_feasible(cset, np.array([2.0, 2.0]))
         assert calls == []
         assert np.allclose(x_proj, [0.5, 0.5], atol=1e-8)
@@ -321,13 +321,14 @@ class TestConstraintSet:
     def test_affine_tag_constant_gradient(self):
         cset = ConstraintSet.affine(np.array([[1.0, -2.0]]), np.array([0.5]))
         rng = np.random.default_rng(3)
-        g1 = cset.eval(0, rng.standard_normal(2))[1]
-        g2 = cset.eval(0, rng.standard_normal(2))[1]
+        g1 = at_index(cset.eval, 0, rng.standard_normal(2))[1]
+        g2 = at_index(cset.eval, 0, rng.standard_normal(2))[1]
         assert np.array_equal(g1, g2)
 
     def test_from_functions(self):
         cset = ConstraintSet.from_functions(
             [lambda x: (float(x[0]) - 1.0, np.array([1.0]))])
         assert cset.m == 1
-        assert cset.eval(0, np.array([3.0]))[0] == pytest.approx(2.0)
+        assert at_index(cset.eval, 0, np.array([3.0]))[0] == \
+            pytest.approx(2.0)
 

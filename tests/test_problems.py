@@ -182,16 +182,17 @@ class TestFairnessConstraints:
         cset = build_fairness_constraints(dataset, family,
                                           FairnessSpec(eps_slack=0.05,
                                                        surrogate_temp=5.0))
-        val, _ = cset.eval(1, np.zeros(1))
+        val, _ = at_index(cset.eval, 1, np.zeros(1))
         assert val == pytest.approx(0.15, abs=1e-9)
-        val0, _ = cset.eval(0, np.zeros(1))
+        val0, _ = at_index(cset.eval, 0, np.zeros(1))
         assert val0 == pytest.approx(0.8 - 1.0 - 0.05, abs=1e-9)
 
     def test_stacked_batch_and_one_psi_path(self, monkeypatch):
-        # the fairness set has no closed-form batch: its stacked adapter
-        # looks eval up at call time, so a class-level wrapper sees every
-        # read, and psi reads the mean loss once instead of once per h_i;
-        # the oracle fields are counted in rows
+        # the fairness set stacks its group functions in its batch, and
+        # values() and jacobian() read it through eval, looked up at call
+        # time, so a class-level wrapper sees every row read; psi reads the
+        # mean loss once instead of once per h_i; eval and the oracle
+        # fields are counted in rows
         from dataclasses import replace
 
         from drsum.composite import evaluate_psi
@@ -210,17 +211,20 @@ class TestFairnessConstraints:
         calls = dict.fromkeys(("eval", "value_grad", "g_oracle", "h_oracle"),
                               0)
 
-        def counted(name, method, weight=lambda *args: 1):
-            def wrapper(*args):
-                calls[name] += weight(*args)
-                return method(*args)
+        def counted(name, method, weight=lambda *args, **kwargs: 1):
+            def wrapper(*args, **kwargs):
+                calls[name] += weight(*args, **kwargs)
+                return method(*args, **kwargs)
             return wrapper
 
         def rows(idx, x):
             return len(idx)
 
+        def set_rows(self, idx, x, jac=True):
+            return self.m if idx is None else len(idx)
+
         monkeypatch.setattr(ConstraintSet, "eval",
-                            counted("eval", ConstraintSet.eval))
+                            counted("eval", ConstraintSet.eval, set_rows))
         monkeypatch.setattr(MeanLossObjective, "value_grad",
                             counted("value_grad", MeanLossObjective.value_grad))
         reference.g_oracle = counted("g_oracle", reference.g_oracle, rows)
@@ -239,9 +243,10 @@ class TestFairnessConstraints:
         assert (calls["value_grad"], calls["g_oracle"]) == (2, cset.m)
         assert psi == pytest.approx(expected, rel=1e-14, abs=0.0)
 
-        # the stacked path is resolved at each read, so a replace() copy
-        # reads its own oracles
-        zeroed = replace(cset, oracle=lambda i, v: (0.0, np.zeros(v.size)))
+        # the batch is resolved at each read, so a replace() copy reads its
+        # own field
+        zeroed = replace(cset, batch=lambda idx, v, jac=True: np.zeros(
+            cset.m if idx is None else len(idx)))
         assert not zeroed.values(x).any()
         evaluate_psi(replace(reference, h_oracle=counted(
             "h_oracle", reference.h_oracle, rows)), x)
@@ -255,12 +260,13 @@ class TestFairnessConstraints:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(family.dim)
         for j in range(cset.m):
-            _, grad = cset.eval(j, x)
+            _, grad = at_index(cset.eval, j, x)
             fd = np.zeros_like(x)
             for k in range(x.size):
                 e = np.zeros_like(x)
                 e[k] = 1e-6
-                fd[k] = (cset.eval(j, x + e)[0] - cset.eval(j, x - e)[0]) / 2e-6
+                fd[k] = (at_index(cset.eval, j, x + e)[0]
+                         - at_index(cset.eval, j, x - e)[0]) / 2e-6
             assert np.allclose(grad, fd, atol=1e-6)
 
     def test_group_without_positives_rejected(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from drsum.composite import (
     OracleCounter,
@@ -43,7 +44,13 @@ from drsum.reductions import (
     wasserstein_penalty,
 )
 
-from conftest import closed_form, rowwise
+from conftest import (
+    affine_rows,
+    closed_form,
+    convexified_rows,
+    dr_logistic_rows,
+    rowwise,
+)
 
 finite_floats = st.floats(min_value=-20.0, max_value=20.0,
                           allow_nan=False, allow_infinity=False)
@@ -123,23 +130,50 @@ def _family(kind, rng, m, d=3):
     return make_losses(kind, _dataset(rng, m, d), hidden=2)
 
 
+def fairness_rows(dataset, spec):
+    """The equal-opportunity rows of build_fairness_constraints over a
+    logistic family (score z_i . x), written as one array pass per group:
+    the surrogate tpr of the positives overall minus a group's, minus
+    eps."""
+    Z, temp = dataset.features, spec.surrogate_temp
+    positive = dataset.labels > 0
+
+    def tpr(rows, x):
+        sig = expit(temp * (Z[rows] @ x))
+        return sig.mean(), (temp * sig * (1.0 - sig)) @ Z[rows] / sig.size
+
+    groups = np.unique(dataset.group_ids)
+
+    def oracle(j, x):
+        all_tpr, all_grad = tpr(positive, x)
+        tpr_j, grad_j = tpr(positive & (dataset.group_ids == groups[j]), x)
+        return all_tpr - tpr_j - spec.eps_slack, all_grad - grad_j
+
+    return oracle
+
+
 def _objective_and_constraints(kind, rng, m, d=3):
-    """(objective, constraint set, decision dimension) of one set kind."""
+    """(objective, constraint set, its per-index reference rows, decision
+    dimension) of one set kind."""
     if kind == "dr_logistic":
-        objective, cset = build_dr_logistic(_dataset(rng, m, d), 0.1, 1.0)
-        return objective, cset, objective.slope.size
+        dataset = _dataset(rng, m, d)
+        objective, cset = build_dr_logistic(dataset, 0.1, 1.0)
+        return (objective, cset, dr_logistic_rows(dataset, 1.0),
+                objective.slope.size)
     if kind == "fairness":
         dataset = _dataset(rng, m, d)
         family = LogisticLosses(dataset)
         cset = build_fairness_constraints(dataset, family, FairnessSpec())
-        return MeanLossObjective(family), cset, d
-    cset = ConstraintSet.affine(rng.standard_normal((m, d)),
-                                rng.standard_normal(m))
+        return (MeanLossObjective(family), cset,
+                fairness_rows(dataset, FairnessSpec()), d)
+    A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+    cset, rows = ConstraintSet.affine(A, b), affine_rows(A, b)
     if kind == "affine":
-        return SquaredNormTerm(1.0), cset, d
+        return SquaredNormTerm(1.0), cset, rows, d
     # a smooth objective, so h takes the value_grad branch
-    cset = convexify_constraints(cset, rng.uniform(0.0, 1.0, size=m))
-    return MeanLossObjective(_family("quadratic", rng, m, d)), cset, d
+    mu = rng.uniform(0.0, 1.0, size=m)
+    return (MeanLossObjective(_family("quadratic", rng, m, d)),
+            convexify_constraints(cset, mu), convexified_rows(rows, mu), d)
 
 
 def _assert_paths_agree(problem, x):
@@ -205,19 +239,17 @@ def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
 def test_batched_wasserstein_psi_matches_per_index(set_kind, seed, m, scale,
                                                    alpha, gamma, anchored):
     rng = np.random.default_rng(seed)
-    objective, cset, dim = _objective_and_constraints(set_kind, rng, m)
+    objective, cset, rows, dim = _objective_and_constraints(set_kind, rng, m)
     x = scale * rng.standard_normal(dim)
-    per_index = [cset.eval(i, x)[0] for i in range(cset.m)]
+    per_index = [rows(i, x)[0] for i in range(cset.m)]
     np.testing.assert_allclose(cset.values(x), per_index,
                                rtol=1e-12, atol=1e-12)
     anchor = x + rng.standard_normal(dim) if anchored else None
     problem = build_wasserstein(objective, cset,
                                 WassersteinConfig(alpha=alpha, gamma=gamma),
                                 shift_anchor=anchor, dim=dim)
-    # psi reads the set's batch, which on the m=2 fairness set alone is
-    # the stacked adapter
+    # psi reads the set's values-only batch
     assert closed_form(problem.component_values)
-    assert closed_form(cset.batch) == (set_kind != "fairness")
     _assert_paths_agree(problem, x)
 
 
@@ -235,10 +267,10 @@ def test_both_paths_raise_out_of_range():
                 evaluate_psi(path, x)
 
 
-# -- batched constraint jacobians against the stacked per-index oracle ---
+# -- constraint rows against the per-index references -------------------
 
 JACOBIAN_SETS = ("dr_logistic", "affine", "convexified_affine",
-                 "convexified_functions")
+                 "convexified_functions", "fairness", "from_functions")
 
 
 def _ball_constraint(center, radius):
@@ -249,49 +281,70 @@ def _ball_constraint(center, radius):
 
 
 def _jacobian_set(kind, rng, m, d, mu_positive):
-    """(constraint set with a closed-form batch, decision dimension) of
-    one kind."""
+    """(constraint set, its per-index reference rows, decision dimension)
+    of one kind."""
     if kind == "dr_logistic":
-        _, cset = build_dr_logistic(_dataset(rng, m, d),
-                                    rng.uniform(0.01, 1.0),
-                                    rng.uniform(0.1, 3.0))
-        return cset, d + 1 + m
-    if kind == "convexified_functions":
-        inner = ConstraintSet.from_functions(
-            [_ball_constraint(rng.standard_normal(d), rng.uniform(0.1, 2.0))
-             for _ in range(m)])
+        dataset, kappa = _dataset(rng, m, d), rng.uniform(0.1, 3.0)
+        _, cset = build_dr_logistic(dataset, rng.uniform(0.01, 1.0), kappa)
+        return cset, dr_logistic_rows(dataset, kappa), d + 1 + m
+    if kind == "fairness":
+        dataset = _dataset(rng, m, d)
+        spec = FairnessSpec(eps_slack=rng.uniform(0.0, 0.2),
+                            surrogate_temp=rng.uniform(0.5, 10.0))
+        cset = build_fairness_constraints(dataset, LogisticLosses(dataset),
+                                          spec)
+        return cset, fairness_rows(dataset, spec), d
+    if kind in ("from_functions", "convexified_functions"):
+        funcs = [_ball_constraint(rng.standard_normal(d),
+                                  rng.uniform(0.1, 2.0)) for _ in range(m)]
+        inner = ConstraintSet.from_functions(funcs)
+
+        def rows(i, x):
+            return funcs[i](x)
     else:
-        inner = ConstraintSet.affine(rng.standard_normal((m, d)),
-                                     rng.standard_normal(m))
-        if kind == "affine":
-            return inner, d
+        A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+        inner, rows = ConstraintSet.affine(A, b), affine_rows(A, b)
+    if kind in ("affine", "from_functions"):
+        return inner, rows, d
     mu = rng.uniform(0.0, 1.0, size=m) if mu_positive else np.zeros(m)
-    return convexify_constraints(inner, mu), d
+    return convexify_constraints(inner, mu), convexified_rows(rows, mu), d
 
 
 @pytest.mark.parametrize("set_kind", JACOBIAN_SETS)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 10),
        d=st.integers(1, 4), scale=st.floats(0.0, 3.0),
-       mu_positive=st.booleans(), zero_beta=st.booleans())
+       mu_positive=st.booleans(), zero_beta=st.booleans(),
+       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=20))
 def test_batch_jacobian_matches_per_index(set_kind, seed, m, d, scale,
-                                          mu_positive, zero_beta):
+                                          mu_positive, zero_beta, picks):
+    """eval on an index multiset with repeats, and on the whole set (idx
+    None), equals the per-index reference rows to rounding; the
+    values-only read equals the values of the jacobian read bit for bit;
+    values() and jacobian() are the whole-set reads."""
     rng = np.random.default_rng(seed)
-    cset, dim = _jacobian_set(set_kind, rng, m, d, mu_positive)
+    cset, rows, dim = _jacobian_set(set_kind, rng, m, d, mu_positive)
     x = scale * rng.standard_normal(dim)
     if set_kind == "dr_logistic" and zero_beta:
         x[:d] = 0.0  # the norm cone's kink: its beta part is zero
-    assert closed_form(cset.batch)
-    values, jac = cset.jacobian(x)
-    ref_values, ref_jac = replace(cset, batch=None).jacobian(x)
-    assert jac.shape == ref_jac.shape == (cset.m, dim)
-    np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(jac, ref_jac, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(values, cset.values(x), rtol=1e-12, atol=1e-12)
-    for i in range(cset.m):
-        val, grad = cset.eval(i, x)
-        assert ref_values[i] == val
-        assert np.array_equal(ref_jac[i], grad)
+    idx = np.array(picks) % cset.m
+    for chosen in (idx, None):
+        values, jac = cset.eval(chosen, x)
+        ref = [rows(i, x) for i in (range(cset.m) if chosen is None
+                                    else chosen)]
+        ref_values = np.array([value for value, _ in ref])
+        ref_jac = np.array([grad for _, grad in ref])
+        assert jac.shape == ref_jac.shape == (len(ref), dim)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-12,
+                                   atol=1e-12)
+        np.testing.assert_allclose(jac, ref_jac, rtol=1e-12, atol=1e-12)
+        only = cset.eval(chosen, x, jac=False)
+        assert only.shape == values.shape
+        assert only.tobytes() == values.tobytes()
+    full = cset.eval(None, x)
+    assert cset.values(x).tobytes() == full[0].tobytes()
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(cset.jacobian(x), full))
 
 
 # -- batched estimators against the per-index adapter --------------------
@@ -302,7 +355,7 @@ def _estimator_problem(kind, rng, m, gamma, anchored):
     mean (a plain sequence of loss functions among them), or of the
     Wasserstein form over a constraint set."""
     if kind in CONSTRAINT_SETS:
-        objective, cset, dim = _objective_and_constraints(kind, rng, m)
+        objective, cset, _, dim = _objective_and_constraints(kind, rng, m)
         anchor = rng.standard_normal(dim) if anchored else None
         return build_wasserstein(objective, cset,
                                  WassersteinConfig(alpha=1.0, gamma=gamma),

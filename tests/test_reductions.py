@@ -3,7 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drsum.composite import OracleCounter, check_jacobians, evaluate_psi, full_phi_gradient
+from drsum.composite import (
+    OracleCounter,
+    at_index,
+    check_jacobians,
+    evaluate_psi,
+    full_phi_gradient,
+)
 from drsum.constraints import ConstraintSet
 from drsum.proxlib import SquaredNormTerm
 from drsum.reductions import (
@@ -320,7 +326,7 @@ class TestDrLogistic:
         y = np.array([-1.0])
         _, cset = build_dr_logistic((Z, y), eps_radius=0.1, kappa_flip=1.0)
         x = np.zeros(4)  # beta = 0, lam = 0, s = 0
-        val, _ = cset.eval(0, x)
+        val, _ = at_index(cset.eval, 0, x)
         assert val == pytest.approx(np.log(2.0))
 
     def test_hand_evaluated_constraints(self):
@@ -349,12 +355,13 @@ class TestDrLogistic:
         x = rng.standard_normal(2 + 1 + 3)
         x[2] = abs(x[2]) + 1.0  # keep lam away from the norm-cone kink
         for i in range(cset.m):
-            val, grad = cset.eval(i, x)
+            val, grad = at_index(cset.eval, i, x)
             fd = np.zeros_like(x)
             for k in range(x.size):
                 e = np.zeros_like(x)
                 e[k] = 1e-6
-                fd[k] = (cset.eval(i, x + e)[0] - cset.eval(i, x - e)[0]) / 2e-6
+                fd[k] = (at_index(cset.eval, i, x + e)[0]
+                         - at_index(cset.eval, i, x - e)[0]) / 2e-6
             assert np.allclose(grad, fd, atol=1e-5)
 
     def test_empty_dataset_rejected(self):
@@ -364,27 +371,27 @@ class TestDrLogistic:
 
 class TestConvexify:
     def base_set(self):
-        def oracle(i, x):
-            return -float(x[0]) ** 2, np.array([-2.0 * x[0]])
-
-        return ConstraintSet(m=1, oracle=oracle)
+        return ConstraintSet.from_functions(
+            [lambda x: (-float(x[0]) ** 2, np.array([-2.0 * x[0]]))])
 
     def test_zero_shift_is_identity(self):
         cset = self.base_set()
         out = convexify_constraints(cset, [0.0])
         x = np.array([1.7])
-        assert out.eval(0, x) == cset.eval(0, x)
+        for a, b in zip(out.eval([0], x), cset.eval([0], x)):
+            assert np.array_equal(a, b)
 
     def test_symbolic_sum(self):
         out = convexify_constraints(self.base_set(), [2.0])
-        val, grad = out.eval(0, np.array([3.0]))
+        val, grad = at_index(out.eval, 0, np.array([3.0]))
         assert val == pytest.approx(9.0)
         assert grad[0] == pytest.approx(6.0)
 
     def test_shift_vanishes_at_origin(self):
         cset = self.base_set()
         out = convexify_constraints(cset, [5.0])
-        assert out.eval(0, np.zeros(1))[0] == cset.eval(0, np.zeros(1))[0]
+        assert at_index(out.eval, 0, np.zeros(1))[0] == \
+            at_index(cset.eval, 0, np.zeros(1))[0]
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
@@ -544,15 +551,58 @@ def test_wasserstein_oracles_bit_for_bit(objective_kind):
     prob = build_wasserstein(objective, cset,
                              WassersteinConfig(alpha=alpha, gamma=gamma),
                              shift_anchor=anchor, dim=d)
-    vals = np.array([cset.eval(i, anchor)[0] for i in range(cset.m)])
+    vals = cset.eval(np.arange(cset.m), anchor)[0]
     shift = max(0.0, float(np.max(alpha * vals / gamma)))
 
     def g_formula(idx):
-        # the constraint rows are read one by one, as per-index evals
-        val = np.array([cset.eval(i, x)[0] for i in idx])
-        grad = np.array([cset.eval(i, x)[1] for i in idx])
+        # the sampled constraint rows are read in one batch
+        val, grad = cset.eval(idx, x)
         gv = np.exp(alpha * val / gamma - shift)
         return gv[:, None], ((gv * alpha / gamma)[:, None] * grad)[:, None, :]
 
     _assert_oracles_equal(prob, x, g_formula, h_formula,
                           idx=PINNED_ROWS[PINNED_ROWS < cset.m])
+
+
+@pytest.mark.parametrize("set_kind", ("dr_logistic", "fairness"))
+def test_wasserstein_reads_constraints_through_eval(set_kind, monkeypatch):
+    """The compiled g_oracle, the anchor shift, values() and jacobian()
+    each read the set through ConstraintSet.eval, looked up at call time,
+    so a class-level wrapper installed after the build sees every row
+    read (the benchmark's traced run times the constraint layer so, on
+    drlogistic_m20 and fairness_m120)."""
+    from drsum.problems import (FairnessSpec, LogisticLosses,
+                                MeanLossObjective, build_fairness_constraints,
+                                make_synthetic)
+
+    data = make_synthetic("two_group_bias", m=12, seed=1, min_gap=0.1)
+    if set_kind == "dr_logistic":
+        objective, cset = build_dr_logistic(data, 0.1, 1.0)
+        dim = objective.slope.size
+    else:
+        family = LogisticLosses(data)
+        objective, dim = MeanLossObjective(family), family.dim
+        cset = build_fairness_constraints(data, family, FairnessSpec())
+    wcfg = WassersteinConfig(alpha=3.0, gamma=0.5)
+    x = 0.1 * np.random.default_rng(0).standard_normal(dim)
+    prob = build_wasserstein(objective, cset, wcfg, dim=dim)
+    reads = []
+    unwrapped = ConstraintSet.eval
+
+    def counted(self, idx, x, jac=True):
+        reads.append((self.m if idx is None else len(idx), jac))
+        return unwrapped(self, idx, x, jac)
+
+    monkeypatch.setattr(ConstraintSet, "eval", counted)
+    idx = np.array([0, cset.m - 1, cset.m - 1, 1])
+    prob.g_oracle(idx, x)
+    assert reads == [(4, True)]
+    cset.values(x)
+    assert reads[-1] == (cset.m, False)
+    cset.jacobian(x)
+    assert reads[-1] == (cset.m, True)
+    evaluate_psi(prob, x)  # the exact objective reads the values alone
+    assert reads[-1] == (cset.m, False)
+    build_wasserstein(objective, cset, wcfg, shift_anchor=x, dim=dim)
+    assert reads[-1] == (cset.m, True)  # the shift reads the estimators' rows
+    assert sum(rows for rows, _ in reads) == 4 + 4 * cset.m

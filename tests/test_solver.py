@@ -30,7 +30,7 @@ from drsum.solver import (
     solve_restarted,
 )
 
-from conftest import closed_form
+from conftest import affine_rows, closed_form, reference_set
 
 
 def fresh_state(x0, p, d):
@@ -571,11 +571,13 @@ class TestBatchDiagnosticsLeaveSolverAlone:
     def test_anchor_shift_ignores_batch_values(self):
         from drsum.reductions import build_wasserstein
 
-        # the anchored shift enters every g_i, so a batch that differs
-        # from the per-index values (here by 1e-9) must not move them
+        # the anchored shift enters every g_i, so a values-only read that
+        # differs from the rows the estimators read (here by 1e-9) must not
+        # move them
         cset = ConstraintSet.affine(np.eye(2), np.ones(2))
-        skewed = replace(cset, batch=lambda x, jac=True: (
-            (x - 1.0 + 1e-9, np.eye(2)) if jac else x - 1.0 + 1e-9))
+        skewed = replace(cset, batch=lambda idx, x, jac=True: (
+            cset.batch(idx, x) if jac
+            else cset.batch(idx, x, jac=False) + 1e-9))
         wcfg = WassersteinConfig(alpha=2.0, gamma=0.1)
         x = np.array([0.5, 2.0])
         exact, fuzzy = (
@@ -595,9 +597,11 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         cset = ConstraintSet.affine(np.eye(5), np.full(5, 0.1))
         cfg = SolverConfig(eta=0.002, T=3, K=2, seed=3, grad_map_every=2)
         fast = solve_restarted(prob, np.ones(5), cfg, constraints=cset)
-        ref = solve_restarted(replace(prob, component_values=None), np.ones(5),
-                              cfg, constraints=replace(cset, batch=None))
-        assert closed_form(prob.component_values) and closed_form(cset.batch)
+        ref = solve_restarted(
+            replace(prob, component_values=None), np.ones(5), cfg,
+            constraints=reference_set(
+                affine_rows(np.eye(5), np.full(5, 0.1)), 5))
+        assert closed_form(prob.component_values)
         self.assert_same_run(fast, ref)
 
     def test_dist_solve(self):
@@ -625,15 +629,17 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         wcfg = WassersteinConfig(alpha=3.0, gamma=0.05)
         cfg = SolverConfig(eta=0.002, T=60, K=2, seed=0)  # projection runs
         x0 = np.zeros(objective.slope.size)
-        # the reference reads its values per index and keeps the closed
-        # form jacobian, so the projection sees the same rows as the fast run
-        stacked = replace(cset, batch=None)
-        ref_set = replace(cset, batch=lambda x, jac=True: (
-            cset.batch(x) if jac else stacked.values(x)))
+        # the reference's values-only read takes the values of the full
+        # jacobian read; every other read is the fast run's own
+        ref_set = replace(cset, batch=lambda idx, x, jac=True: (
+            cset.batch(idx, x) if jac else cset.batch(idx, x)[0]))
         fast = constrained_solve(objective, cset, wcfg, cfg, x0)
         ref = constrained_solve(objective, ref_set, wcfg, cfg, x0)
-        assert closed_form(cset.batch) and not closed_form(stacked.batch)
         self.assert_same_run(fast, ref)
+        # both reads compute the values alike, so the runs agree bit for bit
+        assert [(a.psi, a.max_violation) for a in fast.trajectory] == \
+            [(b.psi, b.max_violation) for b in ref.trajectory]
+        assert fast.final_psi == ref.final_psi
         assert np.array_equal(fast.stage_outputs[-1], ref.stage_outputs[-1])
         assert fast.projection["iterations"] == \
             ref.projection["iterations"] > 0

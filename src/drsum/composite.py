@@ -12,8 +12,13 @@ objectives into it.
 The oracle fields are batch-first: g_oracle and h_oracle take a 1-D
 array of component indices (repeats allowed) and return every sampled
 row in one call, so an estimator update costs one call per field and
-point, however many rows it samples; loss families and constraint sets
-read rows with the same eval(idx, x).  per_index stacks per-index
+point, however many rows it samples.  Given segments=, a list of
+consecutive segment lengths, batch_estimates and delta_update reduce
+each segment of the batch on its own and charge each segment's
+counter by its length, so the simulated workers of the distributed
+solver share one call per field and point per step across all
+workers.  Loss families and constraint sets read rows with the same
+eval(idx, x).  per_index stacks per-index
 callables (i, x) -> (value, derivative) into such a field, for hand-built
 problems, plain sequences of loss functions and from_functions
 constraint sets.  at_index reads one component through a batch field.
@@ -34,6 +39,7 @@ has none.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Callable, Optional
 
@@ -144,37 +150,80 @@ def _charge(counter, calls):
         counter.h_gradient_calls += calls
 
 
-def batch_estimates(problem, indices, x, counter=None):
+def _segments(n, segments, counter):
+    """(counter, lo, hi) of each consecutive row segment of an n-row
+    batch: every row, charged to counter, when segments is None; else
+    one segment per length, charged to its own counter[k].  Lengths stay
+    built-in ints, so the counters they charge stay JSON-safe."""
+    if segments is None:
+        return [(counter, 0, n)]
+    parts, lo = [], 0
+    for c, size in zip(counter, map(operator.index, segments), strict=True):
+        if size < 1:
+            raise ValueError(f"segment lengths must be positive, got {size}")
+        parts.append((c, lo, lo + size))
+        lo += size
+    if lo != n:
+        raise ValueError(f"segment lengths sum to {lo}, not the batch "
+                         f"size {n}")
+    return parts
+
+
+def batch_estimates(problem, indices, x, counter=None, segments=None):
     """Means of g values, g jacobians and h gradients over the index batch:
     one call per oracle field, reduced over the rows in index order.
-    Charges n calls per family for n indices."""
+    Charges n calls per family for n indices.
+
+    Given segments, a list of consecutive segment lengths summing to the
+    batch size, it returns one triple per segment, each the mean over
+    that segment's rows, and counter is a sequence of one counter (or
+    None) per segment, charged by its segment's length; the oracle calls
+    are still one per field.
+    """
     idx = _index_batch(indices)
-    n = idx.size
+    parts = _segments(idx.size, segments, counter)
     g_vals, g_jacs = problem.g_oracle(idx, x)
     h_grads = problem.h_oracle(idx, x)[1]
-    _charge(counter, n)
-    return (g_vals.sum(axis=0) / n, g_jacs.sum(axis=0) / n,
-            h_grads.sum(axis=0) / n)
+    triples = []
+    for c, lo, hi in parts:
+        n = hi - lo
+        _charge(c, n)
+        triples.append((g_vals[lo:hi].sum(axis=0) / n,
+                        g_jacs[lo:hi].sum(axis=0) / n,
+                        h_grads[lo:hi].sum(axis=0) / n))
+    return triples[0] if segments is None else triples
 
 
-def delta_update(problem, indices, x_new, x_old, y, z, w, counter=None):
+def delta_update(problem, indices, x_new, x_old, y, z, w, counter=None,
+                 segments=None):
     """One incremental correction of the three estimators.
 
     Returns (y', z', w') with, e.g.,
         y' = y + (1/|S|) sum_{i in S} [g_i(x_new) - g_i(x_old)],
     calling each oracle field once per point on the whole batch and
     charging 2n calls per family for n indices.
+
+    Given segments (see batch_estimates), y, z and w are sequences of
+    one estimator per segment, counter is one counter per segment, and
+    it returns one corrected triple per segment, each over its own rows.
     """
     idx = _index_batch(indices)
-    n = idx.size
+    parts = _segments(idx.size, segments, counter)
     g_new, j_new = problem.g_oracle(idx, x_new)
     g_old, j_old = problem.g_oracle(idx, x_old)
     h_new = problem.h_oracle(idx, x_new)[1]
     h_old = problem.h_oracle(idx, x_old)[1]
-    _charge(counter, 2 * n)
-    return (y + (g_new - g_old).sum(axis=0) / n,
-            z + (j_new - j_old).sum(axis=0) / n,
-            w + (h_new - h_old).sum(axis=0) / n)
+    if segments is None:
+        y, z, w = (y,), (z,), (w,)
+    dg, dj, dh = g_new - g_old, j_new - j_old, h_new - h_old
+    triples = []
+    for y_k, z_k, w_k, (c, lo, hi) in zip(y, z, w, parts, strict=True):
+        n = hi - lo
+        _charge(c, 2 * n)
+        triples.append((y_k + dg[lo:hi].sum(axis=0) / n,
+                        z_k + dj[lo:hi].sum(axis=0) / n,
+                        w_k + dh[lo:hi].sum(axis=0) / n))
+    return triples[0] if segments is None else triples
 
 
 def evaluate_psi(problem, x, counter=None):

@@ -6,6 +6,10 @@ the server averages the worker estimators (weighted by shard size, in
 fixed worker order), takes the proximal step, and broadcasts the
 iterate.  The simulation is a synchronous round model: no networking,
 no failures, and results are independent of worker execution order.
+It costs one call per oracle field and point per step across all
+workers: each step concatenates the workers' sampled rows into one
+batch, and every worker's estimators and per-device counter advance by
+its own segment of it.  exec_order orders only the per-worker draws.
 
 The epoch loop and the stage driver live in the solver module: the
 loop reports each proximal step through one hook, and the driver
@@ -19,6 +23,7 @@ bit with it under the same seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,8 +89,11 @@ def dist_run_epoch(problem, state, t, dcfg: DistConfig, shards,
                    worker_rngs, device_counters, server_counter, *,
                    stage=1, exec_order=None, on_step=None):
     """One synchronous distributed epoch: the solver's sharded epoch with
-    one shard per worker, visited in exec_order and reduced in fixed
-    index order.  Returns the state, which carries the server-averaged
+    one shard per worker.  Each step makes one call per oracle field and
+    point for all workers together; each worker's estimators and
+    device counter advance by its own segment of the batch.  exec_order
+    orders only the per-worker draws; the server reduces in fixed index
+    order.  Returns the state, which carries the server-averaged
     estimators.
     """
     return _sharded_epoch(
@@ -106,9 +114,11 @@ def dist_solve(problem_builder, x0, dcfg: DistConfig, *,
     worker_rngs = [np.random.default_rng(dcfg.seed ^ i) for i in range(dcfg.p)]
     device_counters = [OracleCounter() for _ in range(dcfg.p)]
     server_counter = OracleCounter()
+    # resolve_partition sorts, concatenates and validates: once per run
+    partition = functools.cache(dcfg.resolve_partition)
     # looked up per call, so wrappers of the module name see every epoch
     epoch = lambda problem, state, t, **hook: dist_run_epoch(
-        problem, state, t, dcfg, dcfg.resolve_partition(problem.m),
+        problem, state, t, dcfg, partition(problem.m),
         worker_rngs, device_counters, server_counter,
         exec_order=exec_order, **hook)
     report = _run_stages(problem_builder, x0, dcfg, epoch, device_counters,

@@ -205,9 +205,15 @@ def split_batch(total, shard_sizes):
     return [int(s) for s in shares]
 
 
-def _sample(shard, rng, n):
-    """n uniform draws, with replacement, from the shard's indices."""
-    return shard[rng.integers(0, len(shard), size=n)]
+def _draw(shards, rngs, shares, order):
+    """shares[i] uniform draws, with replacement, from each shard's indices
+    with its own stream rngs[i], drawn in `order` and concatenated in
+    shard-index order."""
+    draws = [None] * len(shards)
+    for i in order:
+        draws[i] = shards[i][rngs[i].integers(0, len(shards[i]),
+                                              size=shares[i])]
+    return np.concatenate(draws)
 
 
 def _weighted_sum(parts, weights):
@@ -222,12 +228,16 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     """The epoch loop, over components split into shards.
 
     Shard i keeps its own estimator triple, samples from shards[i] with
-    rngs[i] and charges its oracle calls to counters[i]; shards are
-    visited in `order` and reduced in index order.  The opening batch of
-    B_t splits across the shards by size (every shard in full when
-    B_t = m).  Each of the tau proximal steps uses the size-weighted
-    mean of the shard estimators and charges its outer-map and prox
-    calls to server_counter.
+    rngs[i] and charges its oracle calls to counters[i].  Each read of
+    the estimators concatenates the shards' rows, in shard-index order,
+    into one batch: one call per oracle field and point for all shards
+    together, reduced per shard over its own contiguous segment, which
+    charges that shard's counter.  `order` orders only the per-shard
+    draws.  The opening batch of B_t splits across the shards by size
+    (every shard in full when B_t = m).  Each of the tau proximal steps
+    uses the size-weighted mean of the shard estimators, reduced in
+    index order, and charges its outer-map and prox calls to
+    server_counter.
 
     A full inner pass (S_t = m) corrects the estimators with the
     association exact_mean(x_new) + (estimate - exact_mean(x_old)),
@@ -252,31 +262,32 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     order = range(len(shards)) if order is None else order
     sizes = [len(shard) for shard in shards]
     weights = [size / m for size in sizes]
-    b_shares = None if B >= m else split_batch(B, sizes)
+    shares = sizes if B >= m else split_batch(B, sizes)
+    inner = [S] * len(shards)
+    every = np.concatenate(shards) if max(B, S) >= m else None
 
     x_cur = np.asarray(x, dtype=float)
     x_prev = x_cur
-    est = [None] * len(shards)
     j = 0
     try:
-        for i in order:
-            batch = (shards[i] if b_shares is None
-                     else _sample(shards[i], rngs[i], b_shares[i]))
-            est[i] = batch_estimates(problem, batch, x_cur, counters[i])
+        # batch_estimates and delta_update are read from this module at
+        # call time, so wrappers of the module names see every call
+        batch = every if B >= m else _draw(shards, rngs, shares, order)
+        est = batch_estimates(problem, batch, x_cur, counters,
+                              segments=shares)
 
         for j in range(tau):
             if j > 0:
-                for i in order:
-                    if S >= m:
-                        new, old = (batch_estimates(problem, shards[i], point,
-                                                    counters[i])
-                                    for point in (x_cur, x_prev))
-                        est[i] = tuple(a + (e - b)
-                                       for a, e, b in zip(new, est[i], old))
-                    else:
-                        est[i] = delta_update(
-                            problem, _sample(shards[i], rngs[i], S),
-                            x_cur, x_prev, *est[i], counters[i])
+                if S >= m:
+                    new, old = (batch_estimates(problem, every, point,
+                                                counters, segments=sizes)
+                                for point in (x_cur, x_prev))
+                    est = [tuple(a + (e - b) for a, e, b in zip(*triples))
+                           for triples in zip(new, est, old)]
+                else:
+                    est = delta_update(
+                        problem, _draw(shards, rngs, inner, order),
+                        x_cur, x_prev, *zip(*est), counters, segments=inner)
             y, z, w = (_weighted_sum(parts, weights) for parts in zip(*est))
             _, fprime = problem.f_outer(y)
             grad_est = z.T @ fprime + w

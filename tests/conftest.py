@@ -3,9 +3,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from drsum.composite import at_index, per_index
+from drsum.composite import (
+    EpochState,
+    at_index,
+    batch_estimates,
+    delta_update,
+    per_index,
+)
 from drsum.constraints import ConstraintSet
 from drsum.problems import sigmoid
+from drsum.solver import _weighted_sum, split_batch
 
 
 def closed_form(batch):
@@ -18,6 +25,53 @@ def rowwise(batch):
     """A batch oracle field read one row at a time: the per-index adapter
     over its one-row calls, the reference a batch path must agree with."""
     return per_index(lambda i, x: at_index(batch, i, x))
+
+
+def per_shard_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
+                    server_counter, *, stage, on_step, order=None):
+    """The sharded epoch loop with one batch_estimates or delta_update call
+    per shard, visited in order: the reference the solver's joint batch,
+    one call per field and point for all shards, must equal bit for bit.
+    Takes and returns what solver._sharded_epoch does, without its
+    non-finite checks."""
+    m = problem.m
+    tau, S, B = schedule.params(t, m)
+    order = range(len(shards)) if order is None else order
+    sizes = [len(shard) for shard in shards]
+    weights = [size / m for size in sizes]
+    b_shares = None if B >= m else split_batch(B, sizes)
+
+    def sample(i, n):
+        return shards[i][rngs[i].integers(0, len(shards[i]), size=n)]
+
+    x_cur = x_prev = np.asarray(x, dtype=float)
+    est = [None] * len(shards)
+    for i in order:
+        batch = shards[i] if b_shares is None else sample(i, b_shares[i])
+        est[i] = batch_estimates(problem, batch, x_cur, counters[i])
+    for j in range(tau):
+        if j > 0:
+            for i in order:
+                if S >= m:
+                    new, old = (batch_estimates(problem, shards[i], point,
+                                                counters[i])
+                                for point in (x_cur, x_prev))
+                    est[i] = tuple(a + (e - b)
+                                   for a, e, b in zip(new, est[i], old))
+                else:
+                    est[i] = delta_update(problem, sample(i, S), x_cur,
+                                          x_prev, *est[i], counters[i])
+        y, z, w = (_weighted_sum(parts, weights) for parts in zip(*est))
+        _, fprime = problem.f_outer(y)
+        grad_est = z.T @ fprime + w
+        x_prev = x_cur
+        x_cur = problem.r_term.prox(x_cur - eta * grad_est, eta)
+        server_counter.f_outer_calls += 1
+        server_counter.prox_calls += 1
+        if on_step is not None:
+            on_step(stage, t, j, tau, x_prev, grad_est, x_cur)
+    return EpochState(x=x_cur, est_g_value=y, est_g_jac=z, est_h_grad=w,
+                      x_prev=x_prev)
 
 
 def quadratic_losses(m=16, d=5, seed=7, cond=10.0, noise=0.5):

@@ -145,6 +145,24 @@ class TestSolve:
         assert len(rows) == 100
         assert all(row.split(",")[6] == "" for row in rows)
 
+    def test_distributed_summary_is_strict_json_of_ints(self, tmp_path):
+        # four workers: the devices' g and h calls sum to the totals, and
+        # every counter is an int that json writes and reads back
+        out = tmp_path / "run"
+        assert main(["solve", KL_CONFIG, "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite literal {token}")
+
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            summary = json.load(fh, parse_constant=reject)
+        devices = summary["per_device_counters"]
+        assert len(devices) == 4
+        for counter in [summary["counters"], *devices]:
+            assert all(type(v) is int for v in counter.values())
+        for name in ("g_value_calls", "h_gradient_calls"):
+            assert sum(c[name] for c in devices) == summary["counters"][name]
+
 
 NONCONVEX_TOY = """
 [problem]

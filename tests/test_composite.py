@@ -320,3 +320,44 @@ class TestBatchCalls:
         assert log["g"] == log["h"] == per_epoch * 6
         assert report.counters.g_value_calls == sum(log["g"]) == \
             expected_oracle_calls(cfg.schedule, 3, 16, 2)
+
+    def test_segments_reduce_each_segment_in_one_call(self):
+        from drsum.composite import batch_estimates, delta_update
+
+        prob, log = self.recorded(make_linear_quadratic(m=6))
+        idx = np.array([0, 5, 5, 2, 3, 1])
+        lengths = [2, 1, 3]
+        pieces = np.split(idx, [2, 3])
+        x_old, x_new = np.zeros(3), np.ones(3)
+        counters = [OracleCounter(), None, OracleCounter()]
+
+        opened = batch_estimates(prob, idx, x_old, counters,
+                                 segments=lengths)
+        corrected = delta_update(prob, idx, x_new, x_old, *zip(*opened),
+                                 counters, segments=lengths)
+        assert log == {"g": [6, 6, 6], "h": [6, 6, 6]}
+        assert counters[0] == OracleCounter(6, 6)
+        assert counters[2] == OracleCounter(9, 9)
+
+        def same(a, b):
+            return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+        for rows, start, end in zip(pieces, opened, corrected):
+            assert same(start, batch_estimates(prob, rows, x_old))
+            assert same(end, delta_update(prob, rows, x_new, x_old, *start))
+
+    @pytest.mark.parametrize("lengths", [[2, 3], [2, 1, 4], [3, 0, 3]],
+                             ids=["short", "long", "empty_segment"])
+    def test_segments_must_tile_the_batch(self, lengths):
+        from drsum.composite import batch_estimates, delta_update
+
+        prob = make_linear_quadratic(m=6)
+        idx = np.arange(6)
+        x = np.zeros(3)
+        counters = [None] * len(lengths)
+        with pytest.raises(ValueError, match="segment"):
+            batch_estimates(prob, idx, x, counters, segments=lengths)
+        ests = [(np.zeros(2), np.zeros((2, 3)), np.zeros(3))] * len(lengths)
+        with pytest.raises(ValueError, match="segment"):
+            delta_update(prob, idx, x, x, *zip(*ests), counters,
+                         segments=lengths)

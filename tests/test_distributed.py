@@ -1,10 +1,11 @@
-from dataclasses import asdict
+from collections import Counter
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import drsum.distributed as distributed
 from drsum.constraints import ConstraintSet, max_violation
-
 from drsum.distributed import (
     DistConfig,
     dist_expected_oracle_calls,
@@ -22,7 +23,7 @@ from drsum.reductions import (
 )
 from drsum.solver import SolverConfig, Schedule, expected_oracle_calls, solve_restarted
 
-from conftest import quadratic_losses
+from conftest import per_shard_epoch, quadratic_losses
 
 
 def chi2_problem(m=16, gamma=10.0, seed=7):
@@ -232,6 +233,88 @@ class TestAggregationOrder:
         permuted = dist_solve(prob, np.zeros(d), dcfg, exec_order=[3, 1, 0, 2])
         assert np.array_equal(base.final_x, permuted.final_x)
         assert [r.psi for r in base.trajectory] == [r.psi for r in permuted.trajectory]
+
+
+class TestJointBatch:
+    """Each step reads all workers' rows in one call per oracle field and
+    point; that must change nothing against one call per worker."""
+
+    # a shuffled partition of the 16 components into shards of 3, 5, 8
+    UNEQUAL = np.split(np.random.default_rng(2).permutation(16), [3, 8])
+
+    @pytest.mark.parametrize("extra, exec_order", [
+        (dict(p=4), None),
+        (dict(p=3, partition=UNEQUAL), None),
+        # B_t = 4, 9, 16: the 9 splits 3/2/2/2 across the workers
+        (dict(p=4, schedule=Schedule(mode="adaptive", beta=1.0, zeta=1.0)),
+         None),
+        (dict(p=4, schedule=Schedule(mode="full_batch", tau=3)), None),
+        (dict(p=4), [3, 1, 0, 2]),
+    ], ids=["p4", "unequal_partition", "adaptive", "full_batch",
+            "exec_order"])
+    def test_bit_identical_to_per_shard_calls(self, monkeypatch, extra,
+                                              exec_order):
+        prob, d = chi2_problem()
+        dcfg = DistConfig(eta=0.05, T=3, K=2, seed=13, **extra)
+
+        def run():
+            return dist_solve(prob, np.zeros(d), dcfg, exec_order=exec_order)
+
+        joint = run()
+        monkeypatch.setattr(distributed, "_sharded_epoch", per_shard_epoch)
+        reference = run()
+
+        assert joint.final_x.tobytes() == reference.final_x.tobytes()
+        assert len(joint.trajectory) == len(reference.trajectory) > 0
+        for a, b in zip(joint.trajectory, reference.trajectory):
+            assert np.float64(a.psi).tobytes() == np.float64(b.psi).tobytes()
+            assert (a.g_calls, a.h_calls) == (b.g_calls, b.h_calls)
+        assert [c.as_dict() for c in joint.per_device_counters] == \
+            [c.as_dict() for c in reference.per_device_counters]
+        assert joint.counters.as_dict() == reference.counters.as_dict()
+
+    @staticmethod
+    def oracle_calls_per_step(p):
+        """The g and h oracle calls before each proximal step of a run,
+        one Counter per step."""
+        prob, d = chi2_problem()
+        log = []
+
+        def counting(field, name):
+            def wrapped(idx, x):
+                log.append(name)
+                return field(idx, x)
+            return wrapped
+
+        prob = replace(prob, g_oracle=counting(prob.g_oracle, "g"),
+                       h_oracle=counting(prob.h_oracle, "h"))
+        steps = []
+
+        def probe(stage, t, j, x, grad):
+            steps.append((j, Counter(log)))
+            log.clear()
+
+        dist_solve(prob, np.zeros(d),
+                   DistConfig(eta=0.05, T=2, K=2, seed=4, p=p,
+                              grad_map_every=-1),
+                   probe=probe)
+        return steps
+
+    def test_one_call_per_field_and_point_per_step(self):
+        steps = self.oracle_calls_per_step(4)
+        assert len(steps) == 2 * 2 * 4
+        for j, calls in steps:
+            # the opening batch reads one point, an inner step two
+            want = 1 if j == 0 else 2
+            assert calls == Counter(g=want, h=want)
+        assert steps == self.oracle_calls_per_step(1)
+
+    def test_counters_are_builtin_ints(self):
+        prob, d = chi2_problem()
+        report = dist_solve(prob, np.zeros(d),
+                            DistConfig(eta=0.05, T=3, K=2, seed=6, p=4))
+        for counter in [report.counters, *report.per_device_counters]:
+            assert all(type(v) is int for v in counter.as_dict().values())
 
 
 class TestValidation:

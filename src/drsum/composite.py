@@ -234,12 +234,12 @@ def evaluate_psi(problem, x, counter=None):
     """
     m = problem.m
     g_vals, h_vals = (problem.component_values or problem._stacked_values)(x)
-    f_val, _ = problem.f_outer(np.sum(g_vals, axis=0) / m)
+    f_val, _ = problem.f_outer(g_vals.sum(axis=0) / m)
     if counter is not None:
         counter.g_value_calls += m
         counter.h_gradient_calls += m
         counter.f_outer_calls += 1
-    return float(problem.r_term.value(x) + float(np.sum(h_vals)) / m + f_val)
+    return float(problem.r_term.value(x) + float(h_vals.sum()) / m + f_val)
 
 
 def full_phi_gradient(problem, x, counter=None):

@@ -9,6 +9,14 @@ objective) and the counted jacobian() all rows (the projection).
 affine, build_dr_logistic and convexify_constraints index their rows in
 closed form; from_functions (the fairness set) stacks its callables.
 
+values() keeps the last point it read: one (x.tobytes(), values) entry,
+swapped in one assignment, whose array is read-only.  The solver's
+per-step diagnostics read the violation and the exact objective at the
+same iterate, so the two share one whole-set read.  A miss reads
+through eval, so a wrapper of eval sees every real read, and a
+dataclasses.replace copy starts with no entry.  A set is thus still
+shareable read-only across threads: a thread reads either entry whole.
+
 The projection onto the feasible set solves the distance problem
 min ||y - x||^2/2 subject to c(y) <= 0 with minimize, a sequential
 quadratic programming method in numpy after Kraft (1988, "A software
@@ -52,6 +60,9 @@ class ConstraintSet:
     batch: Callable
     # jacobian() calls so far: the projection's cost, read as a difference
     jacobian_calls: int = field(default=0, compare=False)
+    # values() at the last point it read: (x.tobytes(), read-only values)
+    _last: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -63,7 +74,16 @@ class ConstraintSet:
                           np.asarray(x, dtype=float), jac=jac)
 
     def values(self, x):
-        return self.eval(None, x, jac=False)
+        """Every value at x (read-only), read once per new point."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        last_key, last = self._last
+        if key == last_key:
+            return last
+        values = self.eval(None, x, jac=False).view()
+        values.flags.writeable = False
+        self._last = (key, values)
+        return values
 
     def jacobian(self, x):
         """(values (m,), jacobian (m, d)) from one batch call, counted."""
@@ -101,7 +121,7 @@ class ConstraintSet:
 
 def max_violation(cset, x):
     """max(0, max_i c_i(x)): zero exactly on the feasible set."""
-    return float(max(0.0, np.max(cset.values(x))))
+    return max(0.0, float(cset.values(x).max()))
 
 
 EPS = np.finfo(float).eps

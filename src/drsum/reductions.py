@@ -26,6 +26,7 @@ shifted-exponential map with one range check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,6 +337,7 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
               lambda x: constraints.values(x))
     shift, exp_map = _shifted_exp(family, alpha, gamma, shift_anchor, floor=0.0)
     base = np.exp(-shift)  # the constant 1 of the penalty, in shifted space
+    log_m1 = np.log(m + 1.0)
 
     def f_outer(u):
         u0 = float(u[0])
@@ -346,7 +348,7 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
                 f"log argument {total:.3e} (a variance-reduced estimate can "
                 "cross zero; else the penalty underflowed: re-anchor the shift)"
             )
-        val = gamma * (np.log(total) - np.log(m + 1.0) + shift)
+        val = gamma * (np.log(total) - log_m1 + shift)
         return val, np.array([gamma * m / total])
 
     return _compile(family, exp_map, f_outer, h_side=h_side, r_term=r_term)
@@ -408,23 +410,32 @@ def build_dr_logistic(dataset, eps_radius, kappa_flip):
     sample = np.concatenate([every[:m], every[:m], [0]])
     sign = np.concatenate([-y, y, [0.0]])
     lam_coef = np.concatenate([np.zeros(m), np.full(m, -kappa_flip), [-1.0]])
+    # the jacobian's fixed entries (the lam column, each loss row's -1 on
+    # its slack) and each row's signed sample, which scales by its sigmoid
+    # to the beta block: a sign of +-1 or 0 multiplies exactly
+    fixed = np.zeros((2 * m + 1, dim))
+    fixed[:, d_beta] = lam_coef
+    fixed[every[:-1], d_beta + 1 + sample[:-1]] = -1.0
+    signed_Z = sign[:, None] * Z[sample]
 
     def batch(idx, x, jac=True):
         beta, lam, s = x[:d_beta], float(x[d_beta]), x[d_beta + 1:]
-        rows = every if idx is None else idx
-        cone = rows == 2 * m
+        # every row: views of the tables, the cone row last
+        rows, cone = ((slice(None), slice(-1, None)) if idx is None
+                      else (idx, idx == 2 * m))
+        has_cone = idx is None or cone.any()
         j = sample[rows]
         t = sign[rows] * (Z @ beta)[j]
-        norm = float(np.linalg.norm(beta))
         values = np.logaddexp(0.0, t) + lam_coef[rows] * lam - s[j]
-        values[cone] = norm - lam
+        if has_cone:
+            norm = math.sqrt(beta @ beta)  # np.linalg.norm's own formula
+            values[cone] = norm - lam
         if not jac:
             return values
-        jacobian = np.zeros((values.size, dim))
-        jacobian[:, :d_beta] = (sign[rows] * sigmoids(t))[:, None] * Z[j]
-        jacobian[:, d_beta] = lam_coef[rows]
-        jacobian[~cone, d_beta + 1 + j[~cone]] = -1.0
-        jacobian[cone, :d_beta] = beta / norm if norm > 0 else 0.0
+        jacobian = fixed.copy() if idx is None else fixed[idx]
+        jacobian[:, :d_beta] = sigmoids(t)[:, None] * signed_Z[rows]
+        if has_cone:
+            jacobian[cone, :d_beta] = beta / norm if norm > 0 else 0.0
         return values, jacobian
 
     return objective, ConstraintSet(m=2 * m + 1, batch=batch)

@@ -213,10 +213,19 @@ def _draw(shards, rngs, shares, order):
     for i in order:
         draws[i] = shards[i][rngs[i].integers(0, len(shards[i]),
                                               size=shares[i])]
-    return np.concatenate(draws)
+    return _joined(draws)
+
+
+def _joined(parts):
+    """The parts concatenated; one part is itself, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _weighted_sum(parts, weights):
+    """sum_k weights[k] * parts[k], in index order; one part of weight 1.0
+    is itself, as 1.0 * x is x exactly."""
+    if len(parts) == 1 and weights[0] == 1.0:
+        return parts[0]
     total = weights[0] * parts[0]
     for w, part in zip(weights[1:], parts[1:]):
         total = total + w * part
@@ -264,7 +273,7 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     weights = [size / m for size in sizes]
     shares = sizes if B >= m else split_batch(B, sizes)
     inner = [S] * len(shards)
-    every = np.concatenate(shards) if max(B, S) >= m else None
+    every = _joined(shards) if max(B, S) >= m else None
 
     x_cur = np.asarray(x, dtype=float)
     x_prev = x_cur
@@ -296,10 +305,10 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
             if server_counter is not None:
                 server_counter.f_outer_calls += 1
                 server_counter.prox_calls += 1
-            if not np.all(np.isfinite(x_cur)):
+            if not np.isfinite(x_cur).all():
                 bad = "iterate"
                 break
-            if not np.all(np.isfinite(grad_est)):
+            if not np.isfinite(grad_est).all():
                 bad = "gradient estimate"
                 break
             if on_step is not None:

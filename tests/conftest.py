@@ -11,7 +11,7 @@ from drsum.composite import (
     per_index,
 )
 from drsum.constraints import ConstraintSet
-from drsum.problems import sigmoid
+from drsum.problems import sigmoid, sigmoids
 from drsum.solver import _weighted_sum, split_batch
 
 
@@ -171,3 +171,39 @@ def dr_logistic_rows(dataset, kappa_flip):
         return norm - lam, grad
 
     return oracle
+
+
+def dr_logistic_batch(dataset, kappa_flip):
+    """The batch of build_dr_logistic as it read its rows before its
+    tables: every row's margin sign and sigmoid scale a gathered sample,
+    the jacobian is built from zeros, and the norm is read on every call.
+    The reference the table-driven batch must equal bit for bit."""
+    Z, y = ((dataset.features, dataset.labels)
+            if hasattr(dataset, "features") else dataset)
+    Z, y = np.asarray(Z, dtype=float), np.asarray(y, dtype=float)
+    m, d_beta = Z.shape
+    dim = d_beta + 1 + m
+    every = np.arange(2 * m + 1)
+    sample = np.concatenate([every[:m], every[:m], [0]])
+    sign = np.concatenate([-y, y, [0.0]])
+    lam_coef = np.concatenate([np.zeros(m), np.full(m, -kappa_flip), [-1.0]])
+
+    def batch(idx, x, jac=True):
+        beta, lam, s = x[:d_beta], float(x[d_beta]), x[d_beta + 1:]
+        rows = every if idx is None else idx
+        cone = rows == 2 * m
+        j = sample[rows]
+        t = sign[rows] * (Z @ beta)[j]
+        norm = float(np.linalg.norm(beta))
+        values = np.logaddexp(0.0, t) + lam_coef[rows] * lam - s[j]
+        values[cone] = norm - lam
+        if not jac:
+            return values
+        jacobian = np.zeros((values.size, dim))
+        jacobian[:, :d_beta] = (sign[rows] * sigmoids(t))[:, None] * Z[j]
+        jacobian[:, d_beta] = lam_coef[rows]
+        jacobian[~cone, d_beta + 1 + j[~cone]] = -1.0
+        jacobian[cone, :d_beta] = beta / norm if norm > 0 else 0.0
+        return values, jacobian
+
+    return batch

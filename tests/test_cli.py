@@ -626,10 +626,10 @@ class TestCheck:
 
 class TestBench:
     def test_diverging_biased_baseline_rows_left_out(self, tmp_path, capsys):
-        # the shipped chi2 config's eta 0.1 diverges the biased baseline
+        # the shipped chi2 config's eta 0.08 diverges the biased baseline
         out = tmp_path / "bench"
         assert main(["bench", CHI2_CONFIG, "--out", str(out)]) == 0
-        assert "biased_sgd baseline diverged at stage 1, epoch 46, step 0" in \
+        assert "biased_sgd baseline diverged at stage 1, epoch 59, step 0" in \
             capsys.readouterr().err
         methods = [line.split(",")[0] for line in
                    (out / "bench.csv").read_text().splitlines()[1:]]
@@ -750,3 +750,74 @@ class TestImportFootprint:
             "new = sorted(set(sys.modules) - before)\n"
             "assert not new, new[:10]\n")
         assert self.loaded(code, DR_LOGISTIC_WORKLOAD, str(tmp_path)) == []
+
+
+class TestShippedChi2Step:
+    """configs/chi2_quadratic.ini's eta 0.08 solves every solver seed of
+    0-19 with its own method and with dist_vr (eta 0.1 diverged on seed
+    2), while its biased baseline still diverges at the config's seed."""
+
+    @pytest.mark.parametrize("method", ["vr", "dist_vr"])
+    def test_seeds_0_to_19_solve(self, tmp_path, monkeypatch, method):
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", method)
+        for seed in range(20):
+            out = tmp_path / str(seed)
+            assert main(["solve", CHI2_CONFIG, "--seed", str(seed),
+                         "--out", str(out)]) == 0, seed
+            summary = json.loads((out / "summary.json").read_text())
+            assert np.isfinite(summary["final_psi"]), seed
+
+    def test_biased_baseline_still_diverges(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", "naive_biased_sgd")
+        assert main(["solve", CHI2_CONFIG, "--out", str(tmp_path)]) == 2
+        assert "DivergenceError" in capsys.readouterr().err
+
+
+class TestBenchmarkTracerHooks:
+    """The benchmark's tracer (perfbench/tracing.py) patches names that
+    drsum's modules and classes bind; every one must exist, or a traced
+    benchmark run fails, and uninstall must restore each."""
+
+    def test_install_finds_every_name_and_uninstall_restores_them(self):
+        import importlib.util
+
+        import drsum.cli
+        import drsum.constraints
+        import drsum.distributed
+        import drsum.problems
+        import drsum.reductions
+        import drsum.solver
+
+        path = REPO / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                      path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        owners = (drsum.cli, drsum.cli.Experiment, drsum.constraints,
+                  drsum.constraints.ConstraintSet, drsum.distributed,
+                  drsum.problems.QuadraticLosses,
+                  drsum.problems.LogisticLosses, drsum.reductions,
+                  drsum.solver)
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            patched = {(owner.__name__, name)
+                       for owner, names in zip(owners, before)
+                       for name, value in vars(owner).items()
+                       if names.get(name) is not value}
+        finally:
+            tracer.uninstall()
+        # the names the solver's diagnostics and epochs are read through,
+        # in both modules that bind them
+        for module in ("drsum.solver", "drsum.distributed"):
+            for name in ("batch_estimates", "delta_update", "evaluate_psi",
+                         "gradient_mapping", "max_violation"):
+                assert (module, name) in patched
+        assert ("ConstraintSet", "eval") in patched
+        for owner, names in zip(owners, before):
+            now = vars(owner)
+            assert now.keys() == names.keys(), owner
+            assert all(now[name] is value for name, value in names.items()), \
+                owner

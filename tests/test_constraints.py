@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dr_logistic_rows, reference_set
+from conftest import dr_logistic_batch, dr_logistic_rows, reference_set
 from drsum.composite import at_index
 from drsum.constraints import (
     ConstraintSet,
@@ -332,3 +332,152 @@ class TestConstraintSet:
         assert at_index(cset.eval, 0, np.array([3.0]))[0] == \
             pytest.approx(2.0)
 
+
+
+class TestValuesMemo:
+    """values() keeps the last point's read: one whole-set read per point."""
+
+    @staticmethod
+    def logged_set():
+        A = np.array([[1.0, -2.0], [0.5, 1.0], [-1.0, 0.0]])
+        reads = []
+        inner = ConstraintSet.affine(A, np.ones(3))
+
+        def batch(idx, x, jac=True):
+            reads.append((idx, jac))
+            return inner.batch(idx, x, jac=jac)
+
+        return ConstraintSet(m=3, batch=batch), A, reads
+
+    def test_a_new_point_is_read_again(self):
+        cset, A, reads = self.logged_set()
+        x, y = np.array([0.5, -1.0]), np.array([0.5, -1.5])
+        first = cset.values(x)
+        assert np.array_equal(cset.values(x), first)
+        assert len(reads) == 1
+        assert np.array_equal(cset.values(y), A @ y - 1.0)
+        assert len(reads) == 2
+        # the key is the bytes of the float point: an int list reads alike
+        assert np.array_equal(cset.values([1, 2]), A @ [1.0, 2.0] - 1.0)
+        assert cset.values(np.array([1.0, 2.0])) is cset.values([1, 2])
+        assert len(reads) == 3
+
+    def test_jacobian_and_row_reads_are_not_kept(self):
+        cset, _, reads = self.logged_set()
+        x = np.array([0.5, -1.0])
+        cset.values(x)
+        cset.jacobian(x)
+        cset.eval(None, x, jac=False)
+        cset.eval([0, 2], x)
+        assert [jac for _, jac in reads] == [False, True, False, True]
+        assert cset.jacobian_calls == 1
+
+    def test_values_are_read_only(self):
+        cset, _, _ = self.logged_set()
+        values = cset.values(np.zeros(2))
+        with pytest.raises(ValueError):
+            values[0] = 5.0
+        assert np.array_equal(cset.values(np.zeros(2)), -np.ones(3))
+
+    def test_a_replaced_batch_never_sees_the_old_values(self):
+        cset, A, _ = self.logged_set()
+        x = np.array([0.5, -1.0])
+        cset.values(x)
+        shifted = replace(cset, batch=lambda idx, v, jac=True: (
+            ConstraintSet.affine(A, np.zeros(3)).batch(idx, v, jac=jac)))
+        assert np.array_equal(shifted.values(x), A @ x)
+        assert np.array_equal(cset.values(x), A @ x - 1.0)
+
+    def test_threads_sharing_a_set_read_their_own_points(self):
+        # the entry is swapped whole, so a thread that races another's
+        # miss still gets the values of its own point
+        import os
+        import sys
+        import threading
+
+        A = np.array([[1.0, -2.0], [0.5, 1.0], [-1.0, 0.0]])
+        cset = ConstraintSet.affine(A, np.ones(3))
+        n = (os.cpu_count() or 2) + 2
+        points = [np.array([float(k), -0.5 * k]) for k in range(2 * n)]
+        wrong = []
+
+        def reader(k):
+            for r in range(300):
+                x = points[2 * k + r % 2]
+                if not np.array_equal(cset.values(x), A @ x - 1.0):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,))
+                       for k in range(n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_one_whole_set_read_per_recorded_step(self, monkeypatch):
+        # drlogistic_m20 (seed 1), which ends outside its set: at every
+        # step the violation and psi read the new iterate once between
+        # them; outside the steps psi reads x0 and the projected point,
+        # while the projection's start, the objective before it and the
+        # final psi re-read the last iterate or the projected point
+        from pathlib import Path
+
+        from drsum.cli import Experiment, load_config
+
+        ini = (Path(__file__).resolve().parents[1] / "perfbench"
+               / "workloads" / "drlogistic_m20.ini")
+        cfg = load_config(str(ini))
+        cfg["problem"]["data_seed"] = cfg["solver"]["seed"] = "1"
+        exp = Experiment(cfg)
+        reads = []
+        unwrapped = ConstraintSet.eval
+
+        def counted(self, idx, x, jac=True):
+            reads.append((idx is None, jac))
+            return unwrapped(self, idx, x, jac)
+
+        monkeypatch.setattr(ConstraintSet, "eval", counted)
+        report = exp.run()
+        assert len(report.trajectory) == 700
+        assert report.projection["iterations"] > 0
+        assert reads.count((True, False)) == 700 + 2
+        assert reads.count((True, True)) == \
+            report.projection["jacobian_calls"]
+
+
+class TestDrLogisticBatch:
+    """The table-driven batch equals the row-by-row gather it replaced
+    (conftest.dr_logistic_batch) bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3000])
+    def test_bit_identical_to_the_reference(self, seed):
+        data = drlogistic_data(seed)
+        objective, cset = build_dr_logistic(data, eps_radius=0.1,
+                                            kappa_flip=1.5)
+        reference = dr_logistic_batch(data, 1.5)
+        rng = np.random.default_rng(seed)
+        m, dim = cset.m, objective.slope.size
+        d_beta = data.features.shape[1]
+        for k in range(100):
+            x = rng.standard_normal(dim) * rng.choice([0.1, 1.0, 10.0])
+            if k % 10 == 0:
+                x[:d_beta] = 0.0  # the cone's gradient at beta = 0
+            idx = (None if k % 4 == 0 else
+                   rng.integers(0, m, size=int(rng.integers(1, 2 * m))))
+            if k % 7 == 0 and idx is not None:
+                idx[0] = m - 1  # the cone row, repeated
+                idx[-1] = m - 1
+            for jac in (True, False):
+                got = cset.batch(idx, x, jac=jac)
+                want = reference(idx, x, jac=jac)
+                got, want = ((got, want) if jac else ((got,), (want,)))
+                for a, b in zip(got, want, strict=True):
+                    assert a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()

@@ -570,7 +570,8 @@ def test_wasserstein_reads_constraints_through_eval(set_kind, monkeypatch):
     each read the set through ConstraintSet.eval, looked up at call time,
     so a class-level wrapper installed after the build sees every row
     read (the benchmark's traced run times the constraint layer so, on
-    drlogistic_m20 and fairness_m120)."""
+    drlogistic_m20 and fairness_m120).  values() keeps its last point,
+    so psi at a point already read makes no read."""
     from drsum.problems import (FairnessSpec, LogisticLosses,
                                 MeanLossObjective, build_fairness_constraints,
                                 make_synthetic)
@@ -601,8 +602,11 @@ def test_wasserstein_reads_constraints_through_eval(set_kind, monkeypatch):
     assert reads[-1] == (cset.m, False)
     cset.jacobian(x)
     assert reads[-1] == (cset.m, True)
-    evaluate_psi(prob, x)  # the exact objective reads the values alone
-    assert reads[-1] == (cset.m, False)
+    n = len(reads)
+    evaluate_psi(prob, x)  # x was read: the set's last values serve psi
+    assert len(reads) == n
+    evaluate_psi(prob, 2.0 * x)  # a fresh point: the values alone, once
+    assert reads[n:] == [(cset.m, False)]
     build_wasserstein(objective, cset, wcfg, shift_anchor=x, dim=dim)
     assert reads[-1] == (cset.m, True)  # the shift reads the estimators' rows
     assert sum(rows for rows, _ in reads) == 4 + 4 * cset.m

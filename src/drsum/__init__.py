@@ -2,7 +2,6 @@
 
 from .composite import (
     CompositeProblem,
-    EpochState,
     JacobianReport,
     OracleCounter,
     check_jacobians,

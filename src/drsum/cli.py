@@ -447,19 +447,20 @@ def cmd_solve(cfg):
     return 0
 
 
-def _constraint_rows(cset, x0, seed):
-    """At a seeded point near x0, eval on m + 1 seeded rows (so one
+def _rows_check(name, source, x0, seed):
+    """Check row of a constraint set or loss family, read by eval(idx, x,
+    jac): at a seeded point near x0, eval on m + 1 seeded rows (so one
     repeats) must equal those rows of the whole-set read to 1e-12, and
     the values-only read must equal its values exactly."""
     rng = np.random.default_rng(seed)
     x = x0 + 0.5 * rng.standard_normal(x0.size)
-    idx = rng.integers(0, cset.m, size=cset.m + 1)
-    full = cset.eval(None, x)
+    idx = rng.integers(0, source.m, size=source.m + 1)
+    full = source.eval(None, x)
     worst = max(float(np.max(np.abs(got - want[idx])))
-                for got, want in zip(cset.eval(idx, x), full))
-    exact = np.array_equal(cset.eval(None, x, jac=False), full[0])
-    return ("constraint-rows", worst <= 1e-12 and exact, f"rows off by "
-            f"{worst:.1e}, values-only read {'exact' if exact else 'differs'}")
+                for got, want in zip(source.eval(idx, x), full))
+    exact = np.array_equal(source.eval(None, x, jac=False), full[0])
+    return (name, worst <= 1e-12 and exact, f"rows off by {worst:.1e}, "
+            f"values-only read {'exact' if exact else 'differs'}")
 
 
 def _check_rows(exp):
@@ -479,10 +480,13 @@ def _check_rows(exp):
                      (est.l_f, est.L_f, est.l_g, est.L_g, est.l_h, est.L_h))
         rows.append(("constant-estimates", finite,
                      f"L_g>={est.L_g:.3g} L_f>={est.L_f:.3g} L_h>={est.L_h:.3g}"))
+    if exp.family is not None:
+        rows.append(_rows_check("family-rows", exp.family, exp.x0(),
+                                exp.solver_cfg.seed))
     if exp.reduction in ("chi2", "kl") and exp.problem.m <= 12:
         rng = np.random.default_rng(exp.solver_cfg.seed)
         x = 0.5 * rng.standard_normal(exp.problem.dim_x)
-        values = exp.family.eval(np.arange(exp.family.m), x)[0]
+        values = exp.family.eval(None, x, jac=False)
         gamma = float(exp.cfg["problem"]["gamma"])
         psi = evaluate_psi(exp.problem, x)
         if exp.reduction == "chi2":
@@ -512,8 +516,8 @@ def _check_rows(exp):
             worst = max(worst, err)
             ok = ok and err <= 1e-9
         rows.append(("sandwich", ok, f"worst excursion {worst:.2e}"))
-        rows.append(_constraint_rows(exp.constraints, exp.x0(),
-                                     exp.solver_cfg.seed))
+        rows.append(_rows_check("constraint-rows", exp.constraints,
+                                exp.x0(), exp.solver_cfg.seed))
         rho = _get(exp.cfg, "problem", "rho", default=None, cast=float)
         G_r = _get(exp.cfg, "problem", "g_r", default=None, cast=float)
         if rho and G_r:

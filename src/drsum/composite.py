@@ -18,10 +18,11 @@ each segment of the batch on its own and charge each segment's
 counter by its length, so the simulated workers of the distributed
 solver share one call per field and point per step across all
 workers.  Loss families and constraint sets read rows with the same
-eval(idx, x).  per_index stacks per-index
-callables (i, x) -> (value, derivative) into such a field, for hand-built
-problems, plain sequences of loss functions and from_functions
-constraint sets.  at_index reads one component through a batch field.
+eval(idx, x, jac=True), idx None for every row and jac=False for the
+values alone.  per_index(oracle, m) stacks a per-index callable (i, x)
+-> (value, derivative) into such a read, for hand-built problems, plain
+sequences of loss functions and from_functions constraint sets.
+at_index reads one component through a batch field.
 
 Oracles are pure functions of (indices, point), so a problem instance
 is safely shareable read-only across threads.  Every helper calls the
@@ -107,14 +108,18 @@ class CompositeProblem:
         return self.g_oracle(every, x)[0], self.h_oracle(every, x)[0]
 
 
-def per_index(oracle):
-    """Batch oracle (idx, x) -> (values, derivatives) stacking a per-index
-    oracle (i, x) -> (value, derivative) row by row, in index order."""
+def per_index(oracle, m=None):
+    """Batch oracle (idx, x, jac=True) -> (values, derivatives) stacking a
+    per-index oracle (i, x) -> (value, derivative) row by row, in index
+    order: every one of the m rows for idx None, the values alone if not
+    jac."""
 
-    def batch(idx, x):
-        rows = [oracle(i, x) for i in idx]
-        return (np.array([value for value, _ in rows], dtype=float),
-                np.array([deriv for _, deriv in rows], dtype=float))
+    def batch(idx, x, jac=True):
+        rows = [oracle(i, x) for i in (range(m) if idx is None else idx)]
+        values = np.array([value for value, _ in rows], dtype=float)
+        if not jac:
+            return values
+        return values, np.array([deriv for _, deriv in rows], dtype=float)
 
     return batch
 
@@ -124,17 +129,6 @@ def at_index(oracle, i, x):
     the one-row batch [i]."""
     value, deriv = oracle(np.array([i]), x)
     return value[0], deriv[0]
-
-
-@dataclass
-class EpochState:
-    """Live solver state: iterate plus the three running estimators."""
-
-    x: np.ndarray
-    est_g_value: np.ndarray   # estimate of (1/m) sum g_i(x), shape (p,)
-    est_g_jac: np.ndarray     # estimate of (1/m) sum Dg_i(x), shape (p, d)
-    est_h_grad: np.ndarray    # estimate of (1/m) sum grad h_i(x), shape (d,)
-    x_prev: np.ndarray
 
 
 def _index_batch(indices):
@@ -291,8 +285,10 @@ def check_jacobians(problem, num_probes=20, seed=0, scale=1.0):
 
     Probes random (i, x) pairs, one row at a time; relative error is
     ||analytic - fd|| over max(1, ||fd||).  A g jacobian whose shape is not
-    (p, d) counts as an infinite error.  Reports the worst error per oracle
-    family and never aborts.
+    (p, d), or a NaN anywhere in a probe, counts as an infinite error; a
+    probe whose analytic row or difference quotient is infinite (beyond
+    the float range) is skipped, as one outside the outer map's domain
+    is.  Reports the worst error per oracle family and never aborts.
     """
     g, h, f = problem.g_oracle, problem.h_oracle, problem.f_outer
     rng = np.random.default_rng(seed)
@@ -343,4 +339,12 @@ def _central_differences(value, point, step):
 
 
 def _rel_err(a, b):
-    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
+    """||a - b|| / max(1, ||b||): 0, a skipped probe, where a, b or a norm
+    is infinite (beyond the float range), else inf on a NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff, size = np.linalg.norm(a - b), np.linalg.norm(b)
+    if np.isinf(a).any() or np.isinf(b).any() or np.isinf(diff + size):
+        return 0.0
+    if np.isnan(diff):
+        return np.inf
+    return float(diff / max(1.0, size))

@@ -7,7 +7,9 @@ alone with jac=False.  eval reads it: the Wasserstein g_oracle reads the
 sampled rows, values() all values (the violation metric and the exact
 objective) and the counted jacobian() all rows (the projection).
 affine, build_dr_logistic and convexify_constraints index their rows in
-closed form; from_functions (the fairness set) stacks its callables.
+closed form; from_functions (the fairness set) stacks its callables
+with composite.per_index, the adapter plain sequences of loss functions
+go through.
 
 values() keeps the last point it read: one (x.tobytes(), values) entry,
 swapped in one assignment, whose array is read-only.  The solver's
@@ -94,14 +96,8 @@ class ConstraintSet:
     def from_functions(cls, funcs):
         """Build from a list of per-constraint callables x -> (value, grad)."""
         funcs = list(funcs)
-        stacked = per_index(lambda i, x: funcs[i](x))
-
-        def batch(idx, x, jac=True):
-            values, jacobian = stacked(
-                range(len(funcs)) if idx is None else idx, x)
-            return (values, jacobian) if jac else values
-
-        return cls(m=len(funcs), batch=batch)
+        return cls(m=len(funcs),
+                   batch=per_index(lambda i, x: funcs[i](x), len(funcs)))
 
     @classmethod
     def affine(cls, A, b):

@@ -85,7 +85,7 @@ class DistConfig(SolverConfig):
         return shards
 
 
-def dist_run_epoch(problem, state, t, dcfg: DistConfig, shards,
+def dist_run_epoch(problem, x, t, dcfg: DistConfig, shards,
                    worker_rngs, device_counters, server_counter, *,
                    stage=1, exec_order=None, on_step=None):
     """One synchronous distributed epoch: the solver's sharded epoch with
@@ -93,11 +93,10 @@ def dist_run_epoch(problem, state, t, dcfg: DistConfig, shards,
     point for all workers together; each worker's estimators and
     device counter advance by its own segment of the batch.  exec_order
     orders only the per-worker draws; the server reduces in fixed index
-    order.  Returns the state, which carries the server-averaged
-    estimators.
+    order.  Returns the last iterate.
     """
     return _sharded_epoch(
-        problem, state.x, t, dcfg.schedule, dcfg.eta, shards, worker_rngs,
+        problem, x, t, dcfg.schedule, dcfg.eta, shards, worker_rngs,
         device_counters, server_counter, stage=stage, on_step=on_step,
         order=exec_order)
 
@@ -117,8 +116,8 @@ def dist_solve(problem_builder, x0, dcfg: DistConfig, *,
     # resolve_partition sorts, concatenates and validates: once per run
     partition = functools.cache(dcfg.resolve_partition)
     # looked up per call, so wrappers of the module name see every epoch
-    epoch = lambda problem, state, t, **hook: dist_run_epoch(
-        problem, state, t, dcfg, partition(problem.m),
+    epoch = lambda problem, x, t, **hook: dist_run_epoch(
+        problem, x, t, dcfg, partition(problem.m),
         worker_rngs, device_counters, server_counter,
         exec_order=exec_order, **hook)
     report = _run_stages(problem_builder, x0, dcfg, epoch, device_counters,

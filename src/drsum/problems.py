@@ -1,12 +1,13 @@
 """Concrete losses, datasets, synthetic generators, and fairness constraints.
 
-Loss families expose a batch oracle eval(idx, x) -> (values (n,),
-gradients (n, d)) over a 1-D array of row indices (repeats allowed) and
-a value-only batch values(x) -> (m,) of every per-row loss, each in one
-array expression; classifier families additionally expose the raw score
-of one row and its gradient, score(i, x), which the fairness constraints
-differentiate through, and the batch scores(x) -> (m,).  Everything is
-deterministic under an explicit seed.
+Loss families read rows the way constraint sets do, through one batch
+oracle eval(idx, x, jac=True) -> (values (n,), gradients (n, d)) over a
+1-D array of row indices (repeats allowed, None for all m rows), the
+values alone with jac=False, each in one array expression; classifier
+families additionally expose the raw score of one row and its gradient,
+score(i, x), which the fairness constraints differentiate through, and
+the batch scores(x) -> (m,).  Everything is deterministic under an
+explicit seed.
 
 The logistic sigmoid comes in two forms, both 1 / (1 + exp(-t)), the
 formula of scipy.special.expit: sigmoid(t) for one float, on math.exp,
@@ -106,14 +107,12 @@ class QuadraticLosses:
         self.m = self.A.shape[0]
         self.dim = self.A.shape[1]
 
-    def eval(self, idx, x):
-        rows = self.A[idx]
-        resid = rows @ x - self.b[idx]
-        return 0.5 * resid * resid, resid[:, None] * rows
-
-    def values(self, x):
-        resid = self.A @ x - self.b
-        return 0.5 * resid * resid
+    def eval(self, idx, x, jac=True):
+        rows = slice(None) if idx is None else idx
+        A = self.A[rows]
+        resid = A @ x - self.b[rows]
+        values = 0.5 * resid * resid
+        return (values, resid[:, None] * A) if jac else values
 
     def minimizer(self):
         return np.linalg.solve(self.A.T @ self.A, self.A.T @ self.b)
@@ -134,15 +133,14 @@ class LogisticLosses:
     def scores(self, x):
         return self.dataset.features @ x
 
-    def eval(self, idx, x):
-        Z = self.dataset.features[idx]
-        y = self.dataset.labels[idx]
+    def eval(self, idx, x, jac=True):
+        rows = slice(None) if idx is None else idx
+        Z, y = self.dataset.features[rows], self.dataset.labels[rows]
         margins = -y * (Z @ x)
-        grads = (-y * sigmoids(margins))[:, None] * Z
-        return np.logaddexp(0.0, margins), grads
-
-    def values(self, x):
-        return np.logaddexp(0.0, -self.dataset.labels * self.scores(x))
+        values = np.logaddexp(0.0, margins)
+        if not jac:
+            return values
+        return values, (-y * sigmoids(margins))[:, None] * Z
 
 
 class Mlp2Losses:
@@ -169,11 +167,14 @@ class Mlp2Losses:
         b2 = x[-1]
         return W, b1, v, b2
 
-    def _score_rows(self, idx, x):
-        """Scores of the rows idx (n,) and their parameter gradients (n, D)."""
+    def _score_rows(self, idx, x, jac=True):
+        """Scores of the rows idx (n,), every row for None, and their
+        parameter gradients (n, D); the scores alone if not jac."""
         W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
-        Z = self.dataset.features[idx]
+        Z = self.dataset.features[slice(None) if idx is None else idx]
         t = np.tanh(Z @ W.T + b1)
+        if not jac:
+            return t @ v + b2
         dt = (1.0 - t * t) * v  # per-row, per-unit sensitivity
         n = len(Z)
         sgrad = np.concatenate(
@@ -186,18 +187,16 @@ class Mlp2Losses:
         return float(s), grad
 
     def scores(self, x):
-        W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
-        return np.tanh(self.dataset.features @ W.T + b1) @ v + b2
+        return self._score_rows(None, x, jac=False)
 
-    def eval(self, idx, x):
+    def eval(self, idx, x, jac=True):
+        y = self.dataset.labels[slice(None) if idx is None else idx]
+        if not jac:
+            return np.logaddexp(0.0, -y * self._score_rows(idx, x, jac=False))
         s, sgrad = self._score_rows(idx, x)
-        y = self.dataset.labels[idx]
         margins = -y * s
         grads = (-y * sigmoids(margins))[:, None] * sgrad
         return np.logaddexp(0.0, margins), grads
-
-    def values(self, x):
-        return np.logaddexp(0.0, -self.dataset.labels * self.scores(x))
 
 
 class MeanLossObjective:
@@ -209,7 +208,7 @@ class MeanLossObjective:
 
     def value_grad(self, x):
         m = self.family.m
-        vals, grads = self.family.eval(np.arange(m), x)
+        vals, grads = self.family.eval(None, x)
         return float(np.sum(vals)) / m, grads.sum(axis=0) / m
 
 
@@ -222,7 +221,9 @@ class BrokenJacobianLosses:
         self.m = family.m
         self.dim = family.dim
 
-    def eval(self, idx, x):
+    def eval(self, idx, x, jac=True):
+        if not jac:
+            return self.family.eval(idx, x, jac=False)
         v, g = self.family.eval(idx, x)
         return v, self.scale * g
 
@@ -418,23 +419,19 @@ class NonconvexToyLosses:
         self.m = self.c.size
         self.dim = d
 
-    def eval(self, idx, x):
+    def eval(self, idx, x, jac=True):
         x = np.asarray(x, dtype=float)
         x1 = float(x[0])
         rest = x[1:]
-        c, g = self.c[idx], self.g[idx]
+        rows = slice(None) if idx is None else idx
+        c, g = self.c[rows], self.g[rows]
         vals = 0.25 * (x1 * x1 - c) ** 2 + g * x1 + 0.5 * float(rest @ rest)
+        if not jac:
+            return vals
         grads = np.empty((len(c), x.size))
         grads[:, 0] = x1 * (x1 * x1 - c) + g
         grads[:, 1:] = rest
         return vals, grads
-
-    def values(self, x):
-        x = np.asarray(x, dtype=float)
-        x1 = float(x[0])
-        rest = x[1:]
-        return 0.25 * (x1 * x1 - self.c) ** 2 + self.g * x1 \
-            + 0.5 * float(rest @ rest)
 
 
 def _fit_logistic(dataset, iters=400, eta=0.5, ridge=1e-4):

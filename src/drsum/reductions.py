@@ -15,13 +15,14 @@ One compiler, _compile, writes every reduction's batch g_oracle and
 h_oracle and its component_values (every component value in one array
 pass, which the exact objective reads) from maps g_i = phi(f_i) and
 h_i = psi(f_i) of the loss or constraint values, applied to a whole
-batch of rows at once.  The oracles read the family's batch
-eval(idx, x), or the constraint set's eval(idx, x) in the Wasserstein
-form; a plain sequence of loss functions goes through
-composite.per_index.  component_values reads the loss family's
-values(x), or the constraint set's values, or the batch eval over every
-index when a family has no values(x).  kl and wasserstein share one
-shifted-exponential map with one range check.
+batch of rows at once.  Loss families and constraint sets share one
+read, eval(idx, x, jac=True); a plain sequence of loss functions goes
+through composite.per_index.  The oracles read the sampled rows and
+component_values the values alone of every row (idx None, jac=False),
+which in the Wasserstein form is the constraint set's values(x), so
+the exact objective and the violation share one read per point.  kl
+and wasserstein share one shifted-exponential map with one range
+check.
 """
 
 from __future__ import annotations
@@ -113,26 +114,16 @@ class WorstCaseWeights:
 
 
 def _as_family(losses, dim=None):
-    """Normalize loss input to (m, dim, eval, values): eval(idx, x) ->
-    (values (n,), gradients (n, d)) over an index array, values(x) -> all
-    m losses.  A plain sequence of callables x -> (value, gradient) is
-    stacked by per_index; a family without values(x) reads its eval over
-    every index."""
+    """Normalize loss input to (m, dim, eval): eval(idx, x, jac=True) ->
+    (values (n,), gradients (n, d)) of the rows idx, every row for None,
+    the values alone if not jac.  A plain sequence of callables x ->
+    (value, gradient) is stacked by per_index."""
     if hasattr(losses, "eval") and hasattr(losses, "m"):
-        m, d, ev = losses.m, losses.dim, losses.eval
-        values = getattr(losses, "values", None)
-    else:
-        funcs = list(losses)
-        if dim is None:
-            raise ValueError("dim is required when losses is a plain sequence")
-        m, d, values = len(funcs), dim, None
-        ev = per_index(lambda i, x: funcs[i](x))
-    if values is None:
-        every = np.arange(m)
-
-        def values(x):
-            return ev(every, x)[0]
-    return m, d, ev, values
+        return losses.m, losses.dim, losses.eval
+    funcs = list(losses)
+    if dim is None:
+        raise ValueError("dim is required when losses is a plain sequence")
+    return len(funcs), dim, per_index(lambda i, x: funcs[i](x), len(funcs))
 
 
 def _identity(v):
@@ -146,12 +137,12 @@ def _scaled(slope, grads):
 
 def _compile(family, g_map, f_outer, h_map=None, h_side=None, r_term=None):
     """Composite problem with g_i = g_map(f_i), h_i = h_map(f_i) over a
-    family (m, dim, eval, values).  A map takes an array of loss values
+    family (m, dim, eval).  A map takes an array of loss values
     to (image, slope), elementwise; the slope scales each row's loss
     gradient, and None stands for slope 1.  h is zero without h_map, or
     h_side = (h_oracle, h_values(x, losses)).
     """
-    m, d, ev, values = family
+    m, d, ev = family
 
     def g_oracle(idx, x):
         vals, grads = ev(idx, x)
@@ -176,7 +167,7 @@ def _compile(family, g_map, f_outer, h_map=None, h_side=None, r_term=None):
             return np.zeros(m)
 
     def component_values(x):
-        v = values(x)
+        v = ev(None, x, jac=False)
         return g_map(v)[0][:, None], h_values(x, v)
 
     return CompositeProblem(dim_x=d, dim_g=1, m=m, g_oracle=g_oracle,
@@ -189,12 +180,12 @@ def _shifted_exp(family, alpha, gamma, anchor, floor=-np.inf):
     """(shift, map v -> exp(alpha*v/gamma - shift)): the shift is the
     largest exponent at the anchor, at least floor (zero without one);
     the map raises NumericalRangeError past EXP_LIMIT."""
-    m, _, ev, _ = family
+    m, _, ev = family
     shift = 0.0
     if anchor is not None:
-        # through eval, the path the estimators read, not values(x): the
-        # shift enters every g_i, so it must not move by the rounding of
-        # the value-only batch
+        # through the rows the estimators read, not the whole-set value
+        # read: the shift enters every g_i, so it must not move by the
+        # rounding of the value-only batch
         shift = max(floor, float(np.max(
             alpha * ev(np.arange(m), anchor)[0] / gamma)))
 
@@ -331,10 +322,15 @@ def build_wasserstein(objective, constraints: ConstraintSet, cfg: WassersteinCon
     else:
         raise TypeError("objective must be a SimpleTerm or expose value_grad(x)")
 
-    # the sampled constraint rows in one batch, reading the set's eval at
-    # call time so a class-level wrapper sees it
-    family = (m, d, lambda idx, x: constraints.eval(idx, x),
-              lambda x: constraints.values(x))
+    def rows(idx, x, jac=True):
+        # through the set's eval at call time, so a class-level wrapper
+        # sees it; every value through values(x), which the violation
+        # reads at the same point
+        if idx is None and not jac:
+            return constraints.values(x)
+        return constraints.eval(idx, x, jac)
+
+    family = (m, d, rows)
     shift, exp_map = _shifted_exp(family, alpha, gamma, shift_anchor, floor=0.0)
     base = np.exp(-shift)  # the constant 1 of the penalty, in shifted space
     log_m1 = np.log(m + 1.0)

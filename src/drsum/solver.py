@@ -33,7 +33,6 @@ import numpy as np
 
 from .composite import (
     CompositeProblem,
-    EpochState,
     OracleCounter,
     batch_estimates,
     delta_update,
@@ -258,9 +257,9 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
 
     After each step it passes (stage, t, j, tau, x, grad_est, x_new) to
     the on_step hook, if given: the step's start point, estimate and new
-    iterate.  It returns the state with the averaged estimators.  A
-    non-finite iterate or gradient estimate (a box prox clips an infinite
-    step to a finite iterate) or an ArithmeticError in a step (the
+    iterate.  It returns the last iterate: the next epoch opens its
+    estimators afresh.  A non-finite iterate or gradient estimate (a box
+    prox clips an infinite step to a finite iterate) or an ArithmeticError in a step (the
     opening batch is step 0) raises NumericalRangeError naming stage,
     epoch, step.
     """
@@ -314,8 +313,7 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
             if on_step is not None:
                 on_step(stage, t, j, tau, x_prev, grad_est, x_cur)
         else:
-            return EpochState(x=x_cur, est_g_value=y, est_g_jac=z,
-                              est_h_grad=w, x_prev=x_prev)
+            return x_cur
     except ArithmeticError as exc:
         raise NumericalRangeError(
             f"{type(exc).__name__}: {exc} at stage {stage}, epoch {t}, "
@@ -325,16 +323,16 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
         f"non-finite {bad} at stage {stage}, epoch {t}, step {j}")
 
 
-def run_epoch(problem, state, t, schedule, eta, rng, counter=None, *,
+def run_epoch(problem, x, t, schedule, eta, rng, counter=None, *,
               stage=1, on_step: Optional[Callable] = None):
-    """One epoch: batch estimates at the carried-in iterate, then tau
-    proximal steps (the first from the batch estimators, the remaining
-    tau-1 after sampled estimator corrections).  The 1-worker case of
+    """One epoch: batch estimates at the iterate x, then tau proximal
+    steps (the first from the batch estimators, the remaining tau-1
+    after sampled estimator corrections).  The 1-worker case of
     _sharded_epoch: one shard of every index, sampled with rng, all of
-    whose calls go to counter.  Returns the state.
+    whose calls go to counter.  Returns the last iterate.
     """
     return _sharded_epoch(
-        problem, state.x, t, schedule, eta, [np.arange(problem.m)], [rng],
+        problem, x, t, schedule, eta, [np.arange(problem.m)], [rng],
         [counter], counter, stage=stage, on_step=on_step)
 
 
@@ -347,8 +345,8 @@ def _smooth_value(problem, x):
 
 def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
                 *, constraints=None, probe=None) -> SolverReport:
-    """K warm-started stages of T epochs, each epoch(problem, state, t,
-    stage=..., on_step=...) -> state; problem_builder is a fixed
+    """K warm-started stages of T epochs, each epoch(problem, x, t,
+    stage=..., on_step=...) -> last iterate; problem_builder is a fixed
     CompositeProblem or a callable (stage_index, x_start) -> problem.
 
     After every proximal step the driver calls probe(stage, t, j, x,
@@ -402,17 +400,10 @@ def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
             psi_limit = DIVERGENCE_FACTOR * max(
                 1.0, abs(evaluate_psi(problem, x)))
         candidates = [x.copy()]
-        state = EpochState(
-            x=x,
-            est_g_value=np.zeros(problem.dim_g),
-            est_g_jac=np.zeros((problem.dim_g, problem.dim_x)),
-            est_h_grad=np.zeros(problem.dim_x),
-            x_prev=x,
-        )
         for t in range(1, config.T + 1):
-            state = epoch(problem, state, t, stage=k, on_step=on_step)
-        x = (candidates[int(select_rng.integers(0, len(candidates)))]
-             if collect else state.x)
+            x = epoch(problem, x, t, stage=k, on_step=on_step)
+        if collect:
+            x = candidates[int(select_rng.integers(0, len(candidates)))]
         stage_outputs.append(x.copy())
     tripped = next((r for r in records if not r.psi <= psi_limit), None)
     if tripped is not None:
@@ -452,8 +443,8 @@ def solve_restarted(problem_builder, x0, config: SolverConfig, *,
     counter = OracleCounter()
     rng = np.random.default_rng(config.seed)
     # run_epoch is looked up per call, so wrappers of the module name see it
-    epoch = lambda problem, state, t, **hook: run_epoch(
-        problem, state, t, config.schedule, config.eta, rng, counter, **hook)
+    epoch = lambda problem, x, t, **hook: run_epoch(
+        problem, x, t, config.schedule, config.eta, rng, counter, **hook)
     report = _run_stages(problem_builder, x0, config, epoch, [counter],
                          counter, constraints=constraints, probe=probe)
     report.counters = counter

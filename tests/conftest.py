@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from drsum.composite import (
-    EpochState,
     at_index,
     batch_estimates,
     delta_update,
@@ -70,8 +69,7 @@ def per_shard_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
         server_counter.prox_calls += 1
         if on_step is not None:
             on_step(stage, t, j, tau, x_prev, grad_est, x_cur)
-    return EpochState(x=x_cur, est_g_value=y, est_g_jac=z, est_h_grad=w,
-                      x_prev=x_prev)
+    return x_cur
 
 
 def quadratic_losses(m=16, d=5, seed=7, cond=10.0, noise=0.5):

@@ -623,6 +623,35 @@ class TestCheck:
         assert re.search(r"^constraint-rows +FAIL ", captured.out, re.M)
         assert "constraint-rows" in captured.err
 
+    @pytest.mark.parametrize("name", ["chi2_quadratic", "kl_distributed",
+                                      "fairness_wasserstein"])
+    def test_family_configs_check_family_rows(self, name, capsys):
+        assert main(["check", str(CONFIGS / f"{name}.ini")]) == 0
+        assert re.search(r"^family-rows +PASS ", capsys.readouterr().out,
+                         re.M)
+
+    @pytest.mark.parametrize("fault", ["rows", "values_only"])
+    def test_family_rows_catches_a_faulty_read(self, fault, monkeypatch,
+                                               capsys):
+        # the one-read contract of a constraint set holds for a loss
+        # family too: a read of the wrong rows, or a values-only read that
+        # differs in the last bits, fails the check with exit 3
+        from drsum.problems import QuadraticLosses
+
+        read = QuadraticLosses.eval
+
+        def faulty(self, idx, x, jac=True):
+            if fault == "rows" and idx is not None:
+                idx = (idx + 1) % self.m
+            out = read(self, idx, x, jac)
+            return out if jac or fault == "rows" else out * (1 + 1e-15)
+
+        monkeypatch.setattr(QuadraticLosses, "eval", faulty)
+        assert main(["check", str(CONFIGS / "chi2_quadratic.ini")]) == 3
+        captured = capsys.readouterr()
+        assert re.search(r"^family-rows +FAIL ", captured.out, re.M)
+        assert "family-rows" in captured.err
+
 
 class TestBench:
     def test_diverging_biased_baseline_rows_left_out(self, tmp_path, capsys):

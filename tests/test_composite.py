@@ -242,6 +242,31 @@ class TestCheckJacobians:
         assert report.max_rel_error_g == np.inf
         assert report.max_rel_error_h <= 1e-5
 
+    @pytest.mark.parametrize("fault, want", [(np.nan, np.inf), (np.inf, 0.0)],
+                             ids=["nan", "inf"])
+    def test_non_finite_g_jacobian(self, fault, want):
+        # a NaN jacobian is a failed probe; an infinite one is beyond the
+        # float range, and its probe is skipped
+        prob = make_linear_quadratic()
+        good_g = prob.g_oracle
+
+        def bad_g(idx, x):
+            val, jac = good_g(idx, x)
+            return val, jac * fault
+
+        report = check_jacobians(replace(prob, g_oracle=bad_g),
+                                 num_probes=5, seed=2)
+        assert report.max_rel_error_g == want
+        assert report.max_rel_error_h <= 1e-5
+
+    def test_probe_beyond_the_float_range_is_skipped(self):
+        # seed 3 at scale 1 reads one row where exp(alpha c / gamma - shift)
+        # nears 1e304 and its jacobian row overflows; the other 24 probes
+        # pass, as does `drsum check` on this config
+        report = check_jacobians(self.robust_logistic_stage(), num_probes=25,
+                                 seed=3)
+        assert report.max_rel_error <= 1e-5
+
 def test_counters_monotone_and_copy():
     prob = make_linear_quadratic()
     counter = OracleCounter()

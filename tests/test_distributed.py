@@ -258,12 +258,19 @@ class TestJointBatch:
         dcfg = DistConfig(eta=0.05, T=3, K=2, seed=13, **extra)
 
         def run():
-            return dist_solve(prob, np.zeros(d), dcfg, exec_order=exec_order)
+            steps = []
+            report = dist_solve(
+                prob, np.zeros(d), dcfg, exec_order=exec_order,
+                probe=lambda stage, t, j, x, grad: steps.append(
+                    x.tobytes() + grad.tobytes()))
+            return report, steps
 
-        joint = run()
+        joint, joint_steps = run()
         monkeypatch.setattr(distributed, "_sharded_epoch", per_shard_epoch)
-        reference = run()
+        reference, reference_steps = run()
 
+        # every step's start point and gradient estimate, bit for bit
+        assert joint_steps == reference_steps
         assert joint.final_x.tobytes() == reference.final_x.tobytes()
         assert len(joint.trajectory) == len(reference.trajectory) > 0
         for a, b in zip(joint.trajectory, reference.trajectory):

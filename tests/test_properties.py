@@ -1,6 +1,7 @@
 """Randomized algebraic properties, fuzzed beyond the seeded suites."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from drsum.composite import (
     batch_estimates,
     delta_update,
     evaluate_psi,
+    per_index,
 )
 from drsum.constraints import ConstraintSet, least_distance, nnls
 from drsum.diagnostics import fit_rate
@@ -107,8 +109,8 @@ def test_fit_rate_recovers_exact_geometric_decay(start, slope, n):
 
 FAMILIES = ("quadratic", "logistic", "mlp2", "nonconvex_toy")
 # loss inputs over a logistic family: a plain sequence of loss functions
-# (no values(x); its batch stacks the per-index callables) and the
-# fault-injecting wrapper
+# (its batch stacks the per-index callables) and the fault-injecting
+# wrapper
 STACKED_INPUTS = ("plain_sequence", "broken_jacobian")
 CONSTRAINT_SETS = ("dr_logistic", "affine", "convexified", "fairness")
 
@@ -208,7 +210,8 @@ def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
     family = _family("logistic" if stacked else family_kind, rng, m)
     x = scale * rng.standard_normal(family.dim)
     np.testing.assert_allclose(
-        family.values(x), [at_index(family.eval, i, x)[0] for i in range(m)],
+        family.eval(None, x, jac=False),
+        [at_index(family.eval, i, x)[0] for i in range(m)],
         rtol=1e-12, atol=1e-12)
     if hasattr(family, "scores"):
         np.testing.assert_allclose(
@@ -241,8 +244,8 @@ def test_batched_wasserstein_psi_matches_per_index(set_kind, seed, m, scale,
     rng = np.random.default_rng(seed)
     objective, cset, rows, dim = _objective_and_constraints(set_kind, rng, m)
     x = scale * rng.standard_normal(dim)
-    per_index = [rows(i, x)[0] for i in range(cset.m)]
-    np.testing.assert_allclose(cset.values(x), per_index,
+    np.testing.assert_allclose(cset.values(x),
+                               [rows(i, x)[0] for i in range(cset.m)],
                                rtol=1e-12, atol=1e-12)
     anchor = x + rng.standard_normal(dim) if anchored else None
     problem = build_wasserstein(objective, cset,
@@ -267,10 +270,14 @@ def test_both_paths_raise_out_of_range():
                 evaluate_psi(path, x)
 
 
-# -- constraint rows against the per-index references -------------------
+# -- constraint and loss rows against the per-index references ----------
 
 JACOBIAN_SETS = ("dr_logistic", "affine", "convexified_affine",
                  "convexified_functions", "fairness", "from_functions")
+# every loss family, a plain sequence of loss functions stacked by
+# per_index, and the fault-injecting wrapper, all read through the one
+# eval(idx, x, jac) a constraint set has
+ROW_SOURCES = JACOBIAN_SETS + FAMILIES + STACKED_INPUTS
 
 
 def _ball_constraint(center, radius):
@@ -281,8 +288,26 @@ def _ball_constraint(center, radius):
 
 
 def _jacobian_set(kind, rng, m, d, mu_positive):
-    """(constraint set, its per-index reference rows, decision dimension)
-    of one kind."""
+    """(constraint set or loss family, its per-index reference rows,
+    decision dimension) of one kind; a family's reference is its one-row
+    reads."""
+    if kind in FAMILIES + STACKED_INPUTS:
+        family = _family("logistic" if kind in STACKED_INPUTS else kind,
+                         rng, m, d)
+
+        def rows(i, x):
+            return at_index(family.eval, i, x)
+
+        if kind == "plain_sequence":
+            return SimpleNamespace(m=m, eval=per_index(rows, m)), rows, \
+                family.dim
+        if kind == "broken_jacobian":
+            def broken_rows(i, x):
+                value, grad = rows(i, x)
+                return value, 1.5 * grad
+
+            return BrokenJacobianLosses(family), broken_rows, family.dim
+        return family, rows, family.dim
     if kind == "dr_logistic":
         dataset, kappa = _dataset(rng, m, d), rng.uniform(0.1, 3.0)
         _, cset = build_dr_logistic(dataset, rng.uniform(0.01, 1.0), kappa)
@@ -310,27 +335,29 @@ def _jacobian_set(kind, rng, m, d, mu_positive):
     return convexify_constraints(inner, mu), convexified_rows(rows, mu), d
 
 
-@pytest.mark.parametrize("set_kind", JACOBIAN_SETS)
+@pytest.mark.parametrize("kind", ROW_SOURCES)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 10),
        d=st.integers(1, 4), scale=st.floats(0.0, 3.0),
        mu_positive=st.booleans(), zero_beta=st.booleans(),
        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=20))
-def test_batch_jacobian_matches_per_index(set_kind, seed, m, d, scale,
+def test_batch_jacobian_matches_per_index(kind, seed, m, d, scale,
                                           mu_positive, zero_beta, picks):
-    """eval on an index multiset with repeats, and on the whole set (idx
-    None), equals the per-index reference rows to rounding; the
-    values-only read equals the values of the jacobian read bit for bit;
-    values() and jacobian() are the whole-set reads."""
+    """A constraint set's or loss family's eval on an index multiset with
+    repeats, and on every row (idx None), equals the per-index reference
+    rows to rounding, and the multiset's rows equal those rows of the
+    whole read; the values-only read equals the values of the jacobian
+    read bit for bit; a set's values() and jacobian() are its whole
+    reads."""
     rng = np.random.default_rng(seed)
-    cset, rows, dim = _jacobian_set(set_kind, rng, m, d, mu_positive)
+    source, rows, dim = _jacobian_set(kind, rng, m, d, mu_positive)
     x = scale * rng.standard_normal(dim)
-    if set_kind == "dr_logistic" and zero_beta:
+    if kind == "dr_logistic" and zero_beta:
         x[:d] = 0.0  # the norm cone's kink: its beta part is zero
-    idx = np.array(picks) % cset.m
+    idx = np.array(picks) % source.m
     for chosen in (idx, None):
-        values, jac = cset.eval(chosen, x)
-        ref = [rows(i, x) for i in (range(cset.m) if chosen is None
+        values, jac = source.eval(chosen, x)
+        ref = [rows(i, x) for i in (range(source.m) if chosen is None
                                     else chosen)]
         ref_values = np.array([value for value, _ in ref])
         ref_jac = np.array([grad for _, grad in ref])
@@ -338,13 +365,16 @@ def test_batch_jacobian_matches_per_index(set_kind, seed, m, d, scale,
         np.testing.assert_allclose(values, ref_values, rtol=1e-12,
                                    atol=1e-12)
         np.testing.assert_allclose(jac, ref_jac, rtol=1e-12, atol=1e-12)
-        only = cset.eval(chosen, x, jac=False)
+        only = source.eval(chosen, x, jac=False)
         assert only.shape == values.shape
         assert only.tobytes() == values.tobytes()
-    full = cset.eval(None, x)
-    assert cset.values(x).tobytes() == full[0].tobytes()
-    assert all(a.tobytes() == b.tobytes()
-               for a, b in zip(cset.jacobian(x), full))
+    full = source.eval(None, x)
+    for got, whole in zip(source.eval(idx, x), full):
+        np.testing.assert_allclose(got, whole[idx], rtol=1e-12, atol=1e-12)
+    if isinstance(source, ConstraintSet):
+        assert source.values(x).tobytes() == full[0].tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(source.jacobian(x), full))
 
 
 # -- batched estimators against the per-index adapter --------------------
@@ -393,7 +423,9 @@ def _estimators(problem, idx, x_new, x_old):
 
 
 def _row_by_row(problem, idx, x_new, x_old):
-    """_estimators written as the per-index loop over one-row calls."""
+    """_estimators written as the per-index loop over one-row calls, and
+    each part's magnitude: the same sums over the absolute terms, which
+    bound its rounding where the terms cancel."""
     n = idx.size
 
     def rows(i, x):
@@ -401,15 +433,19 @@ def _row_by_row(problem, idx, x_new, x_old):
                              (problem.g_oracle, problem.h_oracle))
         return gv, gj, hg
 
-    opened = [sum(parts) / n for parts in
-              zip(*(rows(i, x_old) for i in idx))]
+    old = [rows(i, x_old) for i in idx]
+    new = [rows(i, x_new) for i in idx[::-1]]
+    opened = [sum(parts) / n for parts in zip(*old)]
     deltas = [sum(parts) / n for parts in
-              zip(*(tuple(a - b for a, b in zip(rows(i, x_new),
-                                                 rows(i, x_old)))
-                    for i in idx[::-1]))]
+              zip(*(tuple(a - b for a, b in zip(*pair))
+                    for pair in zip(new, old[::-1])))]
     corrected = [a + b for a, b in zip(opened, deltas)]
+    opened_size = [sum(map(np.abs, parts)) / n for parts in zip(*old)]
+    delta_size = [sum(np.abs(a) + np.abs(b) for a, b in zip(*parts)) / n
+                  for parts in zip(zip(*new), zip(*old[::-1]))]
+    corrected_size = [a + b for a, b in zip(opened_size, delta_size)]
     return (tuple(opened), tuple(corrected), OracleCounter(n, n),
-            OracleCounter(3 * n, 3 * n))
+            OracleCounter(3 * n, 3 * n), opened_size + corrected_size)
 
 
 @pytest.mark.parametrize("kind", ESTIMATOR_PROBLEMS, ids=str)
@@ -423,9 +459,10 @@ def test_batched_estimators_match_per_index(kind, seed, m, picks, scale,
     """batch_estimates and delta_update, one call per field and point,
     equal the per-index loop over one-row calls (through the per_index
     adapter and without it) to rounding, on an index multiset with
-    repeats.  They charge exactly n calls per family for the opening
-    batch and 2n for the correction, or every path raises the range
-    error."""
+    repeats: each part within 1e-12 (1 + the sum over its absolute
+    terms), which is 1e-12 (1 + |part|) where nothing cancels.  They
+    charge exactly n calls per family for the opening batch and 2n for
+    the correction, or every path raises the range error."""
     rng = np.random.default_rng(seed)
     problem, dim = _estimator_problem(kind, rng, m, gamma, anchored)
     adapted = replace(problem, g_oracle=rowwise(problem.g_oracle),
@@ -442,11 +479,12 @@ def test_batched_estimators_match_per_index(kind, seed, m, picks, scale,
         return
     for got in (_estimators(problem, idx, x_new, x_old),
                 _estimators(adapted, idx, x_new, x_old)):
-        for got_part, want_part in zip(got[0] + got[1], want[0] + want[1]):
+        for got_part, want_part, size in zip(got[0] + got[1],
+                                             want[0] + want[1], want[4]):
             assert got_part.shape == want_part.shape
-            np.testing.assert_allclose(got_part, want_part, rtol=1e-12,
-                                       atol=1e-12)
-        assert got[2:] == want[2:]
+            error = np.abs(got_part - want_part)
+            assert np.all(error <= 1e-12 * (1.0 + size)), (error, size)
+        assert got[2:] == want[2:4]
 
 
 # small integers: exact dependencies (repeated, scaled and zero columns,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from drsum.composite import (
-    EpochState,
     batch_estimates,
     delta_update,
     evaluate_psi,
@@ -31,13 +30,6 @@ from drsum.solver import (
 )
 
 from conftest import affine_rows, closed_form, reference_set
-
-
-def fresh_state(x0, p, d):
-    x0 = np.asarray(x0, dtype=float)
-    return EpochState(x=x0, est_g_value=np.zeros(p),
-                      est_g_jac=np.zeros((p, d)), est_h_grad=np.zeros(d),
-                      x_prev=x0)
 
 
 class TestSchedule:
@@ -103,10 +95,20 @@ class StubRng:
         return out
 
 
+def steps_of(run, *args, **kwargs):
+    """run(*args, on_step=...) -> (its return value, the (x, grad_est,
+    x_new) of every step)."""
+    steps = []
+    out = run(*args, **kwargs, on_step=lambda s, t, j, tau, x, g, x_new:
+              steps.append((x.copy(), g.copy(), x_new.copy())))
+    return out, steps
+
+
 class TestRunEpoch:
     def test_hand_unrolled_recursion(self):
-        # two linear components with slopes 1 and 3, identity outer map;
-        # batch opens with the full pass, the single inner step samples
+        # two linear components with slopes 1 and 3, outer map u^2 / 2, so
+        # a step's gradient estimate z * y reads both estimators; batch
+        # opens with the full pass, the single inner step samples
         # component 1 only
         slopes = np.array([1.0, 3.0])
 
@@ -117,54 +119,57 @@ class TestRunEpoch:
             return 0.0, np.zeros(1)
 
         def f_outer(u):
-            return float(u[0]), np.array([1.0])
+            return 0.5 * float(u[0]) ** 2, np.array([float(u[0])])
 
         from drsum.composite import CompositeProblem
         prob = CompositeProblem(1, 1, 2, per_index(g_oracle),
                                 per_index(h_oracle), f_outer)
         x0 = np.array([1.5])
         eta = 0.1
-        state = run_epoch(prob, fresh_state(x0, 1, 1), 1,
-                          StubSchedule(tau=2, S=1, B=2), eta,
-                          StubRng([np.array([1])]))
-        x1 = x0 - eta * 2.0  # batch gradient = mean slope = 2
-        assert state.x_prev == pytest.approx(x1)
+        x, steps = steps_of(run_epoch, prob, x0, 1,
+                            StubSchedule(tau=2, S=1, B=2), eta,
+                            StubRng([np.array([1])]))
+        # the batch means: y = 2 x0 (mean slope 2), z = 2
+        assert steps[0][1] == pytest.approx([2.0 * 2.0 * x0[0]], abs=1e-15)
+        x1 = x0 - eta * steps[0][1]
+        assert np.array_equal(steps[1][0], x1)
+        # the sampled delta moves y by 3 (x1 - x0); the slope deltas vanish
         expected_y = 2.0 * x0[0] + 3.0 * (x1[0] - x0[0])
-        assert state.est_g_value[0] == pytest.approx(expected_y, abs=1e-15)
-        assert state.est_g_jac[0, 0] == pytest.approx(2.0)  # slope deltas vanish
+        assert steps[1][1] == pytest.approx([2.0 * expected_y], abs=1e-15)
+        assert np.array_equal(x, x1 - eta * steps[1][1])
 
     def test_zero_step_leaves_estimators_fixed(self, quad16):
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         x0 = np.zeros(d)
-        state = run_epoch(prob, fresh_state(x0, 1, d), 1,
-                          StubSchedule(tau=3, S=2, B=prob.m), 0.0,
-                          StubRng([np.array([3, 5]), np.array([0, 9])]))
+        x, steps = steps_of(run_epoch, prob, x0, 1,
+                            StubSchedule(tau=3, S=2, B=prob.m), 0.0,
+                            StubRng([np.array([3, 5]), np.array([0, 9])]))
         y0, z0, w0 = batch_estimates(prob, range(prob.m), x0)
-        assert np.array_equal(state.x, x0)
-        assert np.allclose(state.est_g_value, y0, atol=0, rtol=0)
-        assert np.allclose(state.est_g_jac, z0, atol=0, rtol=0)
-        assert np.allclose(state.est_h_grad, w0, atol=0, rtol=0)
+        want = z0.T @ prob.f_outer(y0)[1] + w0
+        assert np.array_equal(x, x0)
+        assert len(steps) == 3
+        for x_step, grad_est, x_new in steps:
+            assert np.array_equal(x_step, x0) and np.array_equal(x_new, x0)
+            assert grad_est.tobytes() == want.tobytes()
 
     def test_schedule_errors(self, quad16):
         losses, d, _, _ = quad16
         prob = build_mean(losses, dim=d)
         with pytest.raises(ValueError):
-            run_epoch(prob, fresh_state(np.zeros(d), 1, d), 1,
-                      StubSchedule(tau=1, S=0, B=4), 0.1, StubRng([]))
+            run_epoch(prob, np.zeros(d), 1, StubSchedule(tau=1, S=0, B=4),
+                      0.1, StubRng([]))
 
     def test_full_batch_gradient_matches_exact(self, quad16):
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
-        grads = []
-        probe = lambda stage, t, j, x, g: grads.append((x.copy(), g.copy()))
-        state = run_epoch(prob, fresh_state(np.zeros(d), 1, d), 1,
-                          Schedule(mode="full_batch", tau=4), 0.05,
-                          np.random.default_rng(0),
-                          on_step=lambda s, t, j, tau, x, g, x_new:
-                          probe(s, t, j, x, g))
-        for x, g in grads:
-            assert np.array_equal(g, full_phi_gradient(prob, x))
+        x, steps = steps_of(run_epoch, prob, np.zeros(d), 1,
+                            Schedule(mode="full_batch", tau=4), 0.05,
+                            np.random.default_rng(0))
+        assert len(steps) == 4
+        for x_step, grad_est, _ in steps:
+            assert np.array_equal(grad_est, full_phi_gradient(prob, x_step))
+        assert x.tobytes() == steps[-1][2].tobytes()
 
 
 class TestFullBatchDegeneracy:
@@ -213,19 +218,22 @@ class TestEstimatorRecursion:
         assert np.array_equal(acc_w, w)
 
     def test_full_pass_tracks_exact_means(self, quad16):
+        # every step's estimate is the one the exact means at its start
+        # point give, bit for bit, and the epoch returns the last iterate
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
-        final = {}
-        probe = lambda stage, t, j, x, g: final.__setitem__("x", x.copy())
-        state = run_epoch(prob, fresh_state(np.zeros(d), 1, d), 1,
-                          Schedule(mode="full_batch", tau=6), 0.03,
-                          np.random.default_rng(1),
-                          on_step=lambda s, t, j, tau, x, g, x_new:
-                          probe(s, t, j, x, g))
-        y_exact, z_exact, w_exact = batch_estimates(prob, range(prob.m), state.x_prev)
-        assert np.array_equal(state.est_g_value, y_exact)
-        assert np.array_equal(state.est_g_jac, z_exact)
-        assert np.array_equal(state.est_h_grad, w_exact)
+        x, steps = steps_of(run_epoch, prob, np.zeros(d), 1,
+                            Schedule(mode="full_batch", tau=6), 0.03,
+                            np.random.default_rng(1))
+        assert len(steps) == 6
+        for x_step, grad_est, x_new in steps:
+            y_exact, z_exact, w_exact = batch_estimates(prob, range(prob.m),
+                                                        x_step)
+            want = z_exact.T @ prob.f_outer(y_exact)[1] + w_exact
+            assert grad_est.tobytes() == want.tobytes()
+            assert x_new.tobytes() == prob.r_term.prox(
+                x_step - 0.03 * want, 0.03).tobytes()
+        assert x.tobytes() == steps[-1][2].tobytes()
 
     def test_update_unbiased_over_fresh_draws(self, quad16):
         losses, d, _, _ = quad16
@@ -664,7 +672,7 @@ class TestFailLoud:
                            match=r"^NumericalRangeError: exponent 7595\.3 "
                                  r"exceeds range after shift; .+ at stage 1, "
                                  r"epoch 1, step 1$") as raised:
-            run_epoch(prob, fresh_state(np.zeros(1), 1, 1), 1,
+            run_epoch(prob, np.zeros(1), 1,
                       StubSchedule(tau=2, S=3, B=4), 1.0,
                       StubRng([np.array([0, 3, 1])]))
         assert type(raised.value.__cause__) is NumericalRangeError

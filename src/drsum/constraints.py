@@ -6,8 +6,9 @@ like a loss family: batch(idx, x, jac=True) -> (values (n,), jacobian
 alone with jac=False.  eval reads it: the Wasserstein g_oracle reads the
 sampled rows, values() all values (the violation metric and the exact
 objective) and the counted jacobian() all rows (the projection).
-affine, build_dr_logistic and convexify_constraints index their rows in
-closed form; from_functions (the fairness set) stacks its callables
+affine, build_dr_logistic, build_fairness_constraints and
+convexify_constraints index their rows in closed form; from_functions,
+for a set written by hand as one callable per constraint, stacks them
 with composite.per_index, the adapter plain sequences of loss functions
 go through.
 

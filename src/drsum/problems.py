@@ -3,40 +3,23 @@
 Loss families read rows the way constraint sets do, through one batch
 oracle eval(idx, x, jac=True) -> (values (n,), gradients (n, d)) over a
 1-D array of row indices (repeats allowed, None for all m rows), the
-values alone with jac=False, each in one array expression; classifier
-families additionally expose the raw score of one row and its gradient,
-score(i, x), which the fairness constraints differentiate through, and
-the batch scores(x) -> (m,).  Everything is deterministic under an
-explicit seed.
-
-The logistic sigmoid comes in two forms, both 1 / (1 + exp(-t)), the
-formula of scipy.special.expit: sigmoid(t) for one float, on math.exp,
-which is bit-identical to expit; and sigmoids(t) for arrays, on np.exp,
-whose SIMD exp can differ from libm in the last bit.  Each call site
-uses the form that matches its argument, so neither pays for a
-dispatch on the argument's shape, and no import of scipy is needed.
+values alone with jac=False, each in one array expression.  Classifier
+families read their raw scores the same way, score(idx, x, jac=True) ->
+(scores (n,), gradients (n, d)), the scores alone with jac=False; the
+fairness constraints differentiate through that read, and the hard-rate
+metrics read score(None, x, jac=False).  Everything is deterministic
+under an explicit seed.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .composite import at_index
 from .constraints import ConstraintSet
-
-
-def sigmoid(t):
-    """1 / (1 + exp(-t)) of one float, as a Python float."""
-    try:
-        return 1.0 / (1.0 + math.exp(-t))
-    except OverflowError:  # exp(-t) beyond the float range
-        return 0.0
 
 
 def sigmoids(t):
@@ -126,13 +109,6 @@ class LogisticLosses:
         self.m = dataset.m
         self.dim = dataset.dim
 
-    def score(self, i, x):
-        z = self.dataset.features[i]
-        return float(z @ x), z
-
-    def scores(self, x):
-        return self.dataset.features @ x
-
     def eval(self, idx, x, jac=True):
         rows = slice(None) if idx is None else idx
         Z, y = self.dataset.features[rows], self.dataset.labels[rows]
@@ -141,6 +117,12 @@ class LogisticLosses:
         if not jac:
             return values
         return values, (-y * sigmoids(margins))[:, None] * Z
+
+    def score(self, idx, x, jac=True):
+        """Scores <x, z_i> of the rows idx (n,), every row for None, and
+        their gradients z_i (n, d); the scores alone if not jac."""
+        Z = self.dataset.features[slice(None) if idx is None else idx]
+        return (Z @ x, Z) if jac else Z @ x
 
 
 class Mlp2Losses:
@@ -167,7 +149,7 @@ class Mlp2Losses:
         b2 = x[-1]
         return W, b1, v, b2
 
-    def _score_rows(self, idx, x, jac=True):
+    def score(self, idx, x, jac=True):
         """Scores of the rows idx (n,), every row for None, and their
         parameter gradients (n, D); the scores alone if not jac."""
         W, b1, v, b2 = self._unpack(np.asarray(x, dtype=float))
@@ -182,18 +164,11 @@ class Mlp2Losses:
              np.ones((n, 1))], axis=1)
         return t @ v + b2, sgrad
 
-    def score(self, i, x):
-        s, grad = at_index(self._score_rows, i, x)
-        return float(s), grad
-
-    def scores(self, x):
-        return self._score_rows(None, x, jac=False)
-
     def eval(self, idx, x, jac=True):
         y = self.dataset.labels[slice(None) if idx is None else idx]
         if not jac:
-            return np.logaddexp(0.0, -y * self._score_rows(idx, x, jac=False))
-        s, sgrad = self._score_rows(idx, x)
+            return np.logaddexp(0.0, -y * self.score(idx, x, jac=False))
+        s, sgrad = self.score(idx, x)
         margins = -y * s
         grads = (-y * sigmoids(margins))[:, None] * sgrad
         return np.logaddexp(0.0, margins), grads
@@ -260,13 +235,15 @@ def surrogate_tpr(scores, temp):
 
 def build_fairness_constraints(dataset: TabularDataset, family,
                                spec: FairnessSpec) -> ConstraintSet:
-    """One equal-opportunity constraint per group:
+    """One equal-opportunity constraint per group, in spec.groups order:
 
         tpr(ALL) - tpr(group) - eps <= 0,
 
     with the true-positive rates relaxed by a sigmoid of the classifier
-    score at the configured temperature.  Differentiable in the model
-    parameters through the family's score gradients.
+    score at the configured temperature.  Each read scores the positive
+    rows once; a fixed weight matrix W (n_pos, G), 1/n_pos minus 1/n_g on
+    group g's rows, turns their sigmoids into every value, and their
+    score gradients into every jacobian row.
     """
     if dataset.group_ids is None:
         raise ValueError("dataset carries no group ids")
@@ -274,40 +251,34 @@ def build_fairness_constraints(dataset: TabularDataset, family,
         raise ValueError("loss family does not expose classifier scores")
     groups = list(spec.groups) if spec.groups is not None else \
         sorted(int(g) for g in np.unique(dataset.group_ids))
-    positives_all = np.nonzero(dataset.labels > 0)[0]
-    if positives_all.size == 0:
+    positives = np.nonzero(dataset.labels > 0)[0]
+    if positives.size == 0:
         raise ValueError("dataset has no positive-labeled rows")
-    group_positives = []
-    for g in groups:
-        rows = np.nonzero((dataset.labels > 0) & (dataset.group_ids == g))[0]
-        if rows.size == 0:
+    W = np.empty((positives.size, len(groups)))
+    for j, g in enumerate(groups):
+        in_group = dataset.group_ids[positives] == g
+        if not in_group.any():
             raise ValueError(f"group {g} has no positive-labeled rows")
-        group_positives.append(rows)
+        W[:, j] = 1.0 / positives.size - in_group / in_group.sum()
     temp = spec.surrogate_temp
     eps = spec.eps_slack
 
-    def tpr_and_grad(rows, x):
-        val = 0.0
-        grad = np.zeros(family.dim)
-        for i in rows:
-            s, sg = family.score(int(i), x)
-            sig = sigmoid(temp * s)
-            val += sig
-            grad += temp * sig * (1.0 - sig) * sg
-        return val / rows.size, grad / rows.size
+    def batch(idx, x, jac=True):
+        cols = W if idx is None else W[:, idx]
+        if not jac:
+            s = family.score(positives, x, jac=False)
+            return sigmoids(temp * s) @ cols - eps
+        s, grads = family.score(positives, x)
+        sig = sigmoids(temp * s)
+        slopes = temp * sig * (1.0 - sig)
+        return sig @ cols - eps, cols.T @ (slopes[:, None] * grads)
 
-    def constraint(rows, x):
-        tpr_all, g_all = tpr_and_grad(positives_all, x)
-        tpr_grp, g_grp = tpr_and_grad(rows, x)
-        return tpr_all - tpr_grp - eps, g_all - g_grp
-
-    return ConstraintSet.from_functions(
-        partial(constraint, rows) for rows in group_positives)
+    return ConstraintSet(m=len(groups), batch=batch)
 
 
 def group_true_positive_rates(dataset: TabularDataset, family, x):
     """Hard-indicator tpr overall and per group at the given parameters."""
-    scores = family.scores(x)
+    scores = family.score(None, x, jac=False)
     pos = dataset.labels > 0
     rates = {"ALL": float(np.mean(scores[pos] > 0))}
     if dataset.group_ids is not None:
@@ -326,7 +297,7 @@ def max_fairness_violation(dataset, family, x, eps):
 
 
 def error_rate(dataset: TabularDataset, family, x):
-    scores = family.scores(x)
+    scores = family.score(None, x, jac=False)
     predicted = np.where(scores > 0, 1.0, -1.0)
     return float(np.mean(predicted != dataset.labels))
 

@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from drsum.composite import (
     at_index,
@@ -10,7 +11,7 @@ from drsum.composite import (
     per_index,
 )
 from drsum.constraints import ConstraintSet
-from drsum.problems import sigmoid, sigmoids
+from drsum.problems import sigmoids
 from drsum.solver import _weighted_sum, split_batch
 
 
@@ -145,7 +146,7 @@ def dr_logistic_rows(dataset, kappa_flip):
     def loss_and_grad(beta, z, label):
         margin = -label * float(beta @ z)
         val = float(np.logaddexp(0.0, margin))
-        return val, -label * sigmoid(margin) * z
+        return val, -label * expit(margin) * z
 
     def oracle(i, x):
         beta, lam, s = split(np.asarray(x, dtype=float))

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -22,7 +21,6 @@ from drsum.problems import (
     make_losses,
     make_synthetic,
     make_xor_dataset,
-    sigmoid,
     sigmoids,
     surrogate_tpr,
 )
@@ -38,37 +36,9 @@ def small_dataset(seed=0, m=12):
     return TabularDataset(features=Z, labels=y, group_ids=g)
 
 
-def same_bits(got, want):
-    """Equal as IEEE doubles, sign of zero included; any NaN equals NaN."""
-    if math.isnan(want):
-        return math.isnan(got)
-    return np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
 class TestSigmoid:
-    """sigmoid is scipy's expit formula on libm's exp, so bit-identical to
-    it; sigmoids runs numpy's exp, which may differ in the last bit."""
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.floats())
-    def test_scalar_is_expit_bit_for_bit(self, t):
-        want = expit(t)
-        assert type(sigmoid(t)) is float
-        assert same_bits(sigmoid(t), want)
-        assert same_bits(sigmoid(np.float64(t)), want)
-
-    @pytest.mark.parametrize("t", [0.0, -0.0, math.inf, -math.inf, math.nan,
-                                   709.8, -709.8, 746.0, -746.0])
-    def test_scalar_edges(self, t):
-        assert same_bits(sigmoid(t), expit(t))
-        assert same_bits(sigmoid(np.float64(t)), expit(np.float64(t)))
-
-    def test_scalar_sweep(self):
-        # a sigmoid on numpy's exp differs in the last bit on about 2 %
-        t = np.random.default_rng(0).standard_normal(20_000) * 30.0
-        want = expit(t)
-        got = np.array([sigmoid(float(v)) for v in t])
-        assert got.tobytes() == want.tobytes()
+    """sigmoids runs numpy's exp on scipy's expit formula, so it may differ
+    from expit in the last bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, st.integers(1, 64)))
@@ -142,8 +112,9 @@ class ConstantScoreFamily:
         self.m = self.scores.size
         self.dim = dim
 
-    def score(self, i, x):
-        return float(self.scores[i]), np.zeros(self.dim)
+    def score(self, idx, x, jac=True):
+        s = self.scores[slice(None) if idx is None else idx]
+        return (s, np.zeros((s.size, self.dim))) if jac else s
 
     def eval(self, idx, x):
         return np.zeros(len(idx)), np.zeros((len(idx), self.dim))
@@ -188,7 +159,7 @@ class TestFairnessConstraints:
         assert val0 == pytest.approx(0.8 - 1.0 - 0.05, abs=1e-9)
 
     def test_stacked_batch_and_one_psi_path(self, monkeypatch):
-        # the fairness set stacks its group functions in its batch, and
+        # the fairness set reads every group in one batch, and
         # values() and jacobian() read it through eval, looked up at call
         # time, so a class-level wrapper sees every row read; psi reads the
         # mean loss once instead of once per h_i; eval and the oracle
@@ -251,6 +222,46 @@ class TestFairnessConstraints:
         evaluate_psi(replace(reference, h_oracle=counted(
             "h_oracle", reference.h_oracle, rows)), x)
         assert calls["h_oracle"] == cset.m
+
+    def test_one_score_read_per_constraint_read(self, monkeypatch):
+        # LogisticLosses.score wrapped at class level, as the benchmark
+        # tracer wraps it: a kl solve over the family never reads scores,
+        # and a fairness solve reads them once per constraint read
+        from drsum.constraints import ConstraintSet
+        from drsum.reductions import (
+            KlConfig,
+            WassersteinConfig,
+            build_kl,
+            wasserstein_stages,
+        )
+        from drsum.solver import SolverConfig, solve_restarted
+
+        data = make_synthetic("two_group_bias", m=120, seed=3, min_gap=0.2)
+        family = LogisticLosses(data)
+        calls = {"score": 0, "eval": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LogisticLosses, "score",
+                            counted("score", vars(LogisticLosses)["score"]))
+        monkeypatch.setattr(ConstraintSet, "eval",
+                            counted("eval", ConstraintSet.eval))
+        cfg = SolverConfig(eta=0.1, T=10, K=2, seed=0)
+        solve_restarted(build_kl(family, KlConfig(gamma=1.0)),
+                        np.zeros(family.dim), cfg)
+        assert calls == {"score": 0, "eval": 0}
+
+        cset = build_fairness_constraints(data, family, FairnessSpec())
+        stages = wasserstein_stages(MeanLossObjective(family), cset,
+                                    WassersteinConfig(alpha=4.0, gamma=0.02),
+                                    family.dim)
+        solve_restarted(stages, np.zeros(family.dim), cfg, constraints=cset)
+        assert calls["eval"] > 0
+        assert calls["score"] == calls["eval"]
 
     def test_gradients_match_finite_differences(self):
         dataset = small_dataset(9)

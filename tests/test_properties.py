@@ -132,26 +132,48 @@ def _family(kind, rng, m, d=3):
     return make_losses(kind, _dataset(rng, m, d), hidden=2)
 
 
-def fairness_rows(dataset, spec):
-    """The equal-opportunity rows of build_fairness_constraints over a
-    logistic family (score z_i . x), written as one array pass per group:
-    the surrogate tpr of the positives overall minus a group's, minus
-    eps."""
-    Z, temp = dataset.features, spec.surrogate_temp
-    positive = dataset.labels > 0
+def _fairness_spec(rng):
+    """A random margin and sharpness, over every group or over a permuted
+    subset of the groups {0, 1}."""
+    groups = None if rng.uniform() < 0.5 else \
+        [int(g) for g in rng.permutation(2)[:rng.integers(1, 3)]]
+    return FairnessSpec(eps_slack=rng.uniform(0.0, 0.2),
+                        surrogate_temp=rng.uniform(0.5, 10.0), groups=groups)
+
+
+def fairness_rows(dataset, spec, score_row):
+    """The equal-opportunity rows of build_fairness_constraints, one group
+    at a time over the one-row score reads score_row(i, x) -> (score,
+    gradient): the surrogate tpr of the positives overall minus a
+    group's, minus eps, in spec.groups order."""
+    temp = spec.surrogate_temp
+    positive = np.nonzero(dataset.labels > 0)[0]
+    groups = (np.unique(dataset.group_ids) if spec.groups is None
+              else spec.groups)
 
     def tpr(rows, x):
-        sig = expit(temp * (Z[rows] @ x))
-        return sig.mean(), (temp * sig * (1.0 - sig)) @ Z[rows] / sig.size
-
-    groups = np.unique(dataset.group_ids)
+        reads = [score_row(i, x) for i in rows]
+        sig = expit(temp * np.array([score for score, _ in reads]))
+        grads = np.array([grad for _, grad in reads])
+        return sig.mean(), (temp * sig * (1.0 - sig)) @ grads / sig.size
 
     def oracle(j, x):
         all_tpr, all_grad = tpr(positive, x)
-        tpr_j, grad_j = tpr(positive & (dataset.group_ids == groups[j]), x)
+        in_group = dataset.group_ids[positive] == groups[j]
+        tpr_j, grad_j = tpr(positive[in_group], x)
         return all_tpr - tpr_j - spec.eps_slack, all_grad - grad_j
 
     return oracle
+
+
+def logistic_scores(dataset):
+    """The score rows of a logistic family, z_i . x with gradient z_i."""
+    Z = dataset.features
+
+    def score_row(i, x):
+        return Z[i] @ x, Z[i]
+
+    return score_row
 
 
 def _objective_and_constraints(kind, rng, m, d=3):
@@ -163,11 +185,11 @@ def _objective_and_constraints(kind, rng, m, d=3):
         return (objective, cset, dr_logistic_rows(dataset, 1.0),
                 objective.slope.size)
     if kind == "fairness":
-        dataset = _dataset(rng, m, d)
+        dataset, spec = _dataset(rng, m, d), _fairness_spec(rng)
         family = LogisticLosses(dataset)
-        cset = build_fairness_constraints(dataset, family, FairnessSpec())
+        cset = build_fairness_constraints(dataset, family, spec)
         return (MeanLossObjective(family), cset,
-                fairness_rows(dataset, FairnessSpec()), d)
+                fairness_rows(dataset, spec, logistic_scores(dataset)), d)
     A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
     cset, rows = ConstraintSet.affine(A, b), affine_rows(A, b)
     if kind == "affine":
@@ -213,10 +235,15 @@ def test_batched_psi_matches_per_index(reduction, family_kind, seed, m,
         family.eval(None, x, jac=False),
         [at_index(family.eval, i, x)[0] for i in range(m)],
         rtol=1e-12, atol=1e-12)
-    if hasattr(family, "scores"):
-        np.testing.assert_allclose(
-            family.scores(x), [family.score(i, x)[0] for i in range(m)],
-            rtol=1e-12, atol=1e-12)
+    if hasattr(family, "score"):
+        scores, grads = family.score(None, x)
+        only = family.score(None, x, jac=False)
+        ref = [at_index(family.score, i, x) for i in range(m)]
+        np.testing.assert_allclose(only, [s for s, _ in ref],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads, [g for _, g in ref],
+                                   rtol=1e-12, atol=1e-12)
+        assert only.tobytes() == scores.tobytes()
     losses = family
     if family_kind == "plain_sequence":
         losses = [lambda v, i=i: at_index(family.eval, i, v) for i in range(m)]
@@ -273,7 +300,8 @@ def test_both_paths_raise_out_of_range():
 # -- constraint and loss rows against the per-index references ----------
 
 JACOBIAN_SETS = ("dr_logistic", "affine", "convexified_affine",
-                 "convexified_functions", "fairness", "from_functions")
+                 "convexified_functions", "fairness", "fairness_mlp2",
+                 "from_functions")
 # every loss family, a plain sequence of loss functions stacked by
 # per_index, and the fault-injecting wrapper, all read through the one
 # eval(idx, x, jac) a constraint set has
@@ -312,13 +340,17 @@ def _jacobian_set(kind, rng, m, d, mu_positive):
         dataset, kappa = _dataset(rng, m, d), rng.uniform(0.1, 3.0)
         _, cset = build_dr_logistic(dataset, rng.uniform(0.01, 1.0), kappa)
         return cset, dr_logistic_rows(dataset, kappa), d + 1 + m
-    if kind == "fairness":
-        dataset = _dataset(rng, m, d)
-        spec = FairnessSpec(eps_slack=rng.uniform(0.0, 0.2),
-                            surrogate_temp=rng.uniform(0.5, 10.0))
-        cset = build_fairness_constraints(dataset, LogisticLosses(dataset),
-                                          spec)
-        return cset, fairness_rows(dataset, spec), d
+    if kind in ("fairness", "fairness_mlp2"):
+        dataset, spec = _dataset(rng, m, d), _fairness_spec(rng)
+        if kind == "fairness":
+            family, score_row = LogisticLosses(dataset), logistic_scores(dataset)
+        else:  # the reference reads the family's scores one row at a time
+            family = make_losses("mlp2", dataset, hidden=2)
+
+            def score_row(i, x):
+                return at_index(family.score, i, x)
+        return (build_fairness_constraints(dataset, family, spec),
+                fairness_rows(dataset, spec, score_row), family.dim)
     if kind in ("from_functions", "convexified_functions"):
         funcs = [_ball_constraint(rng.standard_normal(d),
                                   rng.uniform(0.1, 2.0)) for _ in range(m)]

@@ -79,7 +79,8 @@ def load_config(path):
     """Read the INI file and fold in environment overrides.
 
     Returns a plain {section: {key: str}} dict.  Duplicate sections or
-    keys are configuration errors, as are unknown sections.
+    keys are configuration errors, as are unknown sections, in the file
+    or in a DRSUM_<SECTION>__<KEY> variable.
     """
     parser = configparser.ConfigParser(strict=True, interpolation=None)
     try:
@@ -110,8 +111,10 @@ def load_config(path):
             continue
         section, key = rest.split("__", 1)
         section = section.lower()
-        if section in known:
-            cfg[section][key.lower()] = value
+        if section not in known:
+            raise ConfigError(
+                f"{env_key} names unknown section [{section}]")
+        cfg[section][key.lower()] = value
     return cfg
 
 
@@ -341,13 +344,21 @@ class Experiment:
     # -- execution ----------------------------------------------------------
 
     def x0(self):
-        """solver.x0, or the origin of the decision space."""
+        """solver.x0, or else the origin of the decision space; for mlp2,
+        whose origin is a saddle of its losses, 0.1 N(0, I) drawn from a
+        stream seeded by solver.seed."""
         if self.problem is not None:
             dim = self.problem.dim_x
         else:  # wasserstein: the objective has the decision dimension
             dim = getattr(self.objective, "dim", None) or self.objective.slope.size
         explicit = self.cfg["solver"].get("x0")
-        x0 = _parse_vector(explicit) if explicit else np.zeros(dim)
+        if explicit:
+            x0 = _parse_vector(explicit)
+        elif self.kind == "mlp2":
+            rng = np.random.default_rng(self.solver_cfg.seed)
+            x0 = 0.1 * rng.standard_normal(dim)
+        else:
+            x0 = np.zeros(dim)
         if x0.size != dim:
             raise ConfigError(f"solver.x0 has {x0.size} entries; the "
                               f"decision vector has {dim}")
@@ -466,8 +477,8 @@ def _rows_check(name, source, x0, seed):
 def _check_rows(exp):
     rows = []
     problem = exp.problem
+    x0 = exp.x0()
     if exp.reduction == "wasserstein":  # the first stage, anchored at x0
-        x0 = exp.x0()
         problem = wasserstein_stages(exp.objective, exp.constraints,
                                      exp.wcfg, x0.size)(1, x0)
     jac = check_jacobians(problem, num_probes=25, seed=exp.solver_cfg.seed)
@@ -475,13 +486,13 @@ def _check_rows(exp):
                  f"max rel err {jac.max_rel_error:.2e}"))
     if exp.problem is not None:
         est = estimate_constants(exp.problem, num_probes=100,
-                                 seed=exp.solver_cfg.seed, center=exp.x0())
+                                 seed=exp.solver_cfg.seed, center=x0)
         finite = all(np.isfinite(v) for v in
                      (est.l_f, est.L_f, est.l_g, est.L_g, est.l_h, est.L_h))
         rows.append(("constant-estimates", finite,
                      f"L_g>={est.L_g:.3g} L_f>={est.L_f:.3g} L_h>={est.L_h:.3g}"))
     if exp.family is not None:
-        rows.append(_rows_check("family-rows", exp.family, exp.x0(),
+        rows.append(_rows_check("family-rows", exp.family, x0,
                                 exp.solver_cfg.seed))
     if exp.reduction in ("chi2", "kl") and exp.problem.m <= 12:
         rng = np.random.default_rng(exp.solver_cfg.seed)
@@ -507,7 +518,7 @@ def _check_rows(exp):
         ok = True
         worst = 0.0
         for _ in range(200):
-            x = exp.x0() + 0.5 * rng.standard_normal(exp.x0().size)
+            x = x0 + 0.5 * rng.standard_normal(x0.size)
             vals = exp.constraints.values(x)
             pen = wasserstein_penalty(vals, exp.wcfg.alpha, gamma)
             lo = max(0.0, exp.wcfg.alpha * float(np.max(vals)))
@@ -517,7 +528,7 @@ def _check_rows(exp):
             ok = ok and err <= 1e-9
         rows.append(("sandwich", ok, f"worst excursion {worst:.2e}"))
         rows.append(_rows_check("constraint-rows", exp.constraints,
-                                exp.x0(), exp.solver_cfg.seed))
+                                x0, exp.solver_cfg.seed))
         rho = _get(exp.cfg, "problem", "rho", default=None, cast=float)
         G_r = _get(exp.cfg, "problem", "g_r", default=None, cast=float)
         if rho and G_r:

@@ -28,10 +28,11 @@ Each iteration reads the constraints through one jacobian() call per
 point it visits, takes a damped BFGS model of the Lagrangian's Hessian,
 and solves its quadratic subproblem as a least-distance program
 (least_distance) by Lawson-Hanson nonnegative least squares (nnls;
-Lawson & Hanson 1974, "Solving Least Squares Problems", ch. 23).  The
-projection is exact on convex sets and local on nonconvex ones.  minimize
-stays a module attribute, which the projection calls by name, so it can
-be replaced or wrapped there.
+Lawson & Hanson 1974, "Solving Least Squares Problems", ch. 23), each
+of whose fits is a least-squares solve on the passive columns.  The
+projection is exact on convex sets and local on nonconvex ones.
+minimize stays a module attribute, which the projection calls by name,
+so it can be replaced or wrapped there.
 """
 
 from __future__ import annotations
@@ -122,11 +123,6 @@ def max_violation(cset, x):
 
 
 EPS = np.finfo(float).eps
-# A column whose squared distance from the span of the others is at most
-# this share of its squared norm counts as dependent on them.  The normal
-# equations square the conditioning, so nnls treats a column within a
-# relative distance of 1e-6 of the passive ones as dependent.
-DEPENDENT = 1e-12
 # ||E u - f||^2 at or below this reads as inconsistent: a least-distance
 # solution of norm above 1e6
 INCONSISTENT = 1e-12
@@ -137,107 +133,56 @@ STEP_TOL = 1e-6
 
 def nnls(A, b, start=()):
     """Lawson-Hanson nonnegative least squares: argmin ||A u - b|| over
-    u >= 0, solved on the normal equations, gram = [[A^T A, A^T b],
-    [b^T A, b^T b]].
+    u >= 0 (Lawson & Hanson 1974, ch. 23).
 
     The passive set P starts as the columns in start (a warm start),
-    shrunk until their least squares solution is positive; if no other
-    column has a gradient A_j^T (b - A u) beyond round-off, that solution
-    meets the KKT conditions and is returned.  Otherwise a copy T of gram
-    is swept (Goodnight 1979) on P.  Swept on P, T holds the solution on
-    P in its last column's P rows and the gradient in its other rows, so
-    a column enters P in one rank-one update; columns enter while the
-    gradient exceeds round-off.  When columns leave P, T is swept afresh
-    on the rest, and the solution on the final P is solved afresh from
-    gram, free of the sweeps' rounding.  Returns u.
+    shrunk until their least squares fit is positive.  Then the column
+    with the largest gradient A_j^T (b - A u) beyond round-off enters P,
+    and u moves towards z, the least squares fit on P's columns of A (the
+    least-norm one if they are dependent), until z is positive on P,
+    dropping the columns that reach 0 on the way.  If the fit does not
+    take the entering column up (z_j <= 0), its gradient was round-off
+    and u is returned.  At most 3n columns enter.  Returns u.
     """
     n = A.shape[1]
-    augmented = np.column_stack([A, b])
-    gram = augmented.T @ augmented
-    # the gradient's round-off, from the largest column sum of |gram|
-    tol = 10 * max(A.shape) * EPS * np.abs(gram).sum(axis=0).max()
+
+    def fit(passive):
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return z
+
+    # the gradient's round-off, from a bound on the column sums of
+    # |[A b]^T [A b]| that reads |[A b]| alone
+    magnitude = np.abs(np.column_stack([A, b]))
+    tol = 10 * max(A.shape) * EPS * (magnitude.sum(axis=1) @ magnitude).max()
     passive = np.zeros(n, dtype=bool)
     passive[np.asarray(start, dtype=int)] = True
-    while passive.any():  # shrink the start to a positive solution
-        u = _least_squares(gram, passive)
+    while passive.any():  # shrink the start to a positive fit
+        u = fit(passive)
         if u[passive].min() > 0:
             break
         passive &= u > 0
     else:
         u = np.zeros(n)
-    if np.where(passive, 0.0, gram[:n, n] - gram[:n, :n] @ u).max() <= tol:
-        return u
-    T = _swept(gram, passive)
     for _ in range(3 * n):
-        gradient = np.where(passive, -np.inf, T[:n, n])
+        gradient = np.where(passive, -np.inf, A.T @ (b - A @ u))
         j = gradient.argmax()
-        if not (gradient[j] > tol and T[j, j] > DEPENDENT * gram[j, j]):
-            break
-        u = np.where(passive, T[:n, n], 0.0)
-        _sweep(T, j)
-        if not T[j, n] > 0:  # j's gradient was round-off
+        if not gradient[j] > tol:
             break
         passive[j] = True
-        while np.any(T[:n, n][passive] <= 0):
+        z = fit(passive)
+        if not z[j] > 0:
+            break
+        while np.any(z[passive] <= 0):
             # move from u towards z until the first passive entry reaches 0
-            z = T[:n, n]
             blocking = np.flatnonzero(passive & (z <= 0))
             ratios = u[blocking] / (u[blocking] - z[blocking])
             u = np.where(passive, u + ratios.min() * (z - u), 0.0)
             u[blocking[ratios.argmin()]] = 0.0
             passive &= u > 0
-            T = _swept(gram, passive)
-    return np.maximum(_least_squares(gram, passive), 0.0)
-
-
-def _least_squares(gram, passive):
-    """The least squares solution on the passive columns of the normal
-    equations, zero elsewhere; the least-norm one if their Gram matrix is
-    singular."""
-    u = np.zeros(len(gram) - 1)
-    rows = np.flatnonzero(passive)
-    sub, rhs = gram[rows][:, rows], gram[rows, -1]
-    try:
-        u[rows] = np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError:
-        u[rows] = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+            z = fit(passive)
+        u = z
     return u
-
-
-def _sweep(T, k):
-    """Sweep T on index k: T_ij -= T_ik T_kj / T_kk, row and column k
-    divided by the pivot T_kk > 0, and T_kk = -1 / T_kk."""
-    pivot = T[k, k]
-    scaled = T[:, k] / pivot
-    T -= scaled[:, None] * T[k]
-    T[k] = T[:, k] = scaled
-    T[k, k] = -1.0 / pivot
-
-
-def _swept(gram, passive):
-    """A copy of the normal equations swept on the passive columns at
-    once.  If they are dependent (M_kk (M^-1)_kk is column k's squared
-    norm over its squared distance from the other columns), passive is
-    emptied and the copy is returned unswept, for a start from none."""
-    T = gram.copy()
-    block = np.flatnonzero(passive)
-    if not block.size:
-        return T
-    sub = T[block][:, block]
-    try:
-        inverse = np.linalg.inv(sub)
-    except np.linalg.LinAlgError:
-        inverse = None
-    ratio = 0.0 if inverse is None else sub.diagonal() * inverse.diagonal()
-    if not np.all((ratio > 0) & (ratio * DEPENDENT < 1)):
-        passive[:] = False
-        return T
-    solved = inverse @ T[block]
-    T -= T[:, block] @ solved
-    T[block] = solved
-    T[:, block] = solved.T
-    T[block[:, None], block] = -inverse
-    return T
 
 
 def least_distance(G, h, start=()):
@@ -283,7 +228,7 @@ def minimize(cset, x, tol, max_iter):
     values, jac = cset.jacobian(y)
     inverse = np.eye(x.size)
     # the violated rows, at most x.size of them, most violated first: the
-    # program has x.size + 1 rows, and nnls drops a dependent start
+    # program has x.size + 1 rows, and nnls shrinks a start to a positive fit
     active = np.argsort(-values)[:x.size]
     active = active[values[active] > 0]
     mu = np.zeros(cset.m)

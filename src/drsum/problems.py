@@ -471,8 +471,8 @@ def make_synthetic(kind, m, d=2, seed=0, *, cond=10.0, min_gap=0.1,
             gap = max(overall - r for r in rates.values())
             if gap >= min_gap:
                 return dataset
-        raise RuntimeError(
-            f"could not plant a tpr gap >= {min_gap} in {max_tries} tries")
+        raise ValueError(f"could not plant a tpr gap >= min_gap = "
+                         f"{min_gap} in {max_tries} tries")
 
     raise ValueError(f"unknown synthetic kind {kind!r}")
 

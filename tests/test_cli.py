@@ -136,6 +136,26 @@ class TestSolve:
         summary = json.loads((tmp_path / "x" / "summary.json").read_text())
         assert np.allclose(summary["final_x"], 0.5, atol=1e-6)
 
+    def test_mlp2_starts_off_its_saddle(self, tmp_path, monkeypatch):
+        # at the origin every mlp2 gradient but the output bias's vanishes,
+        # so the default start is drawn from solver.seed's stream
+        monkeypatch.setenv("DRSUM_PROBLEM__KIND", "mlp2")
+        out = tmp_path / "mlp2"
+        assert main(["solve", str(CONFIGS / "fairness_wasserstein.ini"),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error_rate"] < 0.5
+        dim = len(summary["final_x"])
+        rng = np.random.default_rng(summary["seed"])
+        start = 0.1 * rng.standard_normal(dim)
+        monkeypatch.setenv("DRSUM_SOLVER__METHOD", "full_prox_gradient")
+        monkeypatch.setenv("DRSUM_SOLVER__ITERS", "1")
+        monkeypatch.setenv("DRSUM_SOLVER__ETA", "1e-9")
+        assert main(["solve", str(CONFIGS / "fairness_wasserstein.ini"),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert np.allclose(summary["final_x"], start, atol=1e-6)
+
     def test_baseline_honours_grad_map_every(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DRSUM_SOLVER__METHOD", "full_prox_gradient")
         monkeypatch.setenv("DRSUM_SOLVER__GRAD_MAP_EVERY", "-1")
@@ -503,9 +523,13 @@ class TestConfigErrors:
         (KL_CONFIG, {"SCHEDULE": "adaptive"}, "workers"),
         (KL_CONFIG, {"PROBLEM__GAMMA": "-1"}, "gamma"),
         (KL_CONFIG, {"PROBLEM__COND": "-1"}, "cond"),
+        (str(CONFIGS / "fairness_wasserstein.ini"),
+         {"PROBLEM__MIN_GAP": "0.95"}, "min_gap"),
+        (CHI2_CONFIG, {"SOLVR__ETA": "5"}, "DRSUM_SOLVR__ETA"),
     ], ids=["x0_length", "x0_length_dr_logistic", "workers_over_m",
             "unknown_schedule", "zeta_over_sqrt_m", "ramp_under_workers",
-            "negative_gamma", "negative_cond"])
+            "negative_gamma", "negative_cond", "unreachable_min_gap",
+            "unknown_env_section"])
     def test_invalid_value_exit_1_names_key(self, tmp_path, monkeypatch,
                                             capsys, config, overrides, key):
         for name, value in overrides.items():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -547,11 +547,28 @@ def nnls_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(nnls_instances())
+# a warm start holding a zero column and a column repeated at twice its
+# scale: the start shrinks to the two repeated ones
+@example((np.array([[1.0, 0.0, 2.0, 1.0], [2.0, 0.0, 4.0, -1.0],
+                    [0.0, 0.0, 0.0, 3.0]]), np.array([1.0, 3.0, 1.0]),
+          [0, 1, 2]))
+# passive columns 1-5 span R^5 and fit b exactly; column 6 enters on a
+# round-off gradient, and the fit on all six does not take it up (z_6 < 0),
+# which ends the loop
+@example((np.array([[-1.0, 1.0, 3.0, -4.0, -3.0, 0.0, -2.0],
+                    [-2.0, 4.0, -2.0, 1.0, -4.0, -2.0, -4.0],
+                    [3.0, -2.0, 4.0, 4.0, -2.0, 0.0, 6.0],
+                    [-3.0, 1.0, -1.0, -1.0, 0.0, -4.0, -6.0],
+                    [0.0, -4.0, 4.0, 0.0, 2.0, 0.0, 0.0]]),
+          np.array([-4.0, 0.0, -3.0, -4.0, 3.0]), [2]))
+# two passive columns reach 0 on the way to one fit: two interior steps
+@example((np.array([[1.0, -2.0, 0.0], [-1.0, -4.0, -2.0], [3.0, 4.0, 2.0]]),
+          np.array([2.0, -4.0, 2.0]), [1]))
 def test_nnls_matches_scipy(instance):
-    """The normal-equation Lawson-Hanson solve, from any warm start, meets
-    the KKT conditions, which make A u - b the unique optimal residual,
-    and its residual is no longer than scipy's (which can stop short on
-    dependent columns)."""
+    """The Lawson-Hanson solve, from any warm start, meets the KKT
+    conditions, which make A u - b the unique optimal residual, and its
+    residual is no longer than scipy's (which can stop short on dependent
+    columns)."""
     from scipy.optimize import nnls as scipy_nnls
 
     A, b, start = instance
@@ -567,6 +584,14 @@ def test_nnls_matches_scipy(instance):
 
 @settings(max_examples=300, deadline=None)
 @given(nnls_instances(), st.booleans())
+# rows (-1, 0), (-1, 3), (-2, 6) and h = (1, 10, 20), the third row twice
+# the second: the optimum is (-1, 3), and scipy's nnls stops short of it
+@example((np.array([[-1.0, -1.0, -2.0], [0.0, 3.0, 6.0]]),
+          np.array([-1.0, 10.0 / 3.0]), []), False)
+# inconsistent: g w >= 1 and -g w >= 1 (g = (1, 1)) added to a
+# warm-started pair of rows
+@example((np.array([[1.0, -1.0], [2.0, 0.0]]), np.array([1.0, -1.0]),
+          [0, 1]), True)
 def test_least_distance_matches_scipy(instance, infeasible):
     """min ||w|| subject to G w >= h, one constraint row per column of
     the instance.  The feasible instances hold the point w0 = b by

@@ -54,17 +54,13 @@ from .solver import (
     Schedule,
     SolverReport,
     TrajectoryRecord,
+    dist_expected_oracle_calls,
     expected_oracle_calls,
     run_epoch,
-    solve_restarted,
-)
-from .distributed import (
-    DistConfig,
-    dist_expected_oracle_calls,
-    dist_run_epoch,
-    dist_solve,
+    solve,
     split_batch,
 )
+from . import distributed  # noqa: F401  (loaded here, so no solve pays for it)
 from .problems import (
     FairnessSpec,
     MeanLossObjective,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -28,7 +29,6 @@ from . import __version__
 from .composite import check_jacobians, evaluate_psi, gradient_mapping
 from .constraints import ConstraintSet, ProjectionError, max_violation
 from .diagnostics import baseline_solve, estimate_constants
-from .distributed import DistConfig, dist_solve
 from .problems import (
     BrokenJacobianLosses,
     FairnessSpec,
@@ -62,7 +62,7 @@ from .solver import (
     SolverConfig,
     Schedule,
     SolverReport,
-    solve_restarted,
+    solve,
     split_batch,
 )
 
@@ -132,7 +132,10 @@ def _get(cfg, section, key, default=None, cast=str, required=False):
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        return cast(raw)
+        value = cast(raw)
+        if cast is float and math.isnan(value):
+            raise ValueError(raw)
+        return value
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {section}.{key} = {raw!r}")
 
@@ -296,7 +299,7 @@ class Experiment:
             zeta=_get(cfg, "solver", "zeta", 0.0, float),
             tau=_get(cfg, "solver", "tau", 1, int),
         )
-        common = dict(
+        self.solver_cfg = SolverConfig(
             eta=_get(cfg, "solver", "eta", required=True, cast=float),
             T=_get(cfg, "solver", "t", 1, int),
             K=_get(cfg, "solver", "k", 1, int),
@@ -304,12 +307,9 @@ class Experiment:
             seed=_get(cfg, "solver", "seed", 0, int),
             output_rule=_get(cfg, "solver", "output_rule", "last_iterate"),
             grad_map_every=_get(cfg, "solver", "grad_map_every", 0, int),
+            p=(_get(cfg, "solver", "workers", 1, int)
+               if self.method == "dist_vr" else 1),
         )
-        if self.method == "dist_vr":
-            self.solver_cfg = DistConfig(
-                p=_get(cfg, "solver", "workers", 1, int), **common)
-        else:
-            self.solver_cfg = SolverConfig(**common)
         self.baseline_iters = _get(cfg, "solver", "iters", 100, int)
         self.baseline_batch = _get(cfg, "solver", "batch_size", 1, int)
         # bench runs the biased baseline on batch_size whatever the method
@@ -329,9 +329,8 @@ class Experiment:
             m = self.problem.m if self.problem is not None else self.constraints.m
             # the first epoch opens on the schedule's smallest batch
             batch = self.solver_cfg.schedule.params(1, m)[2]
-            if self.method == "dist_vr":
-                shards = self.solver_cfg.resolve_partition(m)
-                split_batch(batch, [len(shard) for shard in shards])
+            shards = self.solver_cfg.resolve_partition(m)
+            split_batch(batch, [len(shard) for shard in shards])
 
     def _resolve_output(self):
         cfg = self.cfg
@@ -354,6 +353,9 @@ class Experiment:
         explicit = self.cfg["solver"].get("x0")
         if explicit:
             x0 = _parse_vector(explicit)
+            if not np.isfinite(x0).all():
+                raise ConfigError(
+                    f"solver.x0 = {explicit!r} has a non-finite entry")
         elif self.kind == "mlp2":
             rng = np.random.default_rng(self.solver_cfg.seed)
             x0 = 0.1 * rng.standard_normal(dim)
@@ -366,7 +368,6 @@ class Experiment:
 
     def run(self) -> SolverReport:
         if self.method in ("vr", "dist_vr"):
-            solve = solve_restarted if self.method == "vr" else dist_solve
             x0 = self.x0()
             stages = self.problem if self.constraints is None else \
                 wasserstein_stages(self.objective, self.constraints,
@@ -428,7 +429,7 @@ def write_summary_json(path, cfg, exp, report):
         "counters": report.counters.as_dict(),
         "config": cfg,
     }
-    if report.per_device_counters is not None:
+    if exp.method == "dist_vr":
         summary["per_device_counters"] = [
             c.as_dict() for c in report.per_device_counters]
     if report.projection is not None:

@@ -15,8 +15,8 @@ row in one call, so an estimator update costs one call per field and
 point, however many rows it samples.  Given segments=, a list of
 consecutive segment lengths, batch_estimates and delta_update reduce
 each segment of the batch on its own and charge each segment's
-counter by its length, so the simulated workers of the distributed
-solver share one call per field and point per step across all
+counter by its length, so the simulated workers of a multi-worker
+solve share one call per field and point per step across all
 workers.  Loss families and constraint sets read rows with the same
 eval(idx, x, jac=True), idx None for every row and jac=False for the
 values alone.  per_index(oracle, m) stacks a per-index callable (i, x)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .composite import at_index
-from .solver import SolverReport, solve_restarted
+from .solver import SolverReport, solve
 
 
 @dataclass
@@ -105,11 +105,11 @@ class _OneStepSchedule:
 def baseline_solve(problem, kind, config, x0=None,
                    batch_size=1) -> SolverReport:
     """Reference methods as the config's K stages of T one-step epochs
-    of the solver's loop (its schedule is replaced), so stage k's
-    iteration i is recorded (and any failure named) as stage k, epoch
-    i, step 0.  Every epoch opens on a fresh batch from one stream, so
-    with the last-iterate rule stage k outputs the iterate after k*T
-    steps of a one-stage run.
+    of the solver's loop on one worker (its schedule and partition are
+    replaced), so stage k's iteration i is recorded (and any failure
+    named) as stage k, epoch i, step 0.  Every epoch opens on a fresh
+    batch from one stream, so with the last-iterate rule stage k
+    outputs the iterate after k*T steps of a one-stage run.
 
     full_prox_gradient: exact gradient every step.
     naive_biased_sgd: plugs mini-batch means straight into the outer
@@ -124,8 +124,8 @@ def baseline_solve(problem, kind, config, x0=None,
         raise ValueError("eta must be positive")
     batch = problem.m if kind == "full_prox_gradient" else batch_size
     x0 = np.zeros(problem.dim_x) if x0 is None else x0
-    return solve_restarted(problem, x0, replace(
-        config, schedule=_OneStepSchedule(batch)))
+    return solve(problem, x0, replace(
+        config, schedule=_OneStepSchedule(batch), p=1, partition=None))
 
 
 def fit_rate(errors) -> RateFit:

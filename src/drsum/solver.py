@@ -5,16 +5,21 @@ extra-gradient means, then runs incremental inner steps that correct all
 three estimators with sampled deltas before every proximal step.  A
 restart driver chains stages, warm-starting each from the last output.
 
-The epoch loop exists once, in sharded form (_sharded_epoch), and
-reports each proximal step through one hook; the one stage/restart
-driver (_run_stages) records the steps, applies the output rule,
-checks the run for divergence and, given a constraint set, ends the run
-with the single terminal projection onto it.  The centralized solver
-(run_epoch, solve_restarted) is their 1-worker case: one shard holding
-every index, sampled from the solver's stream with weight 1.0.  The
-simulated multi-worker solver in the distributed module runs the same
-loop and driver with one shard per worker, and the reference baselines
-in the diagnostics module run them with one step per epoch.
+There is one epoch loop (run_epoch), over components split into one
+shard per simulated worker, reporting each proximal step through one
+hook, and one driver (solve), which records the steps, applies the
+output rule, checks the run for divergence and, given a constraint set,
+ends the run with the single terminal projection onto it.
+
+The p workers are simulated in synchronous rounds: no networking, no
+failures.  Each worker keeps its own three estimators over its shard
+and samples only from it; the server averages the worker estimators,
+weighted by shard size in fixed worker order, takes the proximal step
+and broadcasts the iterate, so results do not depend on the order the
+workers run in.  The centralized solver is the default p = 1: one shard
+holding every index, sampled from the stream seeded by the solver's
+seed, with weight 1.0.  The reference baselines in the diagnostics
+module run the same loop and driver with one step per epoch.
 
 Determinism contract: a run is fully determined by (problem, config,
 seed).  Full passes (batch or inner sample size equal to m) never touch
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +54,7 @@ FULL_BATCH = "full_batch"
 DIVERGENCE_FACTOR = 1e6  # psi growth over max(1, |psi(x0)|) that ends a run
 
 # Salt for the output-selection stream, kept apart from the sampling
-# streams so centralized and simulated-distributed runs select alike.
+# streams so runs on any number of workers select alike.
 _SELECT_SALT = 0x5E1EC7
 
 
@@ -132,7 +137,14 @@ def dist_expected_oracle_calls(schedule, T, m, p, K=1, partition_sizes=None):
 
 @dataclass
 class SolverConfig:
-    """Solver configuration: step size, epochs per stage, restart stages."""
+    """Solver configuration: step size, epochs per stage, restart stages,
+    worker count and data partition.
+
+    partition maps each worker to the component indices it owns; the
+    default is a contiguous equal split with the remainder on the last
+    worker.  Worker i samples with a stream seeded by seed ^ i, so the
+    one worker of the default p = 1 samples with the seed's own stream.
+    """
 
     eta: float
     T: int
@@ -141,14 +153,40 @@ class SolverConfig:
     seed: int = 0
     output_rule: str = "last_iterate"
     grad_map_every: int = 0  # 0: exact gradient mapping at epoch ends only
+    p: int = 1
+    partition: Optional[list] = None
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
         if self.T < 1 or self.K < 1:
             raise ValueError("T and K must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.output_rule not in ("last_iterate", "uniform_random_iterate"):
             raise ValueError(f"unknown output rule {self.output_rule!r}")
+        if self.p < 1:
+            raise ValueError("worker count must be >= 1")
+
+    def resolve_partition(self, m):
+        """The p shards of range(m): the partition, checked, or the
+        default split."""
+        if self.p > m:
+            raise ValueError(f"more workers ({self.p}) than components ({m})")
+        if self.partition is not None:
+            shards = [np.asarray(s, dtype=int) for s in self.partition]
+            if len(shards) != self.p:
+                raise ValueError("one shard per worker required")
+            flat = np.sort(np.concatenate(shards))
+            if not np.array_equal(flat, np.arange(m)):
+                raise ValueError("partition must assign every index exactly once")
+            return shards
+        base = m // self.p
+        shards = []
+        for i in range(self.p):
+            hi = (i + 1) * base if i < self.p - 1 else m
+            shards.append(np.arange(i * base, hi))
+        return shards
 
 
 @dataclass
@@ -171,12 +209,12 @@ class SolverReport:
     """Trajectory, exact oracle accounting, and the selected output."""
 
     trajectory: list
-    counters: OracleCounter
+    counters: OracleCounter  # the devices' and the server's, summed
     final_x: np.ndarray
     wall_time: float
     final_psi: Optional[float] = None
     stage_outputs: list = field(default_factory=list)
-    per_device_counters: Optional[list] = None
+    per_device_counters: list = field(default_factory=list)  # one per worker
     projection: Optional[dict] = None  # constrained runs only
 
 
@@ -231,9 +269,12 @@ def _weighted_sum(parts, weights):
     return total
 
 
-def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
-                   server_counter, *, stage, on_step, order=None):
-    """The epoch loop, over components split into shards.
+def run_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
+              server_counter, *, stage=1, on_step=None, order=None):
+    """One epoch: batch estimates at the iterate x, then tau proximal
+    steps (the first from the batch estimators, the remaining tau-1
+    after sampled estimator corrections), over components split into
+    shards.
 
     Shard i keeps its own estimator triple, samples from shards[i] with
     rngs[i] and charges its oracle calls to counters[i].  Each read of
@@ -259,9 +300,9 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     the on_step hook, if given: the step's start point, estimate and new
     iterate.  It returns the last iterate: the next epoch opens its
     estimators afresh.  A non-finite iterate or gradient estimate (a box
-    prox clips an infinite step to a finite iterate) or an ArithmeticError in a step (the
-    opening batch is step 0) raises NumericalRangeError naming stage,
-    epoch, step.
+    prox clips an infinite step to a finite iterate) or an
+    ArithmeticError in a step (the opening batch is step 0) raises
+    NumericalRangeError naming stage, epoch, step.
     """
     m = problem.m
     tau, S, B = schedule.params(t, m)
@@ -323,19 +364,6 @@ def _sharded_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
         f"non-finite {bad} at stage {stage}, epoch {t}, step {j}")
 
 
-def run_epoch(problem, x, t, schedule, eta, rng, counter=None, *,
-              stage=1, on_step: Optional[Callable] = None):
-    """One epoch: batch estimates at the iterate x, then tau proximal
-    steps (the first from the batch estimators, the remaining tau-1
-    after sampled estimator corrections).  The 1-worker case of
-    _sharded_epoch: one shard of every index, sampled with rng, all of
-    whose calls go to counter.  Returns the last iterate.
-    """
-    return _sharded_epoch(
-        problem, x, t, schedule, eta, [np.arange(problem.m)], [rng],
-        [counter], counter, stage=stage, on_step=on_step)
-
-
 def _smooth_value(problem, x):
     """r(x) + mean_i h_i(x): Psi without the outer map, which for a
     Wasserstein problem is the objective without the penalty."""
@@ -343,29 +371,46 @@ def _smooth_value(problem, x):
     return float(problem.r_term.value(x) + float(np.sum(h_vals)) / problem.m)
 
 
-def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
-                *, constraints=None, probe=None) -> SolverReport:
-    """K warm-started stages of T epochs, each epoch(problem, x, t,
-    stage=..., on_step=...) -> last iterate; problem_builder is a fixed
-    CompositeProblem or a callable (stage_index, x_start) -> problem.
+def solve(problem_builder, x0, config: SolverConfig, *, constraints=None,
+          exec_order=None, probe=None) -> SolverReport:
+    """K warm-started stages of T epochs on config.p simulated workers.
+    problem_builder is either a fixed CompositeProblem or a callable
+    (stage_index, x_start) -> problem, which lets parameterized
+    objectives re-anchor per stage.  exec_order orders only the
+    per-worker draws; the server reduces in fixed index order.
 
     After every proximal step the driver calls probe(stage, t, j, x,
     grad_est), records the new iterate (counter snapshots summed over
-    `counters`, the gradient mapping at the grad_map_every cadence, the
-    violation of `constraints` if given) and keeps it as an output
+    the devices, the gradient mapping at the grad_map_every cadence,
+    the violation of `constraints` if given) and keeps it as an output
     candidate.  Each stage outputs its last iterate, or a uniform-random
     one drawn from the selection stream.  A run whose recorded psi
     exceeds DIVERGENCE_FACTOR * max(1, |psi(x0)|) on stage 1's problem
     raises DivergenceError at its end, naming the first such step.
-    Given constraints, the run ends with one projection onto them,
-    counted in server_counter, and its report dict: _smooth_value before
-    and after, their gap, the residual and the iterations.  final_psi is
-    read on the last stage's problem.  The caller attaches the counters.
+    Given constraints, the server ends the run with one projection onto
+    them, and its report dict: _smooth_value before and after, their
+    gap, the residual and the iterations.  final_psi is read on the
+    last stage's problem.
+
+    The report carries one OracleCounter per device (that device's g/h
+    evaluations) and their sum with the server's counter (the outer-map,
+    prox and projection calls) as the totals.
     """
     builder = problem_builder
     if isinstance(problem_builder, CompositeProblem):
         builder = lambda k, x_start: problem_builder
+    if config.p == 1:
+        run = run_epoch
+    else:
+        # run_epoch under its second name, which exists only for the
+        # benchmark's tracer: it wraps both names to tell 1-worker epochs
+        # from p-worker ones.  Imported here: that module imports this one
+        from . import distributed
+        run = distributed.dist_run_epoch
 
+    rngs = [np.random.default_rng(config.seed ^ i) for i in range(config.p)]
+    devices = [OracleCounter() for _ in range(config.p)]
+    server = OracleCounter()
     select_rng = np.random.default_rng(int(config.seed) ^ _SELECT_SALT)
     collect = config.output_rule == "uniform_random_iterate"
     every = config.grad_map_every
@@ -388,8 +433,8 @@ def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
         records.append(TrajectoryRecord(
             stage=stage, epoch=t, step=j, psi=evaluate_psi(problem, x_new),
             grad_map_sq=gm, max_violation=viol,
-            g_calls=sum(c.g_value_calls for c in counters),
-            h_calls=sum(c.h_gradient_calls for c in counters),
+            g_calls=sum(c.g_value_calls for c in devices),
+            h_calls=sum(c.h_gradient_calls for c in devices),
             wall_s=time.perf_counter() - start))
 
     x = np.asarray(x0, dtype=float)
@@ -399,9 +444,13 @@ def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
         if k == 1:
             psi_limit = DIVERGENCE_FACTOR * max(
                 1.0, abs(evaluate_psi(problem, x)))
+        # resolve_partition sorts, concatenates and validates: once a stage
+        shards = config.resolve_partition(problem.m)
         candidates = [x.copy()]
         for t in range(1, config.T + 1):
-            x = epoch(problem, x, t, stage=k, on_step=on_step)
+            x = run(problem, x, t, config.schedule, config.eta, shards, rngs,
+                    devices, server, stage=k, on_step=on_step,
+                    order=exec_order)
         if collect:
             x = candidates[int(select_rng.integers(0, len(candidates)))]
         stage_outputs.append(x.copy())
@@ -416,7 +465,7 @@ def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
         x_raw = x
         reads = constraints.jacobian_calls
         x, residual, iterations = project_feasible(constraints, x_raw)
-        server_counter.projection_calls += 1
+        server.projection_calls += 1
         before, after = (_smooth_value(problem, v) for v in (x_raw, x))
         projection = {
             "objective_before": before, "objective_after": after,
@@ -425,27 +474,12 @@ def _run_stages(problem_builder, x0, config, epoch, counters, server_counter,
             "jacobian_calls": constraints.jacobian_calls - reads}
     return SolverReport(
         trajectory=records,
-        counters=None,
+        counters=sum(devices, server),
         final_x=x,
         wall_time=time.perf_counter() - start,
         final_psi=evaluate_psi(problem, x),
         stage_outputs=stage_outputs,
+        per_device_counters=devices,
         projection=projection,
     )
 
-
-def solve_restarted(problem_builder, x0, config: SolverConfig, *,
-                    constraints=None, probe=None) -> SolverReport:
-    """K warm-started stages.  problem_builder is either a fixed
-    CompositeProblem or a callable (stage_index, x_start) -> problem,
-    which lets parameterized objectives re-anchor per stage.  Given
-    constraints, the run ends with one projection onto them."""
-    counter = OracleCounter()
-    rng = np.random.default_rng(config.seed)
-    # run_epoch is looked up per call, so wrappers of the module name see it
-    epoch = lambda problem, x, t, **hook: run_epoch(
-        problem, x, t, config.schedule, config.eta, rng, counter, **hook)
-    report = _run_stages(problem_builder, x0, config, epoch, [counter],
-                         counter, constraints=constraints, probe=probe)
-    report.counters = counter
-    return report

@@ -32,7 +32,7 @@ def per_shard_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     """The sharded epoch loop with one batch_estimates or delta_update call
     per shard, visited in order: the reference the solver's joint batch,
     one call per field and point for all shards, must equal bit for bit.
-    Takes and returns what solver._sharded_epoch does, without its
+    Takes and returns what solver.run_epoch does, without its
     non-finite checks."""
     m = problem.m
     tau, S, B = schedule.params(t, m)

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+import drsum.solver
 from drsum.composite import (
     CompositeProblem,
     batch_estimates,
@@ -19,7 +20,6 @@ from drsum.composite import (
 )
 from drsum.constraints import ConstraintSet
 from drsum.diagnostics import baseline_solve, fit_rate
-from drsum.distributed import DistConfig, dist_expected_oracle_calls, dist_solve
 from drsum.problems import (
     FairnessSpec,
     MeanLossObjective,
@@ -46,9 +46,12 @@ from drsum.reductions import KlConfig
 from drsum.solver import (
     SolverConfig,
     Schedule,
+    dist_expected_oracle_calls,
     expected_oracle_calls,
-    solve_restarted,
+    solve,
 )
+
+from conftest import per_shard_epoch
 
 
 def report(criterion, t0, detail):
@@ -131,8 +134,8 @@ def test_criterion_4_full_batch_degeneracy():
     iterates = []
     cfg = SolverConfig(eta=eta, T=10, K=1, seed=3,
                       schedule=Schedule(mode="full_batch", tau=5))
-    rep = solve_restarted(prob, np.zeros(5), cfg,
-                          probe=lambda s, t, j, x, g: iterates.append(x.copy()))
+    rep = solve(prob, np.zeros(5), cfg,
+                probe=lambda s, t, j, x, g: iterates.append(x.copy()))
     ref = baseline_solve(prob, "full_prox_gradient",
                          SolverConfig(eta=eta, T=50), x0=np.zeros(5))
     assert len(iterates) == 50
@@ -186,7 +189,7 @@ def test_criterion_6_linear_convergence_and_exact_counters():
     psi_star = evaluate_psi(prob, x)
 
     cfg = SolverConfig(eta=0.1, T=2, K=8, seed=3)
-    rep = solve_restarted(prob, np.zeros(5), cfg)
+    rep = solve(prob, np.zeros(5), cfg)
     errors = [evaluate_psi(prob, xs) - psi_star for xs in rep.stage_outputs]
     assert all(e > 0 for e in errors)
     fit = fit_rate(errors)
@@ -210,7 +213,7 @@ def test_criterion_7_nonconvex_adaptive_decay():
     schedule = Schedule(mode="adaptive", beta=1.0, zeta=1.0)
     cfg = SolverConfig(eta=0.5, T=10, K=1, seed=5, schedule=schedule)
     x0 = 0.3 * np.random.default_rng(0).standard_normal(fam.dim)
-    rep = solve_restarted(prob, x0, cfg)
+    rep = solve(prob, x0, cfg)
     sampled = [r.grad_map_sq for r in rep.trajectory if r.grad_map_sq is not None]
     best = min(sampled)
     assert best < 1e-3
@@ -236,8 +239,8 @@ def test_criterion_8_single_projection_and_gap_decay():
         eta = 1.0 / (1.0 + 2.0 * 2.0**2 / (4.0 * gamma))
         T = max(1, int(np.ceil(16.0 / eta / (2 * K))))
         cfg = SolverConfig(eta=eta, T=T, K=K, seed=0)
-        rep = solve_restarted(wasserstein_stages(objective, cset, wcfg, 2),
-                              np.zeros(2), cfg, constraints=cset)
+        rep = solve(wasserstein_stages(objective, cset, wcfg, 2),
+                    np.zeros(2), cfg, constraints=cset)
         gaps[K] = rep.projection["gap"]
         if K == 8:
             assert np.linalg.norm(rep.final_x - np.array([1.0, 1.0])) < 1e-3
@@ -249,28 +252,29 @@ def test_criterion_8_single_projection_and_gap_decay():
                   f"{ordered[0]:.2e} -> {ordered[-1]:.2e} over K = 2..8")
 
 
-def test_criterion_9_distributed_equivalence():
+def test_criterion_9_distributed_equivalence(monkeypatch):
     t0 = time.perf_counter()
     fam = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
     prob = build_chi2(fam, Chi2Config(gamma=10.0))
 
-    central = solve_restarted(prob, np.zeros(5),
-                              SolverConfig(eta=0.05, T=4, K=2, seed=11))
-    single = dist_solve(prob, np.zeros(5),
-                        DistConfig(eta=0.05, T=4, K=2, seed=11, p=1))
+    cfg = SolverConfig(eta=0.05, T=4, K=2, seed=11, p=1)
+    single = solve(prob, np.zeros(5), cfg)
+    with monkeypatch.context() as patch:  # the centralized reference loop
+        patch.setattr(drsum.solver, "run_epoch", per_shard_epoch)
+        central = solve(prob, np.zeros(5), cfg)
     assert np.array_equal(central.final_x, single.final_x)
     assert [r.psi for r in central.trajectory] == [r.psi for r in single.trajectory]
 
     schedule = Schedule(mode="full_batch", tau=3)
     central_iters = []
-    solve_restarted(prob, np.zeros(5),
-                    SolverConfig(eta=0.05, T=3, K=1, seed=0, schedule=schedule),
-                    probe=lambda s, t, j, x, g: central_iters.append(x.copy()))
+    solve(prob, np.zeros(5),
+          SolverConfig(eta=0.05, T=3, K=1, seed=0, schedule=schedule),
+          probe=lambda s, t, j, x, g: central_iters.append(x.copy()))
     for p in (2, 4):
         dist_iters = []
-        dist_solve(prob, np.zeros(5),
-                   DistConfig(eta=0.05, T=3, K=1, seed=0, schedule=schedule, p=p),
-                   probe=lambda s, t, j, x, g: dist_iters.append(x.copy()))
+        solve(prob, np.zeros(5),
+              SolverConfig(eta=0.05, T=3, K=1, seed=0, schedule=schedule, p=p),
+              probe=lambda s, t, j, x, g: dist_iters.append(x.copy()))
         worst = max(float(np.max(np.abs(a - b)))
                     for a, b in zip(central_iters, dist_iters))
         assert worst < 1e-10
@@ -278,9 +282,9 @@ def test_criterion_9_distributed_equivalence():
     fixed = Schedule(mode="fixed_sqrt_m")
     per_dev = {}
     for p in (2, 4):
-        rep = dist_solve(prob, np.zeros(5),
-                         DistConfig(eta=0.05, T=2, K=1, seed=3, p=p,
-                                    schedule=fixed))
+        rep = solve(prob, np.zeros(5),
+                    SolverConfig(eta=0.05, T=2, K=1, seed=3, p=p,
+                                 schedule=fixed))
         expected = dist_expected_oracle_calls(fixed, 2, 16, p)
         for dev, want in zip(rep.per_device_counters, expected):
             assert dev.g_value_calls == want
@@ -310,9 +314,9 @@ def test_criterion_10_desk_scale_fairness():
     stages = wasserstein_stages(MeanLossObjective(fam), cset,
                                 WassersteinConfig(alpha=4.0, gamma=0.02),
                                 fam.dim)
-    rep = solve_restarted(stages, np.zeros(fam.dim),
-                          SolverConfig(eta=0.1, T=60, K=2, seed=0),
-                          constraints=cset)
+    rep = solve(stages, np.zeros(fam.dim),
+                SolverConfig(eta=0.1, T=60, K=2, seed=0),
+                constraints=cset)
     viol = max_fairness_violation(data, fam, rep.final_x, eps)
     err = error_rate(data, fam, rep.final_x)
     assert viol <= 0.06
@@ -341,8 +345,8 @@ def test_criterion_11_bias_floor_of_naive_sgd():
     prob = CompositeProblem(1, 1, 16, per_index(g_oracle), per_index(h_oracle),
                             f_outer)
     eta = 0.05
-    rep = solve_restarted(prob, np.zeros(1),
-                          SolverConfig(eta=eta, T=30, K=1, seed=2))
+    rep = solve(prob, np.zeros(1),
+                SolverConfig(eta=eta, T=30, K=1, seed=2))
     budget = rep.counters.g_value_calls
     _, gm_vr = gradient_mapping(prob, eta, rep.final_x)
 

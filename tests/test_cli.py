@@ -84,6 +84,8 @@ class TestSolve:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["seed"] == 5
         assert summary["counters"]["g_value_calls"] == 3 * 2 * (16 + 2 * 4 * 3)
+        # only a dist_vr summary lists the devices
+        assert "per_device_counters" not in summary
 
     def test_rerun_byte_identical_except_wall(self, tmp_path):
         cfg = write_cfg(tmp_path, QUAD_CHI2.format(out=tmp_path / "a"))
@@ -165,23 +167,27 @@ class TestSolve:
         assert len(rows) == 100
         assert all(row.split(",")[6] == "" for row in rows)
 
-    def test_distributed_summary_is_strict_json_of_ints(self, tmp_path):
-        # four workers: the devices' g and h calls sum to the totals, and
-        # every counter is an int that json writes and reads back
-        out = tmp_path / "run"
-        assert main(["solve", KL_CONFIG, "--out", str(out)]) == 0
-
+    def test_distributed_summary_is_strict_json_of_ints(self, tmp_path,
+                                                        monkeypatch):
+        # four workers, then one: one counter per worker, the devices' g
+        # and h calls sum to the totals, and every counter is an int that
+        # json writes and reads back
         def reject(token):
             raise ValueError(f"non-finite literal {token}")
 
-        with open(out / "summary.json", encoding="utf-8") as fh:
-            summary = json.load(fh, parse_constant=reject)
-        devices = summary["per_device_counters"]
-        assert len(devices) == 4
-        for counter in [summary["counters"], *devices]:
-            assert all(type(v) is int for v in counter.values())
-        for name in ("g_value_calls", "h_gradient_calls"):
-            assert sum(c[name] for c in devices) == summary["counters"][name]
+        for workers in (4, 1):
+            monkeypatch.setenv("DRSUM_SOLVER__WORKERS", str(workers))
+            out = tmp_path / f"run{workers}"
+            assert main(["solve", KL_CONFIG, "--out", str(out)]) == 0
+            with open(out / "summary.json", encoding="utf-8") as fh:
+                summary = json.load(fh, parse_constant=reject)
+            devices = summary["per_device_counters"]
+            assert len(devices) == workers
+            for counter in [summary["counters"], *devices]:
+                assert all(type(v) is int for v in counter.values())
+            for name in ("g_value_calls", "h_gradient_calls"):
+                assert sum(c[name] for c in devices) == \
+                    summary["counters"][name]
 
 
 NONCONVEX_TOY = """
@@ -212,14 +218,14 @@ class TestNonconvexToySolve:
 
         from drsum.problems import make_synthetic
         from drsum.reductions import build_mean
-        from drsum.solver import SolverConfig, solve_restarted
+        from drsum.solver import SolverConfig, solve
 
         cfg = write_cfg(tmp_path, NONCONVEX_TOY.format(out=tmp_path / "run"))
         assert main(["solve", cfg]) == 0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         family = make_synthetic("nonconvex_toy", m=9, d=2, seed=4)
-        report = solve_restarted(build_mean(family), np.zeros(2),
-                                 SolverConfig(eta=0.1, T=3, K=2, seed=1))
+        report = solve(build_mean(family), np.zeros(2),
+                       SolverConfig(eta=0.1, T=3, K=2, seed=1))
         assert summary["final_x"] == report.final_x.tolist()
         assert summary["final_psi"] == report.final_psi
 
@@ -526,10 +532,21 @@ class TestConfigErrors:
         (str(CONFIGS / "fairness_wasserstein.ini"),
          {"PROBLEM__MIN_GAP": "0.95"}, "min_gap"),
         (CHI2_CONFIG, {"SOLVR__ETA": "5"}, "DRSUM_SOLVR__ETA"),
+        (CHI2_CONFIG, {"SEED": "-2"}, "seed"),
+        (KL_CONFIG, {"SEED": "-1"}, "seed"),
+        (str(CONFIGS / "fairness_wasserstein.ini"),
+         {"PROBLEM__MU_CONVEXIFY": "nan"}, "problem.mu_convexify = 'nan'"),
+        (CHI2_CONFIG, {"ETA": "nan"}, "solver.eta = 'nan'"),
+        (KL_CONFIG, {"PROBLEM__GAMMA": "nan"}, "problem.gamma = 'nan'"),
+        (str(CONFIGS / "robust_logistic.ini"),
+         {"PROBLEM__EPS_RADIUS": "nan"}, "problem.eps_radius = 'nan'"),
+        (KL_CONFIG, {"X0": "nan,0,0,0,0"}, "solver.x0"),
     ], ids=["x0_length", "x0_length_dr_logistic", "workers_over_m",
             "unknown_schedule", "zeta_over_sqrt_m", "ramp_under_workers",
             "negative_gamma", "negative_cond", "unreachable_min_gap",
-            "unknown_env_section"])
+            "unknown_env_section", "negative_seed", "negative_seed_dist_vr",
+            "nan_mu_convexify", "nan_eta", "nan_gamma", "nan_eps_radius",
+            "nan_x0"])
     def test_invalid_value_exit_1_names_key(self, tmp_path, monkeypatch,
                                             capsys, config, overrides, key):
         for name, value in overrides.items():

@@ -334,13 +334,12 @@ class TestBatchCalls:
         # calls (one per point) at each of the tau - 1 corrections
         from drsum.problems import make_synthetic
         from drsum.reductions import Chi2Config, build_chi2
-        from drsum.solver import SolverConfig, expected_oracle_calls, \
-            solve_restarted
+        from drsum.solver import SolverConfig, expected_oracle_calls, solve
 
         family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
         prob, log = self.recorded(build_chi2(family, Chi2Config(gamma=10.0)))
         cfg = SolverConfig(eta=0.02, T=3, K=2, seed=3, grad_map_every=-1)
-        report = solve_restarted(prob, np.zeros(5), cfg)
+        report = solve(prob, np.zeros(5), cfg)
         per_epoch = [16] + [4] * 6
         assert log["g"] == log["h"] == per_epoch * 6
         assert report.counters.g_value_calls == sum(log["g"]) == \

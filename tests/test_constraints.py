@@ -176,7 +176,7 @@ class TestBatchJacobianProjection:
         """The drlogistic_m20 set of one data seed and the point its solve
         hands to the terminal projection."""
         from drsum.reductions import WassersteinConfig, build_wasserstein
-        from drsum.solver import SolverConfig, solve_restarted
+        from drsum.solver import SolverConfig, solve
 
         data = drlogistic_data(seed)
         objective, cset = build_dr_logistic(data, eps_radius=0.1,
@@ -188,8 +188,8 @@ class TestBatchJacobianProjection:
             return build_wasserstein(objective, cset, wcfg,
                                      shift_anchor=x_start, dim=x0.size)
 
-        report = solve_restarted(builder, x0,
-                                 SolverConfig(eta=0.001, T=50, K=2, seed=0))
+        report = solve(builder, x0,
+                       SolverConfig(eta=0.001, T=50, K=2, seed=0))
         return cset, report.final_x
 
     @pytest.mark.parametrize("seed", [3000, 3001, 3002])

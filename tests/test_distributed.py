@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 import drsum.distributed as distributed
+import drsum.solver as solver
 from drsum.constraints import ConstraintSet, max_violation
-from drsum.distributed import (
-    DistConfig,
-    dist_expected_oracle_calls,
-    dist_solve,
-    split_batch,
-)
 from drsum.problems import make_synthetic
 from drsum.reductions import (
     Chi2Config,
@@ -21,7 +16,14 @@ from drsum.reductions import (
     build_mean,
     wasserstein_stages,
 )
-from drsum.solver import SolverConfig, Schedule, expected_oracle_calls, solve_restarted
+from drsum.solver import (
+    SolverConfig,
+    Schedule,
+    dist_expected_oracle_calls,
+    expected_oracle_calls,
+    solve,
+    split_batch,
+)
 
 from conftest import per_shard_epoch, quadratic_losses
 
@@ -31,14 +33,24 @@ def chi2_problem(m=16, gamma=10.0, seed=7):
     return build_chi2(losses, Chi2Config(gamma=gamma), dim=d), d
 
 
-class TestSingleWorkerEquivalence:
-    def test_bit_identical_trajectory_and_counters(self):
-        prob, d = chi2_problem()
-        central_cfg = SolverConfig(eta=0.05, T=4, K=2, seed=11)
-        dist_cfg = DistConfig(eta=0.05, T=4, K=2, seed=11, p=1)
+def centralized(monkeypatch):
+    """Make solve's 1-worker epochs the reference loop of the centralized
+    solver: one plain oracle call per field and point on one shard of
+    every index, sampled from the seed's own stream."""
+    monkeypatch.setattr(solver, "run_epoch", per_shard_epoch)
 
-        central = solve_restarted(prob, np.zeros(d), central_cfg)
-        dist = dist_solve(prob, np.zeros(d), dist_cfg)
+
+class TestSingleWorkerEquivalence:
+    """The 1-worker run, on the joint-batch loop, equals the centralized
+    reference loop bit for bit."""
+
+    def test_bit_identical_trajectory_and_counters(self, monkeypatch):
+        prob, d = chi2_problem()
+        cfg = SolverConfig(eta=0.05, T=4, K=2, seed=11, p=1)
+
+        dist = solve(prob, np.zeros(d), cfg)
+        centralized(monkeypatch)
+        central = solve(prob, np.zeros(d), cfg)
 
         assert np.array_equal(central.final_x, dist.final_x)
         assert [r.psi for r in central.trajectory] == [r.psi for r in dist.trajectory]
@@ -53,18 +65,16 @@ class TestSingleWorkerEquivalence:
         Schedule(mode="full_batch", tau=3),
     ], ids=lambda s: s.mode)
     @pytest.mark.parametrize("grad_map_every", [0, 2])
-    def test_bit_identical_every_record_field(self, schedule,
+    def test_bit_identical_every_record_field(self, monkeypatch, schedule,
                                               grad_map_every):
         prob, d = chi2_problem()
         cset = ConstraintSet.affine(np.eye(d), np.full(d, -0.1))
-        common = dict(eta=0.05, T=4, K=2, seed=11, schedule=schedule,
-                      grad_map_every=grad_map_every)
-        central_cfg = SolverConfig(**common)
-        dist_cfg = DistConfig(**common, p=1)
+        cfg = SolverConfig(eta=0.05, T=4, K=2, seed=11, schedule=schedule,
+                           grad_map_every=grad_map_every)
 
-        central = solve_restarted(prob, np.zeros(d), central_cfg,
-                                  constraints=cset)
-        dist = dist_solve(prob, np.zeros(d), dist_cfg, constraints=cset)
+        dist = solve(prob, np.zeros(d), cfg, constraints=cset)
+        centralized(monkeypatch)
+        central = solve(prob, np.zeros(d), cfg, constraints=cset)
 
         assert np.array_equal(central.final_x, dist.final_x)
 
@@ -79,16 +89,13 @@ class TestSingleWorkerEquivalence:
         assert dev.h_gradient_calls == central.counters.h_gradient_calls
         assert dist.counters.as_dict() == central.counters.as_dict()
 
-    def test_bit_identical_with_random_output_rule(self):
+    def test_bit_identical_with_random_output_rule(self, monkeypatch):
         prob, d = chi2_problem()
-        central = solve_restarted(
-            prob, np.zeros(d),
-            SolverConfig(eta=0.05, T=3, K=1, seed=5,
-                        output_rule="uniform_random_iterate"))
-        dist = dist_solve(
-            prob, np.zeros(d),
-            DistConfig(eta=0.05, T=3, K=1, seed=5, p=1,
-                       output_rule="uniform_random_iterate"))
+        cfg = SolverConfig(eta=0.05, T=3, K=1, seed=5,
+                           output_rule="uniform_random_iterate")
+        dist = solve(prob, np.zeros(d), cfg)
+        centralized(monkeypatch)
+        central = solve(prob, np.zeros(d), cfg)
         assert np.array_equal(central.final_x, dist.final_x)
 
 
@@ -97,7 +104,7 @@ class TestConstrainedRun:
     server ends it with the one projection."""
 
     @staticmethod
-    def dr_logistic_run(cfg_type, **extra):
+    def dr_logistic_run(**extra):
         data = make_synthetic("two_group_bias", m=6, seed=1, min_gap=0.05)
         objective, cset = build_dr_logistic(data, eps_radius=0.1,
                                             kappa_flip=1.0)
@@ -105,13 +112,13 @@ class TestConstrainedRun:
         stages = wasserstein_stages(objective, cset,
                                     WassersteinConfig(alpha=3.0, gamma=0.05),
                                     x0.size)
-        cfg = cfg_type(eta=0.002, T=60, K=2, seed=0, **extra)
-        solve = dist_solve if cfg_type is DistConfig else solve_restarted
+        cfg = SolverConfig(eta=0.002, T=60, K=2, seed=0, **extra)
         return solve(stages, x0, cfg, constraints=cset), cset
 
-    def test_single_worker_bit_identical(self):
-        central, _ = self.dr_logistic_run(SolverConfig)
-        dist, _ = self.dr_logistic_run(DistConfig, p=1)
+    def test_single_worker_bit_identical(self, monkeypatch):
+        dist, _ = self.dr_logistic_run(p=1)
+        centralized(monkeypatch)
+        central, _ = self.dr_logistic_run()
         assert central.projection["iterations"] > 0  # the projection runs
         assert np.array_equal(central.final_x, dist.final_x)
         assert [{k: v for k, v in asdict(r).items() if k != "wall_s"}
@@ -123,7 +130,7 @@ class TestConstrainedRun:
         assert dist.final_psi == central.final_psi
 
     def test_two_workers_project_once_on_the_server(self):
-        report, cset = self.dr_logistic_run(DistConfig, p=2)
+        report, cset = self.dr_logistic_run(p=2)
         assert report.projection["residual"] <= 1e-8
         assert max_violation(cset, report.final_x) <= 1e-8
         assert [c.projection_calls for c in report.per_device_counters] == \
@@ -137,12 +144,12 @@ class TestFullBatchEquivalence:
         prob, d = chi2_problem()
         schedule = Schedule(mode="full_batch", tau=3)
         central_iters, dist_iters = [], []
-        solve_restarted(prob, np.zeros(d),
-                        SolverConfig(eta=0.05, T=3, K=1, seed=0, schedule=schedule),
-                        probe=lambda s, t, j, x, g: central_iters.append(x.copy()))
-        dist_solve(prob, np.zeros(d),
-                   DistConfig(eta=0.05, T=3, K=1, seed=0, schedule=schedule, p=p),
-                   probe=lambda s, t, j, x, g: dist_iters.append(x.copy()))
+        solve(prob, np.zeros(d),
+              SolverConfig(eta=0.05, T=3, K=1, seed=0, schedule=schedule),
+              probe=lambda s, t, j, x, g: central_iters.append(x.copy()))
+        solve(prob, np.zeros(d),
+              SolverConfig(eta=0.05, T=3, K=1, seed=0, schedule=schedule, p=p),
+              probe=lambda s, t, j, x, g: dist_iters.append(x.copy()))
         assert len(central_iters) == len(dist_iters) == 9
         for a, b in zip(central_iters, dist_iters):
             assert np.max(np.abs(a - b)) < 1e-10
@@ -151,12 +158,12 @@ class TestFullBatchEquivalence:
         prob, d = chi2_problem(m=10)
         schedule = Schedule(mode="full_batch", tau=2)
         partition = [np.arange(0, 3), np.arange(3, 10)]
-        central = solve_restarted(
+        central = solve(
             prob, np.zeros(d), SolverConfig(eta=0.05, T=2, K=1, schedule=schedule))
-        dist = dist_solve(
+        dist = solve(
             prob, np.zeros(d),
-            DistConfig(eta=0.05, T=2, K=1, schedule=schedule, p=2,
-                       partition=partition))
+            SolverConfig(eta=0.05, T=2, K=1, schedule=schedule, p=2,
+                         partition=partition))
         assert np.max(np.abs(central.final_x - dist.final_x)) < 1e-10
 
     def test_hand_computed_full_batch_mean(self):
@@ -171,10 +178,10 @@ class TestFullBatchEquivalence:
 
         prob = build_mean([make(i) for i in range(4)], dim=1)
         grads = []
-        dist_solve(prob, np.array([1.0]),
-                   DistConfig(eta=0.0, T=1, K=1, p=2,
-                              schedule=Schedule(mode="full_batch", tau=1)),
-                   probe=lambda s, t, j, x, g: grads.append(g.copy()))
+        solve(prob, np.array([1.0]),
+              SolverConfig(eta=0.0, T=1, K=1, p=2,
+                           schedule=Schedule(mode="full_batch", tau=1)),
+              probe=lambda s, t, j, x, g: grads.append(g.copy()))
         # estimator of the mean value at x0=1 equals mean(slopes) = 2.5;
         # with identity outer map the step gradient is the mean jacobian
         assert grads[0][0] == pytest.approx(2.5)
@@ -183,8 +190,8 @@ class TestFullBatchEquivalence:
 class TestPerDeviceCounters:
     def test_sharded_formula_m16_p4(self):
         prob, d = chi2_problem()
-        dcfg = DistConfig(eta=0.05, T=2, K=1, seed=3, p=4)
-        report = dist_solve(prob, np.zeros(d), dcfg)
+        dcfg = SolverConfig(eta=0.05, T=2, K=1, seed=3, p=4)
+        report = solve(prob, np.zeros(d), dcfg)
         expected = dist_expected_oracle_calls(dcfg.schedule, 2, 16, 4)
         assert expected == [56, 56, 56, 56]
         for dev, want in zip(report.per_device_counters, expected):
@@ -193,8 +200,8 @@ class TestPerDeviceCounters:
 
     def test_devices_count_components_server_counts_steps(self):
         prob, d = chi2_problem()
-        dcfg = DistConfig(eta=0.05, T=2, K=2, seed=3, p=4)
-        report = dist_solve(prob, np.zeros(d), dcfg)
+        dcfg = SolverConfig(eta=0.05, T=2, K=2, seed=3, p=4)
+        report = solve(prob, np.zeros(d), dcfg)
         steps = len(report.trajectory)
         for dev in report.per_device_counters:
             assert (dev.f_outer_calls, dev.prox_calls,
@@ -218,8 +225,8 @@ class TestPerDeviceCounters:
         # every device pays the full inner term; only the batch term shards,
         # so the grand total is the sum of the per-device formula
         prob, d = chi2_problem()
-        dcfg = DistConfig(eta=0.05, T=3, K=2, seed=9, p=4)
-        report = dist_solve(prob, np.zeros(d), dcfg)
+        dcfg = SolverConfig(eta=0.05, T=3, K=2, seed=9, p=4)
+        report = solve(prob, np.zeros(d), dcfg)
         per_device = dist_expected_oracle_calls(dcfg.schedule, 3, 16, 4, K=2)
         assert report.counters.g_value_calls == sum(per_device)
         assert sum(per_device) > expected_oracle_calls(dcfg.schedule, 3, 16, K=2)
@@ -228,9 +235,9 @@ class TestPerDeviceCounters:
 class TestAggregationOrder:
     def test_worker_completion_order_irrelevant(self):
         prob, d = chi2_problem()
-        dcfg = DistConfig(eta=0.05, T=3, K=1, seed=21, p=4)
-        base = dist_solve(prob, np.zeros(d), dcfg)
-        permuted = dist_solve(prob, np.zeros(d), dcfg, exec_order=[3, 1, 0, 2])
+        dcfg = SolverConfig(eta=0.05, T=3, K=1, seed=21, p=4)
+        base = solve(prob, np.zeros(d), dcfg)
+        permuted = solve(prob, np.zeros(d), dcfg, exec_order=[3, 1, 0, 2])
         assert np.array_equal(base.final_x, permuted.final_x)
         assert [r.psi for r in base.trajectory] == [r.psi for r in permuted.trajectory]
 
@@ -255,18 +262,18 @@ class TestJointBatch:
     def test_bit_identical_to_per_shard_calls(self, monkeypatch, extra,
                                               exec_order):
         prob, d = chi2_problem()
-        dcfg = DistConfig(eta=0.05, T=3, K=2, seed=13, **extra)
+        dcfg = SolverConfig(eta=0.05, T=3, K=2, seed=13, **extra)
 
         def run():
             steps = []
-            report = dist_solve(
+            report = solve(
                 prob, np.zeros(d), dcfg, exec_order=exec_order,
                 probe=lambda stage, t, j, x, grad: steps.append(
                     x.tobytes() + grad.tobytes()))
             return report, steps
 
         joint, joint_steps = run()
-        monkeypatch.setattr(distributed, "_sharded_epoch", per_shard_epoch)
+        monkeypatch.setattr(distributed, "dist_run_epoch", per_shard_epoch)
         reference, reference_steps = run()
 
         # every step's start point and gradient estimate, bit for bit
@@ -301,10 +308,10 @@ class TestJointBatch:
             steps.append((j, Counter(log)))
             log.clear()
 
-        dist_solve(prob, np.zeros(d),
-                   DistConfig(eta=0.05, T=2, K=2, seed=4, p=p,
-                              grad_map_every=-1),
-                   probe=probe)
+        solve(prob, np.zeros(d),
+              SolverConfig(eta=0.05, T=2, K=2, seed=4, p=p,
+                           grad_map_every=-1),
+              probe=probe)
         return steps
 
     def test_one_call_per_field_and_point_per_step(self):
@@ -318,8 +325,8 @@ class TestJointBatch:
 
     def test_counters_are_builtin_ints(self):
         prob, d = chi2_problem()
-        report = dist_solve(prob, np.zeros(d),
-                            DistConfig(eta=0.05, T=3, K=2, seed=6, p=4))
+        report = solve(prob, np.zeros(d),
+                       SolverConfig(eta=0.05, T=3, K=2, seed=6, p=4))
         for counter in [report.counters, *report.per_device_counters]:
             assert all(type(v) is int for v in counter.as_dict().values())
 
@@ -328,14 +335,14 @@ class TestValidation:
     def test_more_workers_than_components(self):
         prob, d = chi2_problem(m=4)
         with pytest.raises(ValueError, match=r"more workers \(8\)"):
-            dist_solve(prob, np.zeros(d), DistConfig(eta=0.1, T=1, p=8))
+            solve(prob, np.zeros(d), SolverConfig(eta=0.1, T=1, p=8))
 
     def test_partition_must_cover_indices(self):
         prob, d = chi2_problem(m=6)
-        bad = DistConfig(eta=0.1, T=1, p=2,
-                         partition=[np.array([0, 1]), np.array([2, 3])])
+        bad = SolverConfig(eta=0.1, T=1, p=2,
+                           partition=[np.array([0, 1]), np.array([2, 3])])
         with pytest.raises(ValueError):
-            dist_solve(prob, np.zeros(d), bad)
+            solve(prob, np.zeros(d), bad)
 
     def test_split_batch(self):
         assert split_batch(8, [4, 4]) == [4, 4]
@@ -345,6 +352,6 @@ class TestValidation:
             split_batch(1, [2, 2])
 
     def test_default_partition_remainder_to_last(self):
-        dcfg = DistConfig(eta=0.1, T=1, p=3)
+        dcfg = SolverConfig(eta=0.1, T=1, p=3)
         shards = dcfg.resolve_partition(10)
         assert [len(s) for s in shards] == [3, 3, 4]

@@ -234,7 +234,7 @@ class TestFairnessConstraints:
             build_kl,
             wasserstein_stages,
         )
-        from drsum.solver import SolverConfig, solve_restarted
+        from drsum.solver import SolverConfig, solve
 
         data = make_synthetic("two_group_bias", m=120, seed=3, min_gap=0.2)
         family = LogisticLosses(data)
@@ -251,15 +251,15 @@ class TestFairnessConstraints:
         monkeypatch.setattr(ConstraintSet, "eval",
                             counted("eval", ConstraintSet.eval))
         cfg = SolverConfig(eta=0.1, T=10, K=2, seed=0)
-        solve_restarted(build_kl(family, KlConfig(gamma=1.0)),
-                        np.zeros(family.dim), cfg)
+        solve(build_kl(family, KlConfig(gamma=1.0)),
+              np.zeros(family.dim), cfg)
         assert calls == {"score": 0, "eval": 0}
 
         cset = build_fairness_constraints(data, family, FairnessSpec())
         stages = wasserstein_stages(MeanLossObjective(family), cset,
                                     WassersteinConfig(alpha=4.0, gamma=0.02),
                                     family.dim)
-        solve_restarted(stages, np.zeros(family.dim), cfg, constraints=cset)
+        solve(stages, np.zeros(family.dim), cfg, constraints=cset)
         assert calls["eval"] > 0
         assert calls["score"] == calls["eval"]
 

@@ -26,7 +26,7 @@ from drsum.solver import (
     Schedule,
     expected_oracle_calls,
     run_epoch,
-    solve_restarted,
+    solve,
 )
 
 from conftest import affine_rows, closed_form, reference_set
@@ -104,6 +104,12 @@ def steps_of(run, *args, **kwargs):
     return out, steps
 
 
+def one_worker_epoch(problem, x, t, schedule, eta, rng, **hook):
+    """run_epoch on one shard of every index, sampled with rng, uncounted."""
+    return run_epoch(problem, x, t, schedule, eta, [np.arange(problem.m)],
+                     [rng], [None], None, **hook)
+
+
 class TestRunEpoch:
     def test_hand_unrolled_recursion(self):
         # two linear components with slopes 1 and 3, outer map u^2 / 2, so
@@ -126,7 +132,7 @@ class TestRunEpoch:
                                 per_index(h_oracle), f_outer)
         x0 = np.array([1.5])
         eta = 0.1
-        x, steps = steps_of(run_epoch, prob, x0, 1,
+        x, steps = steps_of(one_worker_epoch, prob, x0, 1,
                             StubSchedule(tau=2, S=1, B=2), eta,
                             StubRng([np.array([1])]))
         # the batch means: y = 2 x0 (mean slope 2), z = 2
@@ -142,7 +148,7 @@ class TestRunEpoch:
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         x0 = np.zeros(d)
-        x, steps = steps_of(run_epoch, prob, x0, 1,
+        x, steps = steps_of(one_worker_epoch, prob, x0, 1,
                             StubSchedule(tau=3, S=2, B=prob.m), 0.0,
                             StubRng([np.array([3, 5]), np.array([0, 9])]))
         y0, z0, w0 = batch_estimates(prob, range(prob.m), x0)
@@ -157,13 +163,13 @@ class TestRunEpoch:
         losses, d, _, _ = quad16
         prob = build_mean(losses, dim=d)
         with pytest.raises(ValueError):
-            run_epoch(prob, np.zeros(d), 1, StubSchedule(tau=1, S=0, B=4),
-                      0.1, StubRng([]))
+            one_worker_epoch(prob, np.zeros(d), 1,
+                             StubSchedule(tau=1, S=0, B=4), 0.1, StubRng([]))
 
     def test_full_batch_gradient_matches_exact(self, quad16):
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
-        x, steps = steps_of(run_epoch, prob, np.zeros(d), 1,
+        x, steps = steps_of(one_worker_epoch, prob, np.zeros(d), 1,
                             Schedule(mode="full_batch", tau=4), 0.05,
                             np.random.default_rng(0))
         assert len(steps) == 4
@@ -181,7 +187,7 @@ class TestFullBatchDegeneracy:
         probe = lambda stage, t, j, x, g: iterates.append(x.copy())
         cfg = SolverConfig(eta=eta, T=10, K=1,
                           schedule=Schedule(mode="full_batch", tau=5), seed=3)
-        report = solve_restarted(prob, np.zeros(d), cfg, probe=probe)
+        report = solve(prob, np.zeros(d), cfg, probe=probe)
 
         x = np.zeros(d)
         manual = []
@@ -222,7 +228,7 @@ class TestEstimatorRecursion:
         # point give, bit for bit, and the epoch returns the last iterate
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
-        x, steps = steps_of(run_epoch, prob, np.zeros(d), 1,
+        x, steps = steps_of(one_worker_epoch, prob, np.zeros(d), 1,
                             Schedule(mode="full_batch", tau=6), 0.03,
                             np.random.default_rng(1))
         assert len(steps) == 6
@@ -256,14 +262,14 @@ class TestEstimatorRecursion:
 
 
 class TestRunStage:
-    """One stage: solve_restarted with K = 1."""
+    """One stage: solve with K = 1."""
 
     def test_single_step_stage(self, quad16):
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         eta = 0.05
         cfg = SolverConfig(eta=eta, T=1, schedule=Schedule(mode="full_batch", tau=1))
-        report = solve_restarted(prob, np.zeros(d), cfg)
+        report = solve(prob, np.zeros(d), cfg)
         expected = prob.r_term.prox(-eta * full_phi_gradient(prob, np.zeros(d)), eta)
         assert np.array_equal(report.final_x, expected)
         assert len(report.trajectory) == 1
@@ -273,7 +279,7 @@ class TestRunStage:
         m4 = losses[:4]
         prob = build_chi2(m4, Chi2Config(gamma=10.0), dim=d)
         cfg = SolverConfig(eta=0.02, T=3, schedule=Schedule(mode="fixed_sqrt_m"), seed=2)
-        counter = solve_restarted(prob, np.zeros(d), cfg).counters
+        counter = solve(prob, np.zeros(d), cfg).counters
         expected = expected_oracle_calls(cfg.schedule, cfg.T, 4)
         assert expected == 3 * 8
         assert counter.g_value_calls == expected
@@ -284,11 +290,11 @@ class TestRunStage:
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         cfg = SolverConfig(eta=0.02, T=2, seed=9,
                           output_rule="uniform_random_iterate")
-        x1 = solve_restarted(prob, np.zeros(d), cfg).final_x
-        x2 = solve_restarted(prob, np.zeros(d), cfg).final_x
+        x1 = solve(prob, np.zeros(d), cfg).final_x
+        x2 = solve(prob, np.zeros(d), cfg).final_x
         assert np.array_equal(x1, x2)
         cfg_last = SolverConfig(eta=0.02, T=2, seed=9, output_rule="last_iterate")
-        x3 = solve_restarted(prob, np.zeros(d), cfg_last).final_x
+        x3 = solve(prob, np.zeros(d), cfg_last).final_x
         # sampling draws are unaffected by the selection stream
         assert x1.shape == x3.shape
 
@@ -298,8 +304,8 @@ class TestSolveRestarted:
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         cfg = SolverConfig(eta=0.02, T=3, K=2, seed=13)
-        r1 = solve_restarted(prob, np.zeros(d), cfg)
-        r2 = solve_restarted(prob, np.zeros(d), cfg)
+        r1 = solve(prob, np.zeros(d), cfg)
+        r2 = solve(prob, np.zeros(d), cfg)
         assert np.array_equal(r1.final_x, r2.final_x)
         assert [rec.psi for rec in r1.trajectory] == [rec.psi for rec in r2.trajectory]
         assert r1.counters.as_dict() == r2.counters.as_dict()
@@ -309,7 +315,7 @@ class TestSolveRestarted:
         m8 = losses[:8]
         prob = build_chi2(m8, Chi2Config(gamma=10.0), dim=d)
         cfg = SolverConfig(eta=0.05, T=30, K=4, seed=1)
-        report = solve_restarted(prob, np.zeros(d), cfg)
+        report = solve(prob, np.zeros(d), cfg)
         x = np.zeros(d)
         for _ in range(4000):
             x = prob.r_term.prox(x - 0.05 * full_phi_gradient(prob, x), 0.05)
@@ -319,7 +325,7 @@ class TestSolveRestarted:
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
         cfg = SolverConfig(eta=0.08, T=4, K=6, seed=3)
-        report = solve_restarted(prob, np.zeros(d), cfg)
+        report = solve(prob, np.zeros(d), cfg)
         x = np.zeros(d)
         for _ in range(20000):
             x = prob.r_term.prox(x - 0.05 * full_phi_gradient(prob, x), 0.05)
@@ -352,7 +358,6 @@ class TestOracleCounting:
         # component_values serves psi and grad_map_every = -1 skips the
         # gradient mapping, so only the counted solver loop calls g and h
         from drsum.diagnostics import baseline_solve
-        from drsum.distributed import DistConfig, dist_solve
         from drsum.problems import make_synthetic
 
         family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
@@ -362,9 +367,9 @@ class TestOracleCounting:
         common = dict(eta=0.02, T=3, K=2, seed=3, grad_map_every=-1)
         x0 = np.zeros(prob.dim_x)
         if method == "vr":
-            report = solve_restarted(prob, x0, SolverConfig(**common))
+            report = solve(prob, x0, SolverConfig(**common))
         elif method == "dist_vr_p3":
-            report = dist_solve(prob, x0, DistConfig(p=3, **common))
+            report = solve(prob, x0, SolverConfig(p=3, **common))
         else:
             report = baseline_solve(prob, "naive_biased_sgd",
                                     SolverConfig(**common), batch_size=3)
@@ -396,7 +401,7 @@ class TestRecordCadence:
                            grad_map_every=grad_map_every)
         x0 = np.full(d, 0.25)
         probed = []
-        report = solve_restarted(
+        report = solve(
             prob, x0, cfg, constraints=cset,
             probe=lambda s, t, j, x, g: probed.append((s, t, j, x.copy())))
 
@@ -423,7 +428,7 @@ class TestVarianceReduction:
             sq_errors.setdefault(t, []).append(float(np.sum((g_est - exact) ** 2)))
 
         cfg = SolverConfig(eta=0.04, T=10, K=1, seed=6)
-        solve_restarted(prob, np.zeros(d), cfg, probe=probe)
+        solve(prob, np.zeros(d), cfg, probe=probe)
         first = np.mean(sq_errors[1])
         last = np.mean(sq_errors[10])
         assert last <= 0.10 * first
@@ -432,8 +437,8 @@ class TestVarianceReduction:
 def constrained_solve(objective, cset, wcfg, cfg, x0):
     """The Wasserstein stages of (objective, cset) solved from x0, ending
     with the one projection onto cset."""
-    return solve_restarted(wasserstein_stages(objective, cset, wcfg, x0.size),
-                           x0, cfg, constraints=cset)
+    return solve(wasserstein_stages(objective, cset, wcfg, x0.size),
+                 x0, cfg, constraints=cset)
 
 
 class TestConstrainedSolve:
@@ -604,8 +609,8 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         prob = build_chi2(family, Chi2Config(gamma=10.0))
         cset = ConstraintSet.affine(np.eye(5), np.full(5, 0.1))
         cfg = SolverConfig(eta=0.002, T=3, K=2, seed=3, grad_map_every=2)
-        fast = solve_restarted(prob, np.ones(5), cfg, constraints=cset)
-        ref = solve_restarted(
+        fast = solve(prob, np.ones(5), cfg, constraints=cset)
+        ref = solve(
             replace(prob, component_values=None), np.ones(5), cfg,
             constraints=reference_set(
                 affine_rows(np.eye(5), np.full(5, 0.1)), 5))
@@ -613,16 +618,15 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         self.assert_same_run(fast, ref)
 
     def test_dist_solve(self):
-        from drsum.distributed import DistConfig, dist_solve
         from drsum.problems import make_losses, make_synthetic
         from drsum.reductions import KlConfig, build_kl
 
         data = make_synthetic("two_group_bias", m=64, seed=2, min_gap=0.1)
         prob = build_kl(make_losses("logistic", data), KlConfig(gamma=1.0))
-        cfg = DistConfig(eta=0.5, T=3, K=2, seed=5, p=4)
-        fast = dist_solve(prob, np.zeros(prob.dim_x), cfg)
-        ref = dist_solve(replace(prob, component_values=None),
-                         np.zeros(prob.dim_x), cfg)
+        cfg = SolverConfig(eta=0.5, T=3, K=2, seed=5, p=4)
+        fast = solve(prob, np.zeros(prob.dim_x), cfg)
+        ref = solve(replace(prob, component_values=None),
+                    np.zeros(prob.dim_x), cfg)
         assert closed_form(prob.component_values)
         self.assert_same_run(fast, ref)
         assert fast.per_device_counters == ref.per_device_counters
@@ -672,9 +676,9 @@ class TestFailLoud:
                            match=r"^NumericalRangeError: exponent 7595\.3 "
                                  r"exceeds range after shift; .+ at stage 1, "
                                  r"epoch 1, step 1$") as raised:
-            run_epoch(prob, np.zeros(1), 1,
-                      StubSchedule(tau=2, S=3, B=4), 1.0,
-                      StubRng([np.array([0, 3, 1])]))
+            one_worker_epoch(prob, np.zeros(1), 1,
+                             StubSchedule(tau=2, S=3, B=4), 1.0,
+                             StubRng([np.array([0, 3, 1])]))
         assert type(raised.value.__cause__) is NumericalRangeError
 
     @pytest.mark.parametrize("tau", [1, 3])
@@ -698,13 +702,12 @@ class TestFailLoud:
         with np.errstate(over="ignore"), pytest.raises(
                 NumericalRangeError, match="^non-finite gradient estimate "
                                            "at stage 1, epoch 1, step 0$"):
-            solve_restarted(prob, np.array([-1.0]), cfg)
+            solve(prob, np.array([-1.0]), cfg)
 
-    @pytest.mark.parametrize("p", [None, 2], ids=["centralized", "dist_p2"])
+    @pytest.mark.parametrize("p", [1, 2], ids=["centralized", "dist_p2"])
     def test_finite_divergence_raises_at_run_end(self, p):
         # eta = 2.05 / L on the quadratic mean: the iterates stay finite
         # while psi grows past 1e6 * max(1, |psi(x0)|)
-        from drsum.distributed import DistConfig, dist_solve
         from drsum.problems import make_synthetic
         from drsum.reductions import DivergenceError
 
@@ -716,11 +719,7 @@ class TestFailLoud:
         with pytest.raises(DivergenceError,
                            match=r"^diverged at stage 2, epoch \d+, step \d+: "
                                  r"psi \S+ exceeds 1\.000e\+06$"):
-            if p is None:
-                solve_restarted(build_mean(family), np.zeros(5),
-                                SolverConfig(**common), probe=probe)
-            else:
-                dist_solve(build_mean(family), np.zeros(5),
-                           DistConfig(p=p, **common), probe=probe)
+            solve(build_mean(family), np.zeros(5),
+                  SolverConfig(p=p, **common), probe=probe)
         assert len(starts) == 2 * 8 * 4
         assert np.all(np.isfinite(starts))

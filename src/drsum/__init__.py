@@ -57,6 +57,7 @@ from .solver import (
     dist_expected_oracle_calls,
     expected_oracle_calls,
     run_epoch,
+    shard_sizes,
     solve,
     split_batch,
 )

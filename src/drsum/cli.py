@@ -62,6 +62,7 @@ from .solver import (
     SolverConfig,
     Schedule,
     SolverReport,
+    shard_sizes,
     solve,
     split_batch,
 )
@@ -133,7 +134,7 @@ def _get(cfg, section, key, default=None, cast=str, required=False):
                 return False
             raise ValueError(raw)
         value = cast(raw)
-        if cast is float and math.isnan(value):
+        if cast is float and not math.isfinite(value):
             raise ValueError(raw)
         return value
     except (TypeError, ValueError):
@@ -192,6 +193,11 @@ class Experiment:
             m = _get(cfg, "problem", "m", default=16, cast=int)
             d = _get(cfg, "problem", "d", default=5, cast=int)
             seed = _get(cfg, "problem", "data_seed", default=0, cast=int)
+            for key, value, least in (("m", m, 1), ("d", d, 1),
+                                      ("data_seed", seed, 0)):
+                if value < least:
+                    raise ConfigError(
+                        f"problem.{key} must be >= {least}, got {value}")
             synthetic = _get(cfg, "problem", "synthetic", default=None)
             if self.kind == "quadratic":
                 self.family = make_synthetic(
@@ -329,8 +335,7 @@ class Experiment:
             m = self.problem.m if self.problem is not None else self.constraints.m
             # the first epoch opens on the schedule's smallest batch
             batch = self.solver_cfg.schedule.params(1, m)[2]
-            shards = self.solver_cfg.resolve_partition(m)
-            split_batch(batch, [len(shard) for shard in shards])
+            split_batch(batch, shard_sizes(m, self.solver_cfg.p))
 
     def _resolve_output(self):
         cfg = self.cfg

@@ -105,9 +105,9 @@ class _OneStepSchedule:
 def baseline_solve(problem, kind, config, x0=None,
                    batch_size=1) -> SolverReport:
     """Reference methods as the config's K stages of T one-step epochs
-    of the solver's loop on one worker (its schedule and partition are
-    replaced), so stage k's iteration i is recorded (and any failure
-    named) as stage k, epoch i, step 0.  Every epoch opens on a fresh
+    of the solver's loop on one worker (its schedule replaced), so stage
+    k's iteration i is recorded (and any failure named) as stage k,
+    epoch i, step 0.  Every epoch opens on a fresh
     batch from one stream, so with the last-iterate rule stage k
     outputs the iterate after k*T steps of a one-stage run.
 
@@ -125,7 +125,7 @@ def baseline_solve(problem, kind, config, x0=None,
     batch = problem.m if kind == "full_prox_gradient" else batch_size
     x0 = np.zeros(problem.dim_x) if x0 is None else x0
     return solve(problem, x0, replace(
-        config, schedule=_OneStepSchedule(batch), p=1, partition=None))
+        config, schedule=_OneStepSchedule(batch), p=1))
 
 
 def fit_rate(errors) -> RateFit:

@@ -6,20 +6,22 @@ three estimators with sampled deltas before every proximal step.  A
 restart driver chains stages, warm-starting each from the last output.
 
 There is one epoch loop (run_epoch), over components split into one
-shard per simulated worker, reporting each proximal step through one
-hook, and one driver (solve), which records the steps, applies the
-output rule, checks the run for divergence and, given a constraint set,
-ends the run with the single terminal projection onto it.
+contiguous shard per simulated worker, reporting each proximal step
+through one hook, and one driver (solve), which records the steps,
+applies the output rule, checks the run for divergence and, given a
+constraint set, ends the run with the single terminal projection onto
+it.  The split follows from (m, p) alone: shard_sizes gives each worker
+m // p rows, in order, and the last worker the remainder too.
 
 The p workers are simulated in synchronous rounds: no networking, no
 failures.  Each worker keeps its own three estimators over its shard
-and samples only from it; the server averages the worker estimators,
-weighted by shard size in fixed worker order, takes the proximal step
-and broadcasts the iterate, so results do not depend on the order the
-workers run in.  The centralized solver is the default p = 1: one shard
-holding every index, sampled from the stream seeded by the solver's
-seed, with weight 1.0.  The reference baselines in the diagnostics
-module run the same loop and driver with one step per epoch.
+and samples only from it, with its own stream; the server averages the
+worker estimators, weighted by shard size in worker order, takes the
+proximal step and broadcasts the iterate.  The centralized solver is
+the default p = 1: one shard holding every index, sampled from the
+stream seeded by the solver's seed, with weight 1.0.  The reference
+baselines in the diagnostics module run the same loop and driver with
+one step per epoch.
 
 Determinism contract: a run is fully determined by (problem, config,
 seed).  Full passes (batch or inner sample size equal to m) never touch
@@ -112,38 +114,41 @@ def expected_oracle_calls(schedule, T, m, K=1):
     return dist_expected_oracle_calls(schedule, T, m, 1, K)[0]
 
 
-def dist_expected_oracle_calls(schedule, T, m, p, K=1, partition_sizes=None):
+def shard_sizes(m, p):
+    """The row counts of the p workers' contiguous shards of range(m):
+    m // p rows each, the remainder on the last worker."""
+    if p > m:
+        raise ValueError(f"more workers ({p}) than components ({m})")
+    base = m // p
+    return [base] * (p - 1) + [m - base * (p - 1)]
+
+
+def dist_expected_oracle_calls(schedule, T, m, p, K=1):
     """Per-device oracle calls per family under the sharded schedule.
 
     The opening batch term splits across devices (a full batch costs each
     device its shard); the inner term 2*S_t*(tau_t - 1) is paid by every
     device, except that a full inner pass also reduces to the shard.
     """
-    if partition_sizes is None:
-        base = m // p
-        partition_sizes = [base] * (p - 1) + [m - base * (p - 1)]
+    sizes = shard_sizes(m, p)
     totals = [0] * p
     for t in range(1, T + 1):
         tau, S, B = schedule.params(t, m)
-        if B >= m:
-            b_shares = list(partition_sizes)
-        else:
-            b_shares = split_batch(B, partition_sizes)
+        b_shares = sizes if B >= m else split_batch(B, sizes)
         for i in range(p):
-            inner = partition_sizes[i] if S >= m else S
+            inner = sizes[i] if S >= m else S
             totals[i] += b_shares[i] + 2 * inner * (tau - 1)
     return [K * t for t in totals]
 
 
 @dataclass
 class SolverConfig:
-    """Solver configuration: step size, epochs per stage, restart stages,
-    worker count and data partition.
+    """Solver configuration: step size, epochs per stage, restart stages
+    and worker count.
 
-    partition maps each worker to the component indices it owns; the
-    default is a contiguous equal split with the remainder on the last
-    worker.  Worker i samples with a stream seeded by seed ^ i, so the
-    one worker of the default p = 1 samples with the seed's own stream.
+    Worker i owns the i-th contiguous shard of shard_sizes(m, p) and
+    samples with a stream seeded by seed ^ i, so the one worker of the
+    default p = 1 samples with the seed's own stream.
     """
 
     eta: float
@@ -154,7 +159,6 @@ class SolverConfig:
     output_rule: str = "last_iterate"
     grad_map_every: int = 0  # 0: exact gradient mapping at epoch ends only
     p: int = 1
-    partition: Optional[list] = None
 
     def __post_init__(self):
         if self.eta < 0:
@@ -167,26 +171,6 @@ class SolverConfig:
             raise ValueError(f"unknown output rule {self.output_rule!r}")
         if self.p < 1:
             raise ValueError("worker count must be >= 1")
-
-    def resolve_partition(self, m):
-        """The p shards of range(m): the partition, checked, or the
-        default split."""
-        if self.p > m:
-            raise ValueError(f"more workers ({self.p}) than components ({m})")
-        if self.partition is not None:
-            shards = [np.asarray(s, dtype=int) for s in self.partition]
-            if len(shards) != self.p:
-                raise ValueError("one shard per worker required")
-            flat = np.sort(np.concatenate(shards))
-            if not np.array_equal(flat, np.arange(m)):
-                raise ValueError("partition must assign every index exactly once")
-            return shards
-        base = m // self.p
-        shards = []
-        for i in range(self.p):
-            hi = (i + 1) * base if i < self.p - 1 else m
-            shards.append(np.arange(i * base, hi))
-        return shards
 
 
 @dataclass
@@ -218,16 +202,15 @@ class SolverReport:
     projection: Optional[dict] = None  # constrained runs only
 
 
-def split_batch(total, shard_sizes):
+def split_batch(total, sizes):
     """Largest-remainder split of a batch across shards, proportional to size."""
-    sizes = np.asarray(shard_sizes, dtype=float)
-    m = sizes.sum()
-    if total < len(shard_sizes):
+    if total < len(sizes):
         raise ValueError(
-            f"batch of {total} cannot cover {len(shard_sizes)} workers; "
+            f"batch of {total} cannot cover {len(sizes)} workers; "
             "delay the ramp (larger zeta) or reduce the worker count"
         )
-    exact = total * sizes / m
+    sizes = np.asarray(sizes, dtype=float)
+    exact = total * sizes / sizes.sum()
     shares = np.floor(exact).astype(int)
     shares = np.maximum(shares, 1)
     while shares.sum() > total:
@@ -242,14 +225,14 @@ def split_batch(total, shard_sizes):
     return [int(s) for s in shares]
 
 
-def _draw(shards, rngs, shares, order):
-    """shares[i] uniform draws, with replacement, from each shard's indices
-    with its own stream rngs[i], drawn in `order` and concatenated in
-    shard-index order."""
-    draws = [None] * len(shards)
-    for i in order:
-        draws[i] = shards[i][rngs[i].integers(0, len(shards[i]),
-                                              size=shares[i])]
+def _draw(sizes, rngs, shares):
+    """shares[i] uniform draws, with replacement, from the i-th contiguous
+    shard of the given sizes with its own stream rngs[i], concatenated in
+    shard order."""
+    draws, lo = [], 0
+    for size, rng, share in zip(sizes, rngs, shares):
+        draws.append(lo + rng.integers(0, size, size=share))
+        lo += size
     return _joined(draws)
 
 
@@ -269,24 +252,23 @@ def _weighted_sum(parts, weights):
     return total
 
 
-def run_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
-              server_counter, *, stage=1, on_step=None, order=None):
+def run_epoch(problem, x, t, schedule, eta, sizes, rngs, counters,
+              server_counter, *, stage=1, on_step=None):
     """One epoch: batch estimates at the iterate x, then tau proximal
     steps (the first from the batch estimators, the remaining tau-1
     after sampled estimator corrections), over components split into
-    shards.
+    contiguous shards of the given sizes.
 
-    Shard i keeps its own estimator triple, samples from shards[i] with
+    Shard i keeps its own estimator triple, samples from its rows with
     rngs[i] and charges its oracle calls to counters[i].  Each read of
-    the estimators concatenates the shards' rows, in shard-index order,
-    into one batch: one call per oracle field and point for all shards
+    the estimators concatenates the shards' rows, in shard order, into
+    one batch: one call per oracle field and point for all shards
     together, reduced per shard over its own contiguous segment, which
-    charges that shard's counter.  `order` orders only the per-shard
-    draws.  The opening batch of B_t splits across the shards by size
-    (every shard in full when B_t = m).  Each of the tau proximal steps
-    uses the size-weighted mean of the shard estimators, reduced in
-    index order, and charges its outer-map and prox calls to
-    server_counter.
+    charges that shard's counter.  The opening batch of B_t splits
+    across the shards by size (every shard in full when B_t = m).  Each
+    of the tau proximal steps uses the size-weighted mean of the shard
+    estimators, reduced in shard order, and charges its outer-map and
+    prox calls to server_counter.
 
     A full inner pass (S_t = m) corrects the estimators with the
     association exact_mean(x_new) + (estimate - exact_mean(x_old)),
@@ -308,12 +290,10 @@ def run_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     tau, S, B = schedule.params(t, m)
     if S < 1 or B < 1:
         raise ValueError("schedule produced an empty batch")
-    order = range(len(shards)) if order is None else order
-    sizes = [len(shard) for shard in shards]
     weights = [size / m for size in sizes]
     shares = sizes if B >= m else split_batch(B, sizes)
-    inner = [S] * len(shards)
-    every = _joined(shards) if max(B, S) >= m else None
+    inner = [S] * len(sizes)
+    every = np.arange(m) if max(B, S) >= m else None
 
     x_cur = np.asarray(x, dtype=float)
     x_prev = x_cur
@@ -321,7 +301,7 @@ def run_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
     try:
         # batch_estimates and delta_update are read from this module at
         # call time, so wrappers of the module names see every call
-        batch = every if B >= m else _draw(shards, rngs, shares, order)
+        batch = every if B >= m else _draw(sizes, rngs, shares)
         est = batch_estimates(problem, batch, x_cur, counters,
                               segments=shares)
 
@@ -335,16 +315,15 @@ def run_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
                            for triples in zip(new, est, old)]
                 else:
                     est = delta_update(
-                        problem, _draw(shards, rngs, inner, order),
+                        problem, _draw(sizes, rngs, inner),
                         x_cur, x_prev, *zip(*est), counters, segments=inner)
             y, z, w = (_weighted_sum(parts, weights) for parts in zip(*est))
             _, fprime = problem.f_outer(y)
             grad_est = z.T @ fprime + w
             x_prev = x_cur
             x_cur = problem.r_term.prox(x_cur - eta * grad_est, eta)
-            if server_counter is not None:
-                server_counter.f_outer_calls += 1
-                server_counter.prox_calls += 1
+            server_counter.f_outer_calls += 1
+            server_counter.prox_calls += 1
             if not np.isfinite(x_cur).all():
                 bad = "iterate"
                 break
@@ -372,12 +351,12 @@ def _smooth_value(problem, x):
 
 
 def solve(problem_builder, x0, config: SolverConfig, *, constraints=None,
-          exec_order=None, probe=None) -> SolverReport:
-    """K warm-started stages of T epochs on config.p simulated workers.
+          probe=None) -> SolverReport:
+    """K warm-started stages of T epochs on config.p simulated workers,
+    worker i on the i-th contiguous shard of shard_sizes(m, p).
     problem_builder is either a fixed CompositeProblem or a callable
     (stage_index, x_start) -> problem, which lets parameterized
-    objectives re-anchor per stage.  exec_order orders only the
-    per-worker draws; the server reduces in fixed index order.
+    objectives re-anchor per stage.
 
     After every proximal step the driver calls probe(stage, t, j, x,
     grad_est), records the new iterate (counter snapshots summed over
@@ -444,13 +423,11 @@ def solve(problem_builder, x0, config: SolverConfig, *, constraints=None,
         if k == 1:
             psi_limit = DIVERGENCE_FACTOR * max(
                 1.0, abs(evaluate_psi(problem, x)))
-        # resolve_partition sorts, concatenates and validates: once a stage
-        shards = config.resolve_partition(problem.m)
+        sizes = shard_sizes(problem.m, config.p)
         candidates = [x.copy()]
         for t in range(1, config.T + 1):
-            x = run(problem, x, t, config.schedule, config.eta, shards, rngs,
-                    devices, server, stage=k, on_step=on_step,
-                    order=exec_order)
+            x = run(problem, x, t, config.schedule, config.eta, sizes, rngs,
+                    devices, server, stage=k, on_step=on_step)
         if collect:
             x = candidates[int(select_rng.integers(0, len(candidates)))]
         stage_outputs.append(x.copy())

@@ -27,17 +27,16 @@ def rowwise(batch):
     return per_index(lambda i, x: at_index(batch, i, x))
 
 
-def per_shard_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
-                    server_counter, *, stage, on_step, order=None):
+def per_shard_epoch(problem, x, t, schedule, eta, sizes, rngs, counters,
+                    server_counter, *, stage, on_step):
     """The sharded epoch loop with one batch_estimates or delta_update call
-    per shard, visited in order: the reference the solver's joint batch,
-    one call per field and point for all shards, must equal bit for bit.
-    Takes and returns what solver.run_epoch does, without its
-    non-finite checks."""
+    per contiguous shard of the given sizes, visited in order: the
+    reference the solver's joint batch, one call per field and point for
+    all shards, must equal bit for bit.  Takes and returns what
+    solver.run_epoch does, without its non-finite checks."""
     m = problem.m
     tau, S, B = schedule.params(t, m)
-    order = range(len(shards)) if order is None else order
-    sizes = [len(shard) for shard in shards]
+    shards = np.split(np.arange(m), np.cumsum(sizes)[:-1])
     weights = [size / m for size in sizes]
     b_shares = None if B >= m else split_batch(B, sizes)
 
@@ -46,12 +45,12 @@ def per_shard_epoch(problem, x, t, schedule, eta, shards, rngs, counters,
 
     x_cur = x_prev = np.asarray(x, dtype=float)
     est = [None] * len(shards)
-    for i in order:
+    for i in range(len(shards)):
         batch = shards[i] if b_shares is None else sample(i, b_shares[i])
         est[i] = batch_estimates(problem, batch, x_cur, counters[i])
     for j in range(tau):
         if j > 0:
-            for i in order:
+            for i in range(len(shards)):
                 if S >= m:
                     new, old = (batch_estimates(problem, shards[i], point,
                                                 counters[i])

@@ -541,12 +541,21 @@ class TestConfigErrors:
         (str(CONFIGS / "robust_logistic.ini"),
          {"PROBLEM__EPS_RADIUS": "nan"}, "problem.eps_radius = 'nan'"),
         (KL_CONFIG, {"X0": "nan,0,0,0,0"}, "solver.x0"),
+        (KL_CONFIG, {"ETA": "inf"}, "solver.eta = 'inf'"),
+        (KL_CONFIG, {"PROBLEM__GAMMA": "inf"}, "problem.gamma = 'inf'"),
+        (str(CONFIGS / "robust_logistic.ini"),
+         {"PROBLEM__ALPHA": "inf"}, "problem.alpha = 'inf'"),
+        (KL_CONFIG, {"PROBLEM__DATA_SEED": "-1"}, "problem.data_seed"),
+        (KL_CONFIG, {"PROBLEM__M": "0"}, "problem.m"),
+        (KL_CONFIG, {"PROBLEM__M": "-3"}, "problem.m"),
+        (KL_CONFIG, {"PROBLEM__D": "0"}, "problem.d"),
     ], ids=["x0_length", "x0_length_dr_logistic", "workers_over_m",
             "unknown_schedule", "zeta_over_sqrt_m", "ramp_under_workers",
             "negative_gamma", "negative_cond", "unreachable_min_gap",
             "unknown_env_section", "negative_seed", "negative_seed_dist_vr",
             "nan_mu_convexify", "nan_eta", "nan_gamma", "nan_eps_radius",
-            "nan_x0"])
+            "nan_x0", "inf_eta", "inf_gamma", "inf_alpha",
+            "negative_data_seed", "zero_m", "negative_m", "zero_d"])
     def test_invalid_value_exit_1_names_key(self, tmp_path, monkeypatch,
                                             capsys, config, overrides, key):
         for name, value in overrides.items():

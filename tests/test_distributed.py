@@ -21,6 +21,7 @@ from drsum.solver import (
     Schedule,
     dist_expected_oracle_calls,
     expected_oracle_calls,
+    shard_sizes,
     solve,
     split_batch,
 )
@@ -155,15 +156,14 @@ class TestFullBatchEquivalence:
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_unequal_shards_weighted_mean_identity(self):
+        # m = 10 on 3 workers splits 3/3/4
         prob, d = chi2_problem(m=10)
         schedule = Schedule(mode="full_batch", tau=2)
-        partition = [np.arange(0, 3), np.arange(3, 10)]
         central = solve(
             prob, np.zeros(d), SolverConfig(eta=0.05, T=2, K=1, schedule=schedule))
         dist = solve(
             prob, np.zeros(d),
-            SolverConfig(eta=0.05, T=2, K=1, schedule=schedule, p=2,
-                         partition=partition))
+            SolverConfig(eta=0.05, T=2, K=1, schedule=schedule, p=3))
         assert np.max(np.abs(central.final_x - dist.final_x)) < 1e-10
 
     def test_hand_computed_full_batch_mean(self):
@@ -197,6 +197,20 @@ class TestPerDeviceCounters:
         for dev, want in zip(report.per_device_counters, expected):
             assert dev.g_value_calls == want
             assert dev.h_gradient_calls == want
+
+    def test_uneven_split_m16_p3(self):
+        # 16 rows on 3 workers split 5/5/6: each device pays its shard of
+        # the full opening batch plus the inner term 2 * 4 * 3 every epoch,
+        # (5 + 24) * 4 * 3 = 348 and (6 + 24) * 4 * 3 = 360
+        prob, d = chi2_problem()
+        dcfg = SolverConfig(eta=0.05, T=4, K=3, seed=3, p=3)
+        report = solve(prob, np.zeros(d), dcfg)
+        expected = dist_expected_oracle_calls(Schedule(), 4, 16, 3, 3)
+        assert expected == [348, 348, 360]
+        assert [dev.g_value_calls for dev in report.per_device_counters] \
+            == expected
+        assert [dev.h_gradient_calls for dev in report.per_device_counters] \
+            == expected
 
     def test_devices_count_components_server_counts_steps(self):
         prob, d = chi2_problem()
@@ -232,42 +246,26 @@ class TestPerDeviceCounters:
         assert sum(per_device) > expected_oracle_calls(dcfg.schedule, 3, 16, K=2)
 
 
-class TestAggregationOrder:
-    def test_worker_completion_order_irrelevant(self):
-        prob, d = chi2_problem()
-        dcfg = SolverConfig(eta=0.05, T=3, K=1, seed=21, p=4)
-        base = solve(prob, np.zeros(d), dcfg)
-        permuted = solve(prob, np.zeros(d), dcfg, exec_order=[3, 1, 0, 2])
-        assert np.array_equal(base.final_x, permuted.final_x)
-        assert [r.psi for r in base.trajectory] == [r.psi for r in permuted.trajectory]
-
-
 class TestJointBatch:
     """Each step reads all workers' rows in one call per oracle field and
     point; that must change nothing against one call per worker."""
 
-    # a shuffled partition of the 16 components into shards of 3, 5, 8
-    UNEQUAL = np.split(np.random.default_rng(2).permutation(16), [3, 8])
-
-    @pytest.mark.parametrize("extra, exec_order", [
-        (dict(p=4), None),
-        (dict(p=3, partition=UNEQUAL), None),
+    @pytest.mark.parametrize("extra", [
+        dict(p=4),
+        # the 16 components split 5/5/6
+        dict(p=3),
         # B_t = 4, 9, 16: the 9 splits 3/2/2/2 across the workers
-        (dict(p=4, schedule=Schedule(mode="adaptive", beta=1.0, zeta=1.0)),
-         None),
-        (dict(p=4, schedule=Schedule(mode="full_batch", tau=3)), None),
-        (dict(p=4), [3, 1, 0, 2]),
-    ], ids=["p4", "unequal_partition", "adaptive", "full_batch",
-            "exec_order"])
-    def test_bit_identical_to_per_shard_calls(self, monkeypatch, extra,
-                                              exec_order):
+        dict(p=4, schedule=Schedule(mode="adaptive", beta=1.0, zeta=1.0)),
+        dict(p=4, schedule=Schedule(mode="full_batch", tau=3)),
+    ], ids=["p4", "unequal_partition", "adaptive", "full_batch"])
+    def test_bit_identical_to_per_shard_calls(self, monkeypatch, extra):
         prob, d = chi2_problem()
         dcfg = SolverConfig(eta=0.05, T=3, K=2, seed=13, **extra)
 
         def run():
             steps = []
             report = solve(
-                prob, np.zeros(d), dcfg, exec_order=exec_order,
+                prob, np.zeros(d), dcfg,
                 probe=lambda stage, t, j, x, grad: steps.append(
                     x.tobytes() + grad.tobytes()))
             return report, steps
@@ -337,13 +335,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"more workers \(8\)"):
             solve(prob, np.zeros(d), SolverConfig(eta=0.1, T=1, p=8))
 
-    def test_partition_must_cover_indices(self):
-        prob, d = chi2_problem(m=6)
-        bad = SolverConfig(eta=0.1, T=1, p=2,
-                           partition=[np.array([0, 1]), np.array([2, 3])])
-        with pytest.raises(ValueError):
-            solve(prob, np.zeros(d), bad)
-
     def test_split_batch(self):
         assert split_batch(8, [4, 4]) == [4, 4]
         assert sum(split_batch(7, [3, 3, 4])) == 7
@@ -352,6 +343,7 @@ class TestValidation:
             split_batch(1, [2, 2])
 
     def test_default_partition_remainder_to_last(self):
-        dcfg = SolverConfig(eta=0.1, T=1, p=3)
-        shards = dcfg.resolve_partition(10)
-        assert [len(s) for s in shards] == [3, 3, 4]
+        assert shard_sizes(10, 3) == [3, 3, 4]
+        assert shard_sizes(16, 1) == [16]
+        with pytest.raises(ValueError, match="workers"):
+            shard_sizes(2, 3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from drsum.composite import (
+    OracleCounter,
     batch_estimates,
     delta_update,
     evaluate_psi,
@@ -105,9 +106,10 @@ def steps_of(run, *args, **kwargs):
 
 
 def one_worker_epoch(problem, x, t, schedule, eta, rng, **hook):
-    """run_epoch on one shard of every index, sampled with rng, uncounted."""
-    return run_epoch(problem, x, t, schedule, eta, [np.arange(problem.m)],
-                     [rng], [None], None, **hook)
+    """run_epoch on one shard of every index, sampled with rng, charged
+    to throwaway counters."""
+    return run_epoch(problem, x, t, schedule, eta, [problem.m], [rng],
+                     [OracleCounter()], OracleCounter(), **hook)
 
 
 class TestRunEpoch:

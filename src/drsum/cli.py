@@ -1,8 +1,9 @@
 """Configuration-driven experiment runner.
 
 Commands: solve, check, bench.  Experiments are described by an INI file
-with three sections ([problem], [solver], [output]); any key can be
-overridden by an environment variable DRSUM_<SECTION>__<KEY>.  The solve
+with three sections ([problem], [solver], [output]) whose keys are those
+of SCHEMA; any key can be overridden by an environment variable
+DRSUM_<SECTION>__<KEY>.  The solve
 command writes a trajectory CSV (one row per proximal step, shortest
 round-trip float formatting, reruns byte-identical except wall_s) and a
 JSON summary whose echoed configuration reproduces the run.
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,12 +78,97 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the key."""
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _bool(text):  # a KeyError for any other word
+    return configparser.ConfigParser.BOOLEAN_STATES[str(text).strip().lower()]
+
+
+def _vector(text):
+    """Comma-separated finite floats; None, as if unset, if there are none."""
+    values = tuple(_finite(v) for v in str(text).split(",") if v.strip())
+    return values or None
+
+
+# check: an int lower bound, or a tuple of the allowed values
+Key = namedtuple("Key", "cast default doc check", defaults=(None,))
+QUADRATIC_SYNTHETIC = ("strongly_convex_quadratic", "nonconvex_toy")
+
+# Every key of the three sections.  A key not listed here is a
+# configuration error; a listed one that the run does not read is ignored.
+SCHEMA = {
+    "problem": {
+        "kind": Key(str, "quadratic", "loss family or constrained program",
+                    ("quadratic", "logistic", "mlp2", "dr_logistic",
+                     "corner_toy")),
+        "source": Key(str, "synthetic", "data source", ("synthetic", "csv")),
+        "m": Key(int, 16, "synthetic component count", 1),
+        "d": Key(int, 5, "synthetic dimension", 1),
+        "data_seed": Key(int, 0, "synthetic data seed", 0),
+        "cond": Key(_finite, 10.0, "synthetic quadratic conditioning"),
+        "synthetic": Key(str, None, "generator, by default the kind's",
+                         QUADRATIC_SYNTHETIC + ("two_group_bias", "xor")),
+        "min_gap": Key(_finite, 0.1, "planted tpr gap of two_group_bias"),
+        "hidden": Key(int, 4, "hidden units of mlp2"),
+        "csv_path": Key(str, None, "csv file (source = csv)"),
+        "feature_columns": Key(str, None, "csv feature columns, a comma list"),
+        "label_column": Key(str, None, "csv label column"),
+        "group_column": Key(str, None, "csv group column, optional"),
+        "standardize": Key(_bool, True, "standardize the csv features"),
+        "reduction": Key(str, "none", "robust objective (none: the mean)",
+                         ("chi2", "kl", "wasserstein", "none")),
+        "gamma": Key(_finite, None, "penalty weight or temperature"),
+        "gamma_from_restarts": Key(_bool, False, "wasserstein gamma from k"),
+        "alpha": Key(_finite, None, "wasserstein constraint scale"),
+        "eps_slack": Key(_finite, 0.05, "fairness margin"),
+        "surrogate_temp": Key(_finite, 5.0, "fairness sigmoid sharpness"),
+        "mu_convexify": Key(_finite, 0.0, "mu ||x||^2 on every constraint"),
+        "eps_radius": Key(_finite, 0.1, "dr_logistic radius"),
+        "kappa_flip": Key(_finite, 1.0, "dr_logistic label-flip cost"),
+        "target": Key(_vector, (2.0, 2.0), "corner_toy target"),
+        "bound": Key(_vector, (1.0, 1.0), "corner_toy box bound"),
+        "rho": Key(_finite, None, "alpha-condition constant rho"),
+        "g_r": Key(_finite, None, "alpha-condition constant G_r"),
+        "inject_jacobian_fault": Key(_bool, False, "corrupt the gradients"),
+    },
+    "solver": {
+        "method": Key(str, "vr", "solver or baseline", (
+            "vr", "dist_vr", "full_prox_gradient", "naive_biased_sgd")),
+        "eta": Key(_finite, None, "step size, required"),
+        "t": Key(int, 1, "epochs per stage"),
+        "k": Key(int, 1, "restart stages"),
+        "schedule": Key(str, "fixed_sqrt_m", "epoch schedule mode"),
+        "beta": Key(_finite, 1.0, "adaptive ramp slope"),
+        "zeta": Key(_finite, 0.0, "adaptive ramp offset"),
+        "tau": Key(int, 1, "epoch length of full_batch"),
+        "workers": Key(int, 1, "dist_vr worker count"),
+        "seed": Key(int, 0, "sampling seed"),
+        "output_rule": Key(str, "last_iterate", "stage output rule"),
+        "grad_map_every": Key(int, 0, "gradient-mapping cadence"),
+        "iters": Key(int, 100, "baseline steps", 1),
+        "batch_size": Key(int, 1, "baseline sample size", 1),
+        "x0": Key(_vector, None, "start point (comma vector)"),
+    },
+    "output": {
+        "out_dir": Key(str, "runs", "output directory"),
+        "trajectory_csv": Key(str, "trajectory.csv", "trajectory file"),
+        "summary_json": Key(str, "summary.json", "summary file"),
+        "bench_csv": Key(str, "bench.csv", "bench file"),
+    },
+}
+
+
 def load_config(path):
     """Read the INI file and fold in environment overrides.
 
-    Returns a plain {section: {key: str}} dict.  Duplicate sections or
-    keys are configuration errors, as are unknown sections, in the file
-    or in a DRSUM_<SECTION>__<KEY> variable.
+    Returns a plain {section: {key: str}} dict, checked by read_settings.
+    Duplicate sections or keys are configuration errors, as is a DRSUM_
+    variable that is not DRSUM_<SECTION>__<KEY> with a known section.
     """
     parser = configparser.ConfigParser(strict=True, interpolation=None)
     try:
@@ -96,61 +183,61 @@ def load_config(path):
             f"duplicate key {exc.option!r} in section [{exc.section}] of {path}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
-    known = {"problem", "solver", "output"}
-    unknown = set(parser.sections()) - known
-    if unknown:
-        raise ConfigError(f"unknown sections: {sorted(unknown)}")
     cfg = {s: dict(parser.items(s)) for s in parser.sections()}
-    cfg.setdefault("problem", {})
-    cfg.setdefault("solver", {})
-    cfg.setdefault("output", {})
+    for section in SCHEMA:
+        cfg.setdefault(section, {})
     for env_key, value in sorted(os.environ.items()):
         if not env_key.startswith(ENV_PREFIX):
             continue
-        rest = env_key[len(ENV_PREFIX):]
-        if "__" not in rest:
-            continue
-        section, key = rest.split("__", 1)
-        section = section.lower()
-        if section not in known:
-            raise ConfigError(
-                f"{env_key} names unknown section [{section}]")
-        cfg[section][key.lower()] = value
+        section, sep, key = env_key[len(ENV_PREFIX):].lower().partition("__")
+        if not sep or section not in SCHEMA:
+            raise ConfigError(f"{env_key} is not DRSUM_<SECTION>__<KEY> "
+                              f"for a section in {', '.join(SCHEMA)}")
+        cfg[section][key] = value
+    read_settings(cfg)
     return cfg
 
 
-def _get(cfg, section, key, default=None, cast=str, required=False):
-    raw = cfg[section].get(key)
-    if raw is None:
-        if required:
-            raise ConfigError(f"missing required key {section}.{key}")
-        return default
-    try:
-        if cast is bool:
-            lowered = str(raw).strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        value = cast(raw)
-        if cast is float and not math.isfinite(value):
-            raise ValueError(raw)
-        return value
-    except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse {section}.{key} = {raw!r}")
+def read_settings(cfg):
+    """{section: {key: value}} for every key of SCHEMA: the key's cast of
+    its text in cfg, or its default.  An unknown section or key, and a
+    value that its cast, bound or choices reject, are ConfigErrors."""
+    settings = {section: {key: spec.default for key, spec in keys.items()}
+                for section, keys in SCHEMA.items()}
+    for section, raw in cfg.items():
+        known = SCHEMA.get(section)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, text in raw.items():
+            if key not in known:
+                # imported here: a run with known keys does not pay for it
+                from difflib import get_close_matches
+                near = get_close_matches(key, known, n=1)
+                raise ConfigError(f"unknown key {section}.{key}" + (
+                    f"; did you mean {section}.{near[0]}?" if near else ""))
+            cast, _, _, check = known[key]
+            try:
+                value = settings[section][key] = cast(text)
+            except (KeyError, TypeError, ValueError):
+                raise ConfigError(f"cannot parse {section}.{key} = {text!r}")
+            if isinstance(check, tuple) and value not in check:
+                raise ConfigError(f"unknown {section}.{key} {value!r}")
+            if isinstance(check, int) and value < check:
+                raise ConfigError(
+                    f"{section}.{key} must be >= {check}, got {value}")
+    return settings
 
 
 class Experiment:
     """Everything a command needs: the compiled problem, solver config,
-    and the handles for constraint and fairness diagnostics."""
+    and the handles for constraint and fairness diagnostics.  cfg is the
+    raw {section: {key: str}} dict; settings holds its typed values."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.reduction = _get(cfg, "problem", "reduction", default="none")
-        if self.reduction not in ("chi2", "kl", "wasserstein", "none"):
-            raise ConfigError(f"unknown problem.reduction {self.reduction!r}")
-        self.kind = _get(cfg, "problem", "kind", default="quadratic")
+        self.settings = read_settings(cfg)
+        self.reduction = self.settings["problem"]["reduction"]
+        self.kind = self.settings["problem"]["kind"]
         self.dataset = None
         self.family = None
         self.constraints = None
@@ -169,85 +256,75 @@ class Experiment:
             raise ConfigError(f"invalid value: {exc}")
         self._resolve_output()
 
+    def _required(self, section, key):
+        value = self.settings[section][key]
+        if value is None:
+            raise ConfigError(f"missing required key {section}.{key}")
+        return value
+
     # -- problem assembly -------------------------------------------------
 
     def _build_data(self):
-        cfg = self.cfg
+        p = self.settings["problem"]
         if self.kind == "corner_toy":
             return
-        source = _get(cfg, "problem", "source", default="synthetic")
-        if source == "csv":
-            path = _get(cfg, "problem", "csv_path", required=True)
+        if p["source"] == "csv":
+            path = self._required("problem", "csv_path")
             if not Path(path).exists():
                 raise ConfigError(f"problem.csv_path does not exist: {path}")
-            features = _get(cfg, "problem", "feature_columns", required=True)
+            features = self._required("problem", "feature_columns")
             schema = {c.strip(): "feature" for c in features.split(",") if c.strip()}
-            schema[_get(cfg, "problem", "label_column", required=True)] = "label"
-            group_col = _get(cfg, "problem", "group_column")
-            if group_col:
-                schema[group_col] = "group"
-            self.dataset = ingest_csv(
-                path, schema,
-                standardize=_get(cfg, "problem", "standardize", True, bool))
-        elif source == "synthetic":
-            m = _get(cfg, "problem", "m", default=16, cast=int)
-            d = _get(cfg, "problem", "d", default=5, cast=int)
-            seed = _get(cfg, "problem", "data_seed", default=0, cast=int)
-            for key, value, least in (("m", m, 1), ("d", d, 1),
-                                      ("data_seed", seed, 0)):
-                if value < least:
-                    raise ConfigError(
-                        f"problem.{key} must be >= {least}, got {value}")
-            synthetic = _get(cfg, "problem", "synthetic", default=None)
-            if self.kind == "quadratic":
-                self.family = make_synthetic(
-                    synthetic or "strongly_convex_quadratic", m=m, d=d,
-                    seed=seed, cond=_get(cfg, "problem", "cond", 10.0, float))
-                return
-            if synthetic == "xor" or (synthetic is None and self.kind == "mlp2"):
-                self.dataset = make_xor_dataset(m=m, seed=seed)
-            elif synthetic in (None, "two_group_bias"):
-                self.dataset = make_synthetic(
-                    "two_group_bias", m=m, seed=seed,
-                    min_gap=_get(cfg, "problem", "min_gap", 0.1, float))
-            else:
-                raise ConfigError(f"unknown problem.synthetic {synthetic!r}")
+            schema[self._required("problem", "label_column")] = "label"
+            if p["group_column"]:
+                schema[p["group_column"]] = "group"
+            self.dataset = ingest_csv(path, schema,
+                                      standardize=p["standardize"])
         else:
-            raise ConfigError(f"unknown problem.source {source!r}")
+            m, seed, synthetic = p["m"], p["data_seed"], p["synthetic"]
+            quadratic = self.kind == "quadratic"
+            if synthetic is not None and \
+                    quadratic != (synthetic in QUADRATIC_SYNTHETIC):
+                raise ConfigError(f"problem.synthetic {synthetic!r} does "
+                                  f"not fit problem.kind {self.kind!r}")
+            if quadratic:
+                self.family = make_synthetic(
+                    synthetic or "strongly_convex_quadratic", m=m, d=p["d"],
+                    seed=seed, cond=p["cond"])
+            elif synthetic == "xor" or (synthetic is None and self.kind == "mlp2"):
+                self.dataset = make_xor_dataset(m=m, seed=seed)
+            else:
+                self.dataset = make_synthetic(
+                    "two_group_bias", m=m, seed=seed, min_gap=p["min_gap"])
 
         if self.kind in ("logistic", "mlp2"):
-            self.family = make_losses(
-                self.kind, self.dataset,
-                hidden=_get(cfg, "problem", "hidden", 4, int))
-        elif self.kind not in ("quadratic", "dr_logistic"):
-            raise ConfigError(f"unknown problem.kind {self.kind!r}")
-        if _get(cfg, "problem", "inject_jacobian_fault", False, bool):
+            self.family = make_losses(self.kind, self.dataset,
+                                      hidden=p["hidden"])
+        if p["inject_jacobian_fault"]:
             if self.family is None:
                 raise ConfigError(
                     "inject_jacobian_fault needs a loss family problem")
             self.family = BrokenJacobianLosses(self.family)
 
     def _build_problem(self):
-        cfg = self.cfg
-        gamma = _get(cfg, "problem", "gamma", default=None, cast=float)
-        if self.reduction == "chi2":
+        gamma = self.settings["problem"]["gamma"]
+        if self.reduction in ("chi2", "kl"):
             if gamma is None:
-                raise ConfigError("chi2 reduction needs problem.gamma")
-            self.problem = build_chi2(self.family, Chi2Config(gamma=gamma))
-        elif self.reduction == "kl":
-            if gamma is None:
-                raise ConfigError("kl reduction needs problem.gamma")
-            self.problem = build_kl(self.family, KlConfig(gamma=gamma))
+                raise ConfigError(
+                    f"{self.reduction} reduction needs problem.gamma")
+            if self.reduction == "chi2":
+                self.problem = build_chi2(self.family, Chi2Config(gamma=gamma))
+            else:
+                self.problem = build_kl(self.family, KlConfig(gamma=gamma))
         elif self.reduction == "none":
             if self.family is None:
                 raise ConfigError(f"kind {self.kind!r} requires a reduction")
             self.problem = build_mean(self.family)
         else:
             self._build_wasserstein_pieces()
-            alpha = _get(cfg, "problem", "alpha", required=True, cast=float)
-            if _get(cfg, "problem", "gamma_from_restarts", False, bool):
+            alpha = self._required("problem", "alpha")
+            if self.settings["problem"]["gamma_from_restarts"]:
                 # the temperature of the run's solver.k restarts
-                gamma = restart_gamma(_get(cfg, "solver", "k", 1, int),
+                gamma = restart_gamma(self.settings["solver"]["k"],
                                       self.constraints.m)
             elif gamma is None:
                 raise ConfigError(
@@ -256,10 +333,9 @@ class Experiment:
             self.wcfg = WassersteinConfig(alpha=alpha, gamma=gamma)
 
     def _build_wasserstein_pieces(self):
-        cfg = self.cfg
+        p = self.settings["problem"]
         if self.kind == "corner_toy":
-            target = _parse_vector(_get(cfg, "problem", "target", "2,2"))
-            bound = _parse_vector(_get(cfg, "problem", "bound", "1,1"))
+            target, bound = np.array(p["target"]), np.array(p["bound"])
             if target.size != bound.size:
                 raise ConfigError("problem.target and problem.bound sizes differ")
             self.objective = SquaredNormTerm(1.0, center=target)
@@ -270,19 +346,17 @@ class Experiment:
             if self.dataset is None:
                 raise ConfigError("dr_logistic needs a dataset")
             self.objective, self.constraints = build_dr_logistic(
-                self.dataset,
-                eps_radius=_get(cfg, "problem", "eps_radius", 0.1, float),
-                kappa_flip=_get(cfg, "problem", "kappa_flip", 1.0, float))
+                self.dataset, eps_radius=p["eps_radius"],
+                kappa_flip=p["kappa_flip"])
             return
         if self.family is None or self.dataset is None:
             raise ConfigError(
                 "wasserstein fairness runs need a classifier kind and dataset")
         self.fairness_spec = FairnessSpec(
-            eps_slack=_get(cfg, "problem", "eps_slack", 0.05, float),
-            surrogate_temp=_get(cfg, "problem", "surrogate_temp", 5.0, float))
+            eps_slack=p["eps_slack"], surrogate_temp=p["surrogate_temp"])
         self.constraints = build_fairness_constraints(
             self.dataset, self.family, self.fairness_spec)
-        mu = _get(cfg, "problem", "mu_convexify", 0.0, float)
+        mu = p["mu_convexify"]
         if mu > 0:
             self.constraints = convexify_constraints(
                 self.constraints, np.full(self.constraints.m, mu))
@@ -291,38 +365,21 @@ class Experiment:
     # -- solver -----------------------------------------------------------
 
     def _build_solver(self):
-        cfg = self.cfg
-        self.method = _get(cfg, "solver", "method", default="vr")
-        if self.method not in ("vr", "dist_vr", "full_prox_gradient",
-                               "naive_biased_sgd"):
-            raise ConfigError(f"unknown solver.method {self.method!r}")
+        s = self.settings["solver"]
+        self.method = s["method"]
         if self.method not in ("vr", "dist_vr") and self.family is None \
                 and self.problem is None:
             raise ConfigError(f"{self.method} needs a loss-family problem")
-        schedule = Schedule(
-            mode=_get(cfg, "solver", "schedule", "fixed_sqrt_m"),
-            beta=_get(cfg, "solver", "beta", 1.0, float),
-            zeta=_get(cfg, "solver", "zeta", 0.0, float),
-            tau=_get(cfg, "solver", "tau", 1, int),
-        )
+        schedule = Schedule(mode=s["schedule"], beta=s["beta"],
+                            zeta=s["zeta"], tau=s["tau"])
         self.solver_cfg = SolverConfig(
-            eta=_get(cfg, "solver", "eta", required=True, cast=float),
-            T=_get(cfg, "solver", "t", 1, int),
-            K=_get(cfg, "solver", "k", 1, int),
-            schedule=schedule,
-            seed=_get(cfg, "solver", "seed", 0, int),
-            output_rule=_get(cfg, "solver", "output_rule", "last_iterate"),
-            grad_map_every=_get(cfg, "solver", "grad_map_every", 0, int),
-            p=(_get(cfg, "solver", "workers", 1, int)
-               if self.method == "dist_vr" else 1),
+            eta=self._required("solver", "eta"), T=s["t"], K=s["k"],
+            schedule=schedule, seed=s["seed"], output_rule=s["output_rule"],
+            grad_map_every=s["grad_map_every"],
+            p=s["workers"] if self.method == "dist_vr" else 1,
         )
-        self.baseline_iters = _get(cfg, "solver", "iters", 100, int)
-        self.baseline_batch = _get(cfg, "solver", "batch_size", 1, int)
-        # bench runs the biased baseline on batch_size whatever the method
-        for key, value in (("iters", self.baseline_iters),
-                           ("batch_size", self.baseline_batch)):
-            if value < 1:
-                raise ConfigError(f"solver.{key} must be >= 1, got {value}")
+        self.baseline_iters = s["iters"]
+        self.baseline_batch = s["batch_size"]
         if self.method in ("full_prox_gradient", "naive_biased_sgd") \
                 and self.solver_cfg.eta <= 0:
             raise ConfigError(f"solver.eta must be positive for {self.method}")
@@ -338,12 +395,11 @@ class Experiment:
             split_batch(batch, shard_sizes(m, self.solver_cfg.p))
 
     def _resolve_output(self):
-        cfg = self.cfg
-        self.out_dir = Path(_get(cfg, "output", "out_dir", "runs"))
-        self.trajectory_csv = _get(cfg, "output", "trajectory_csv",
-                                   "trajectory.csv")
-        self.summary_json = _get(cfg, "output", "summary_json", "summary.json")
-        self.bench_csv = _get(cfg, "output", "bench_csv", "bench.csv")
+        out = self.settings["output"]
+        self.out_dir = Path(out["out_dir"])
+        self.trajectory_csv = out["trajectory_csv"]
+        self.summary_json = out["summary_json"]
+        self.bench_csv = out["bench_csv"]
 
     # -- execution ----------------------------------------------------------
 
@@ -355,12 +411,9 @@ class Experiment:
             dim = self.problem.dim_x
         else:  # wasserstein: the objective has the decision dimension
             dim = getattr(self.objective, "dim", None) or self.objective.slope.size
-        explicit = self.cfg["solver"].get("x0")
-        if explicit:
-            x0 = _parse_vector(explicit)
-            if not np.isfinite(x0).all():
-                raise ConfigError(
-                    f"solver.x0 = {explicit!r} has a non-finite entry")
+        explicit = self.settings["solver"]["x0"]
+        if explicit is not None:
+            x0 = np.array(explicit)
         elif self.kind == "mlp2":
             rng = np.random.default_rng(self.solver_cfg.seed)
             x0 = 0.1 * rng.standard_normal(dim)
@@ -387,13 +440,6 @@ class Experiment:
             x0=self.x0(), batch_size=self.baseline_batch)
 
 
-def _parse_vector(text):
-    try:
-        return np.array([float(v) for v in str(text).split(",") if v.strip() != ""])
-    except ValueError:
-        raise ConfigError(f"cannot parse vector {text!r}")
-
-
 def _fmt(value):
     if value is None:
         return ""
@@ -414,7 +460,7 @@ def write_trajectory_csv(path, report):
 
 def config_to_ini(cfg):
     out = []
-    for section in ("problem", "solver", "output"):
+    for section in SCHEMA:
         out.append(f"[{section}]")
         for key, value in sorted(cfg.get(section, {}).items()):
             out.append(f"{key} = {value}")
@@ -504,7 +550,7 @@ def _check_rows(exp):
         rng = np.random.default_rng(exp.solver_cfg.seed)
         x = 0.5 * rng.standard_normal(exp.problem.dim_x)
         values = exp.family.eval(None, x, jac=False)
-        gamma = float(exp.cfg["problem"]["gamma"])
+        gamma = exp.settings["problem"]["gamma"]
         psi = evaluate_psi(exp.problem, x)
         if exp.reduction == "chi2":
             if chi2_worst_case_weights(values, gamma).feasible:
@@ -535,8 +581,7 @@ def _check_rows(exp):
         rows.append(("sandwich", ok, f"worst excursion {worst:.2e}"))
         rows.append(_rows_check("constraint-rows", exp.constraints,
                                 x0, exp.solver_cfg.seed))
-        rho = _get(exp.cfg, "problem", "rho", default=None, cast=float)
-        G_r = _get(exp.cfg, "problem", "g_r", default=None, cast=float)
+        rho, G_r = exp.settings["problem"]["rho"], exp.settings["problem"]["g_r"]
         if rho and G_r:
             if exp.wcfg.alpha <= G_r / rho:
                 print(f"warning: alpha = {exp.wcfg.alpha:g} <= G_r/rho = "

@@ -217,7 +217,14 @@ def build_chi2(losses, cfg: Chi2Config, dim=None):
         return v + v * v / (2.0 * gamma), 1.0 + v / gamma
 
     def f_outer(u):
-        return -float(u[0]) ** 2 / (2.0 * gamma), np.array([-float(u[0]) / gamma])
+        u0 = np.float64(u[0])
+        with np.errstate(over="ignore"):
+            square = u0 ** 2  # numpy's pow, as float's, but inf past the range
+        if np.isinf(square) and np.isfinite(u0):
+            raise NumericalRangeError(
+                f"chi2 outer map overflows: the inner mean u = {u0:.3e} "
+                "squares past the float range")
+        return float(-square / (2.0 * gamma)), np.array([-u0 / gamma])
 
     return _compile(_as_family(losses, dim), _identity, f_outer, h_map)
 

@@ -61,6 +61,11 @@ out_dir = {out}
 """
 
 
+# a misspelt key in the file: QUAD_CHI2 with `synthtic` for `synthetic`
+MISSPELT_KEY = QUAD_CHI2.replace("source = synthetic",
+                                 "source = synthetic\nsynthtic = xor")
+
+
 def write_cfg(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -390,7 +395,8 @@ class TestNumericalFailure:
     @pytest.mark.parametrize("overrides, error", [
         ({"DRSUM_SOLVER__ETA": "0.3"}, "non-finite iterate at stage"),
         ({"DRSUM_SOLVER__ETA": "0.5", "DRSUM_PROBLEM__M": "256"},
-         "OverflowError"),
+         r"NumericalRangeError: chi2 outer map overflows: the inner mean "
+         r"u = \S+ squares past the float range at stage 1, epoch 1, step 5"),
     ], ids=["diverging_iterate", "outer_map_overflow"])
     def test_exit_2_and_no_nan_summary(self, tmp_path, monkeypatch, capsys,
                                        overrides, error):
@@ -398,7 +404,7 @@ class TestNumericalFailure:
             monkeypatch.setenv(key, value)
         out = tmp_path / "run"
         assert main(["solve", CHI2_CONFIG, "--out", str(out)]) == 2
-        assert error in capsys.readouterr().err
+        assert re.search(error, capsys.readouterr().err)
         assert not (out / "summary.json").exists()
 
 
@@ -549,18 +555,28 @@ class TestConfigErrors:
         (KL_CONFIG, {"PROBLEM__M": "0"}, "problem.m"),
         (KL_CONFIG, {"PROBLEM__M": "-3"}, "problem.m"),
         (KL_CONFIG, {"PROBLEM__D": "0"}, "problem.d"),
+        (KL_CONFIG, {"ETAA": "5"},
+         "unknown key solver.etaa; did you mean solver.eta?"),
+        (KL_CONFIG, {"DRSUM_SOLVER_ETA": "5"}, "DRSUM_SOLVER_ETA"),
+        (MISSPELT_KEY, {}, "problem.synthtic; did you mean problem.synthetic?"),
     ], ids=["x0_length", "x0_length_dr_logistic", "workers_over_m",
             "unknown_schedule", "zeta_over_sqrt_m", "ramp_under_workers",
             "negative_gamma", "negative_cond", "unreachable_min_gap",
             "unknown_env_section", "negative_seed", "negative_seed_dist_vr",
             "nan_mu_convexify", "nan_eta", "nan_gamma", "nan_eps_radius",
             "nan_x0", "inf_eta", "inf_gamma", "inf_alpha",
-            "negative_data_seed", "zero_m", "negative_m", "zero_d"])
+            "negative_data_seed", "zero_m", "negative_m", "zero_d",
+            "unknown_env_key", "env_without_separator", "unknown_file_key"])
     def test_invalid_value_exit_1_names_key(self, tmp_path, monkeypatch,
                                             capsys, config, overrides, key):
+        # a name given whole is set as it is; else it is DRSUM_<name>, or
+        # DRSUM_SOLVER__<name> for a name without a section
         for name, value in overrides.items():
-            section = "" if "__" in name else "SOLVER__"
-            monkeypatch.setenv(f"DRSUM_{section}{name}", value)
+            if not name.startswith("DRSUM_"):
+                name = "DRSUM_" + ("" if "__" in name else "SOLVER__") + name
+            monkeypatch.setenv(name, value)
+        if "[problem]" in config:  # an INI text, not a path
+            config = write_cfg(tmp_path, config.format(out=tmp_path))
         out = tmp_path / "run"
         assert main(["solve", config, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -597,6 +613,22 @@ class TestConfigErrors:
         assert "gamma" in capsys.readouterr().err
 
 
+def test_readme_key_tables_match_schema():
+    # the README's [problem], [solver] and [output] tables list exactly
+    # the schema's keys, each section both ways
+    from drsum.cli import SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    dialect = readme.split("### Config dialect", 1)[1].split("\n### ", 1)[0]
+    _, *parts = re.split(r"^`\[(\w+)\]`$", dialect, flags=re.M)
+    documented = {
+        section: {key for line in body.splitlines() if line.startswith("| `")
+                  for key in re.findall(r"`(\w+)`", line.split("|")[1])}
+        for section, body in zip(parts[::2], parts[1::2])}
+    assert documented == {section: set(keys)
+                          for section, keys in SCHEMA.items()}
+
+
 class TestCheck:
     def test_builtin_fixture_passes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_CHI2.format(out=tmp_path / "c")
@@ -615,12 +647,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "kl-equivalence" in out
 
-    def test_broken_jacobian_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_broken_jacobian_exit_3(self, tmp_path, capsys, kind):
         text = QUAD_CHI2.format(out=tmp_path / "c").replace(
-            "kind = quadratic", "kind = logistic").replace(
             "reduction = chi2", "reduction = chi2\ninject_jacobian_fault = true"
-        ).replace("m = 16", "m = 8").replace(
-            "source = synthetic", "source = synthetic\nsynthetic = two_group_bias")
+        ).replace("m = 16", "m = 8")
+        if kind == "logistic":
+            text = text.replace("kind = quadratic", "kind = logistic").replace(
+                "source = synthetic",
+                "source = synthetic\nsynthetic = two_group_bias")
         cfg = write_cfg(tmp_path, text)
         assert main(["check", cfg]) == 3
         captured = capsys.readouterr()

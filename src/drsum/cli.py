@@ -110,11 +110,11 @@ SCHEMA = {
         "m": Key(int, 16, "synthetic component count", 1),
         "d": Key(int, 5, "synthetic dimension", 1),
         "data_seed": Key(int, 0, "synthetic data seed", 0),
-        "cond": Key(_finite, 10.0, "synthetic quadratic conditioning"),
+        "cond": Key(_finite, 10.0, "synthetic quadratic conditioning", 1),
         "synthetic": Key(str, None, "generator, by default the kind's",
                          QUADRATIC_SYNTHETIC + ("two_group_bias", "xor")),
         "min_gap": Key(_finite, 0.1, "planted tpr gap of two_group_bias"),
-        "hidden": Key(int, 4, "hidden units of mlp2"),
+        "hidden": Key(int, 4, "hidden units of mlp2", 1),
         "csv_path": Key(str, None, "csv file (source = csv)"),
         "feature_columns": Key(str, None, "csv feature columns, a comma list"),
         "label_column": Key(str, None, "csv label column"),
@@ -125,9 +125,9 @@ SCHEMA = {
         "gamma": Key(_finite, None, "penalty weight or temperature"),
         "gamma_from_restarts": Key(_bool, False, "wasserstein gamma from k"),
         "alpha": Key(_finite, None, "wasserstein constraint scale"),
-        "eps_slack": Key(_finite, 0.05, "fairness margin"),
+        "eps_slack": Key(_finite, 0.05, "fairness margin", 0),
         "surrogate_temp": Key(_finite, 5.0, "fairness sigmoid sharpness"),
-        "mu_convexify": Key(_finite, 0.0, "mu ||x||^2 on every constraint"),
+        "mu_convexify": Key(_finite, 0.0, "mu ||x||^2 on each constraint", 0),
         "eps_radius": Key(_finite, 0.1, "dr_logistic radius"),
         "kappa_flip": Key(_finite, 1.0, "dr_logistic label-flip cost"),
         "target": Key(_vector, (2.0, 2.0), "corner_toy target"),
@@ -139,16 +139,18 @@ SCHEMA = {
     "solver": {
         "method": Key(str, "vr", "solver or baseline", (
             "vr", "dist_vr", "full_prox_gradient", "naive_biased_sgd")),
-        "eta": Key(_finite, None, "step size, required"),
-        "t": Key(int, 1, "epochs per stage"),
-        "k": Key(int, 1, "restart stages"),
-        "schedule": Key(str, "fixed_sqrt_m", "epoch schedule mode"),
+        "eta": Key(_finite, None, "step size, required", 0),
+        "t": Key(int, 1, "epochs per stage", 1),
+        "k": Key(int, 1, "restart stages", 1),
+        "schedule": Key(str, "fixed_sqrt_m", "epoch schedule mode",
+                        ("fixed_sqrt_m", "adaptive", "full_batch")),
         "beta": Key(_finite, 1.0, "adaptive ramp slope"),
         "zeta": Key(_finite, 0.0, "adaptive ramp offset"),
-        "tau": Key(int, 1, "epoch length of full_batch"),
-        "workers": Key(int, 1, "dist_vr worker count"),
-        "seed": Key(int, 0, "sampling seed"),
-        "output_rule": Key(str, "last_iterate", "stage output rule"),
+        "tau": Key(int, 1, "epoch length of full_batch", 1),
+        "workers": Key(int, 1, "dist_vr worker count", 1),
+        "seed": Key(int, 0, "sampling seed", 0),
+        "output_rule": Key(str, "last_iterate", "stage output rule",
+                           ("last_iterate", "uniform_random_iterate")),
         "grad_map_every": Key(int, 0, "gradient-mapping cadence"),
         "iters": Key(int, 100, "baseline steps", 1),
         "batch_size": Key(int, 1, "baseline sample size", 1),
@@ -229,9 +231,11 @@ def read_settings(cfg):
 
 
 class Experiment:
-    """Everything a command needs: the compiled problem, solver config,
-    and the handles for constraint and fairness diagnostics.  cfg is the
-    raw {section: {key: str}} dict; settings holds its typed values."""
+    """Everything a command needs: the run's decision dimension dim,
+    component count m and stage builder stages (k, x_start) -> problem,
+    the solver config, and the handles for constraint and fairness
+    diagnostics.  cfg is the raw {section: {key: str}} dict; settings
+    holds its typed values."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -254,7 +258,11 @@ class Experiment:
             raise
         except ValueError as exc:  # a value the library rejects
             raise ConfigError(f"invalid value: {exc}")
-        self._resolve_output()
+        out = self.settings["output"]
+        self.out_dir = Path(out["out_dir"])
+        self.trajectory_csv = out["trajectory_csv"]
+        self.summary_json = out["summary_json"]
+        self.bench_csv = out["bench_csv"]
 
     def _required(self, section, key):
         value = self.settings[section][key]
@@ -306,41 +314,47 @@ class Experiment:
             self.family = BrokenJacobianLosses(self.family)
 
     def _build_problem(self):
+        """Set dim, m and stages: the fixed problem of a chi2, kl or mean
+        run, or the re-anchored stages of a wasserstein one."""
         gamma = self.settings["problem"]["gamma"]
-        if self.reduction in ("chi2", "kl"):
-            if gamma is None:
-                raise ConfigError(
-                    f"{self.reduction} reduction needs problem.gamma")
-            if self.reduction == "chi2":
-                self.problem = build_chi2(self.family, Chi2Config(gamma=gamma))
-            else:
-                self.problem = build_kl(self.family, KlConfig(gamma=gamma))
-        elif self.reduction == "none":
-            if self.family is None:
-                raise ConfigError(f"kind {self.kind!r} requires a reduction")
-            self.problem = build_mean(self.family)
-        else:
+        if self.reduction == "wasserstein":
             self._build_wasserstein_pieces()
+            self.m = self.constraints.m
             alpha = self._required("problem", "alpha")
             if self.settings["problem"]["gamma_from_restarts"]:
                 # the temperature of the run's solver.k restarts
-                gamma = restart_gamma(self.settings["solver"]["k"],
-                                      self.constraints.m)
+                gamma = restart_gamma(self.settings["solver"]["k"], self.m)
             elif gamma is None:
                 raise ConfigError(
                     "wasserstein reduction needs problem.gamma or "
                     "problem.gamma_from_restarts = true")
             self.wcfg = WassersteinConfig(alpha=alpha, gamma=gamma)
+            self.stages = wasserstein_stages(
+                self.objective, self.constraints, self.wcfg, self.dim)
+            return
+        if self.reduction == "none":
+            if self.family is None:
+                raise ConfigError(f"kind {self.kind!r} requires a reduction")
+            self.problem = build_mean(self.family)
+        elif gamma is None:
+            raise ConfigError(f"{self.reduction} reduction needs problem.gamma")
+        elif self.reduction == "chi2":
+            self.problem = build_chi2(self.family, Chi2Config(gamma=gamma))
+        else:
+            self.problem = build_kl(self.family, KlConfig(gamma=gamma))
+        self.dim, self.m = self.problem.dim_x, self.problem.m
+        self.stages = lambda k, x_start: self.problem
 
     def _build_wasserstein_pieces(self):
+        """Set the objective, the constraint set and dim."""
         p = self.settings["problem"]
         if self.kind == "corner_toy":
             target, bound = np.array(p["target"]), np.array(p["bound"])
             if target.size != bound.size:
                 raise ConfigError("problem.target and problem.bound sizes differ")
+            self.dim = target.size
             self.objective = SquaredNormTerm(1.0, center=target)
-            self.objective.dim = target.size
-            self.constraints = ConstraintSet.affine(np.eye(target.size), bound)
+            self.constraints = ConstraintSet.affine(np.eye(self.dim), bound)
             return
         if self.kind == "dr_logistic":
             if self.dataset is None:
@@ -348,6 +362,8 @@ class Experiment:
             self.objective, self.constraints = build_dr_logistic(
                 self.dataset, eps_radius=p["eps_radius"],
                 kappa_flip=p["kappa_flip"])
+            # (beta, lam, one slack per sample)
+            self.dim = self.dataset.dim + 1 + self.dataset.m
             return
         if self.family is None or self.dataset is None:
             raise ConfigError(
@@ -361,6 +377,7 @@ class Experiment:
             self.constraints = convexify_constraints(
                 self.constraints, np.full(self.constraints.m, mu))
         self.objective = MeanLossObjective(self.family)
+        self.dim = self.family.dim
 
     # -- solver -----------------------------------------------------------
 
@@ -378,8 +395,6 @@ class Experiment:
             grad_map_every=s["grad_map_every"],
             p=s["workers"] if self.method == "dist_vr" else 1,
         )
-        self.baseline_iters = s["iters"]
-        self.baseline_batch = s["batch_size"]
         if self.method in ("full_prox_gradient", "naive_biased_sgd") \
                 and self.solver_cfg.eta <= 0:
             raise ConfigError(f"solver.eta must be positive for {self.method}")
@@ -389,17 +404,9 @@ class Experiment:
         schedule, the schedule and the workers against the m components."""
         self.x0()
         if self.method in ("vr", "dist_vr"):
-            m = self.problem.m if self.problem is not None else self.constraints.m
             # the first epoch opens on the schedule's smallest batch
-            batch = self.solver_cfg.schedule.params(1, m)[2]
-            split_batch(batch, shard_sizes(m, self.solver_cfg.p))
-
-    def _resolve_output(self):
-        out = self.settings["output"]
-        self.out_dir = Path(out["out_dir"])
-        self.trajectory_csv = out["trajectory_csv"]
-        self.summary_json = out["summary_json"]
-        self.bench_csv = out["bench_csv"]
+            batch = self.solver_cfg.schedule.params(1, self.m)[2]
+            split_batch(batch, shard_sizes(self.m, self.solver_cfg.p))
 
     # -- execution ----------------------------------------------------------
 
@@ -407,37 +414,28 @@ class Experiment:
         """solver.x0, or else the origin of the decision space; for mlp2,
         whose origin is a saddle of its losses, 0.1 N(0, I) drawn from a
         stream seeded by solver.seed."""
-        if self.problem is not None:
-            dim = self.problem.dim_x
-        else:  # wasserstein: the objective has the decision dimension
-            dim = getattr(self.objective, "dim", None) or self.objective.slope.size
         explicit = self.settings["solver"]["x0"]
         if explicit is not None:
             x0 = np.array(explicit)
         elif self.kind == "mlp2":
             rng = np.random.default_rng(self.solver_cfg.seed)
-            x0 = 0.1 * rng.standard_normal(dim)
+            x0 = 0.1 * rng.standard_normal(self.dim)
         else:
-            x0 = np.zeros(dim)
-        if x0.size != dim:
+            x0 = np.zeros(self.dim)
+        if x0.size != self.dim:
             raise ConfigError(f"solver.x0 has {x0.size} entries; the "
-                              f"decision vector has {dim}")
+                              f"decision vector has {self.dim}")
         return x0
 
     def run(self) -> SolverReport:
         if self.method in ("vr", "dist_vr"):
-            x0 = self.x0()
-            stages = self.problem if self.constraints is None else \
-                wasserstein_stages(self.objective, self.constraints,
-                                   self.wcfg, x0.size)
-            return solve(stages, x0, self.solver_cfg,
+            return solve(self.stages, self.x0(), self.solver_cfg,
                          constraints=self.constraints)
-        problem = self.problem if self.problem is not None else \
-            build_mean(self.family)
+        s = self.settings["solver"]
         return baseline_solve(
-            problem, self.method,
-            replace(self.solver_cfg, T=self.baseline_iters, K=1),
-            x0=self.x0(), batch_size=self.baseline_batch)
+            self.problem or build_mean(self.family), self.method,
+            replace(self.solver_cfg, T=s["iters"], K=1),
+            x0=self.x0(), batch_size=s["batch_size"])
 
 
 def _fmt(value):
@@ -456,16 +454,6 @@ def write_trajectory_csv(path, report):
             _fmt(rec.wall_s),
         ]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def config_to_ini(cfg):
-    out = []
-    for section in SCHEMA:
-        out.append(f"[{section}]")
-        for key, value in sorted(cfg.get(section, {}).items()):
-            out.append(f"{key} = {value}")
-        out.append("")
-    return "\n".join(out)
 
 
 def write_summary_json(path, cfg, exp, report):
@@ -528,12 +516,10 @@ def _rows_check(name, source, x0, seed):
 
 def _check_rows(exp):
     rows = []
-    problem = exp.problem
     x0 = exp.x0()
-    if exp.reduction == "wasserstein":  # the first stage, anchored at x0
-        problem = wasserstein_stages(exp.objective, exp.constraints,
-                                     exp.wcfg, x0.size)(1, x0)
-    jac = check_jacobians(problem, num_probes=25, seed=exp.solver_cfg.seed)
+    # the first stage, anchored at x0
+    jac = check_jacobians(exp.stages(1, x0), num_probes=25,
+                          seed=exp.solver_cfg.seed)
     rows.append(("jacobian-check", jac.max_rel_error <= 1e-5,
                  f"max rel err {jac.max_rel_error:.2e}"))
     if exp.problem is not None:
@@ -546,9 +532,9 @@ def _check_rows(exp):
     if exp.family is not None:
         rows.append(_rows_check("family-rows", exp.family, x0,
                                 exp.solver_cfg.seed))
-    if exp.reduction in ("chi2", "kl") and exp.problem.m <= 12:
+    if exp.reduction in ("chi2", "kl") and exp.m <= 12:
         rng = np.random.default_rng(exp.solver_cfg.seed)
-        x = 0.5 * rng.standard_normal(exp.problem.dim_x)
+        x = 0.5 * rng.standard_normal(exp.dim)
         values = exp.family.eval(None, x, jac=False)
         gamma = exp.settings["problem"]["gamma"]
         psi = evaluate_psi(exp.problem, x)
@@ -562,7 +548,7 @@ def _check_rows(exp):
                              "skipped: worst case outside simplex at probe"))
         else:
             oracle = brute_force_penalized_max(values, "kl", gamma)
-            gap = abs(gamma * psi + gamma * np.log(exp.problem.m) - oracle)
+            gap = abs(gamma * psi + gamma * np.log(exp.m) - oracle)
             rows.append(("kl-equivalence", gap <= 1e-8, f"gap = {gap:.2e}"))
     if exp.reduction == "wasserstein":
         rng = np.random.default_rng(exp.solver_cfg.seed)
@@ -574,7 +560,7 @@ def _check_rows(exp):
             vals = exp.constraints.values(x)
             pen = wasserstein_penalty(vals, exp.wcfg.alpha, gamma)
             lo = max(0.0, exp.wcfg.alpha * float(np.max(vals)))
-            hi = lo + gamma * np.log(exp.constraints.m + 1)
+            hi = lo + gamma * np.log(exp.m + 1)
             err = max(lo - pen, pen - hi)
             worst = max(worst, err)
             ok = ok and err <= 1e-9
@@ -640,22 +626,22 @@ def _bench_rows(exp):
     mean_problem = build_mean(exp.family)
     primary_name = "vr" if exp.reduction == "none" else f"vr_{exp.reduction}"
     rows = _stage_rows(exp, primary_name, exp.run(),
-                       exp.problem if exp.problem is not None else mean_problem)
+                       exp.problem or mean_problem)
     budget, K = rows[0][1], len(rows)
     eta, seed = exp.solver_cfg.eta, exp.solver_cfg.seed
+    batch = exp.settings["solver"]["batch_size"]
 
     def baseline(problem, kind, cost):
         config = SolverConfig(eta=eta, T=max(1, budget // cost), K=K,
                               seed=seed, grad_map_every=-1)
         return baseline_solve(problem, kind, config, x0=exp.x0(),
-                              batch_size=exp.baseline_batch)
+                              batch_size=batch)
 
     rows += _stage_rows(exp, "unconstrained", baseline(
         mean_problem, "full_prox_gradient", mean_problem.m), mean_problem)
     if exp.reduction in ("chi2", "kl"):
         try:
-            report = baseline(exp.problem, "naive_biased_sgd",
-                              exp.baseline_batch)
+            report = baseline(exp.problem, "naive_biased_sgd", batch)
         except DivergenceError as exc:
             print(f"biased_sgd baseline {exc}; its rows are left out",
                   file=sys.stderr)

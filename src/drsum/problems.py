@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -188,18 +189,22 @@ class MeanLossObjective:
 
 
 class BrokenJacobianLosses:
-    """Wrap a family with deliberately scaled gradients (checker fixture)."""
+    """Wrap a family with deliberately scaled gradients, its scores' too
+    if it has scores (checker fixture)."""
 
     def __init__(self, family, scale=1.5):
         self.family = family
         self.scale = scale
         self.m = family.m
         self.dim = family.dim
+        self.eval = partial(self._scaled, family.eval)
+        if hasattr(family, "score"):
+            self.score = partial(self._scaled, family.score)
 
-    def eval(self, idx, x, jac=True):
+    def _scaled(self, read, idx, x, jac=True):
         if not jac:
-            return self.family.eval(idx, x, jac=False)
-        v, g = self.family.eval(idx, x)
+            return read(idx, x, jac=False)
+        v, g = read(idx, x)
         return v, self.scale * g
 
 

@@ -418,19 +418,21 @@ def solve(problem_builder, x0, config: SolverConfig, *, constraints=None,
 
     x = np.asarray(x0, dtype=float)
     stage_outputs = []
-    for k in range(1, config.K + 1):
-        problem = builder(k, x)
-        if k == 1:
-            psi_limit = DIVERGENCE_FACTOR * max(
-                1.0, abs(evaluate_psi(problem, x)))
-        sizes = shard_sizes(problem.m, config.p)
-        candidates = [x.copy()]
-        for t in range(1, config.T + 1):
-            x = run(problem, x, t, config.schedule, config.eta, sizes, rngs,
-                    devices, server, stage=k, on_step=on_step)
-        if collect:
-            x = candidates[int(select_rng.integers(0, len(candidates)))]
-        stage_outputs.append(x.copy())
+    # the non-finite and range checks locate what numpy would warn of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, config.K + 1):
+            problem = builder(k, x)
+            if k == 1:
+                psi_limit = DIVERGENCE_FACTOR * max(
+                    1.0, abs(evaluate_psi(problem, x)))
+            sizes = shard_sizes(problem.m, config.p)
+            candidates = [x.copy()]
+            for t in range(1, config.T + 1):
+                x = run(problem, x, t, config.schedule, config.eta, sizes,
+                        rngs, devices, server, stage=k, on_step=on_step)
+            if collect:
+                x = candidates[int(select_rng.integers(0, len(candidates)))]
+            stage_outputs.append(x.copy())
     tripped = next((r for r in records if not r.psi <= psi_limit), None)
     if tripped is not None:
         raise DivergenceError(

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drsum.cli import config_to_ini, main
+from drsum.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CHI2_CONFIG = str(CONFIGS / "chi2_quadratic.ini")
@@ -107,8 +108,11 @@ class TestSolve:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         echoed = dict(summary["config"])
         echoed["output"] = dict(echoed["output"], out_dir=str(tmp_path / "b"))
-        replay = write_cfg(tmp_path, config_to_ini(echoed), "replay.ini")
-        assert main(["solve", replay]) == 0
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(echoed)
+        with open(tmp_path / "replay.ini", "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert main(["solve", str(tmp_path / "replay.ini")]) == 0
         a = (tmp_path / "a" / "trajectory.csv").read_text()
         b = (tmp_path / "b" / "trajectory.csv").read_text()
         assert strip_wall(a) == strip_wall(b)
@@ -474,6 +478,21 @@ class TestNumericalFailure:
         assert err.count("OuterDomainError") == 1
         assert "NumericalRangeError" not in err
 
+    def test_overflow_prints_only_its_located_error(self, tmp_path):
+        # numpy's own overflow warnings, which name no step, are silenced
+        # in the solve: stderr is the one located line
+        done = subprocess.run(
+            [sys.executable, "-m", "drsum.cli", "solve", CHI2_CONFIG,
+             "--out", str(tmp_path / "run")],
+            env=src_env(DRSUM_PROBLEM__DATA_SEED="4"), capture_output=True,
+            text=True, timeout=300)
+        assert done.returncode == 2
+        assert re.fullmatch(
+            r"solver nonconvergence: NumericalRangeError: chi2 outer map "
+            r"overflows: .* at stage 3, epoch 2, step 1\n", done.stderr), \
+            done.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_bench_baseline_failure_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
         import drsum.cli
@@ -530,16 +549,16 @@ class TestConfigErrors:
         (KL_CONFIG, {"X0": "1,1"}, "solver.x0"),
         (str(CONFIGS / "robust_logistic.ini"), {"X0": "1,1"}, "solver.x0"),
         (KL_CONFIG, {"WORKERS": "100"}, "workers"),
-        (KL_CONFIG, {"SCHEDULE": "bogus"}, "schedule"),
+        (KL_CONFIG, {"SCHEDULE": "bogus"}, "solver.schedule"),
         (KL_CONFIG, {"SCHEDULE": "adaptive", "ZETA": "9"}, "zeta"),
         (KL_CONFIG, {"SCHEDULE": "adaptive"}, "workers"),
         (KL_CONFIG, {"PROBLEM__GAMMA": "-1"}, "gamma"),
-        (KL_CONFIG, {"PROBLEM__COND": "-1"}, "cond"),
+        (KL_CONFIG, {"PROBLEM__COND": "-1"}, "problem.cond"),
         (str(CONFIGS / "fairness_wasserstein.ini"),
          {"PROBLEM__MIN_GAP": "0.95"}, "min_gap"),
         (CHI2_CONFIG, {"SOLVR__ETA": "5"}, "DRSUM_SOLVR__ETA"),
-        (CHI2_CONFIG, {"SEED": "-2"}, "seed"),
-        (KL_CONFIG, {"SEED": "-1"}, "seed"),
+        (CHI2_CONFIG, {"SEED": "-2"}, "solver.seed"),
+        (KL_CONFIG, {"SEED": "-1"}, "solver.seed"),
         (str(CONFIGS / "fairness_wasserstein.ini"),
          {"PROBLEM__MU_CONVEXIFY": "nan"}, "problem.mu_convexify = 'nan'"),
         (CHI2_CONFIG, {"ETA": "nan"}, "solver.eta = 'nan'"),
@@ -559,6 +578,17 @@ class TestConfigErrors:
          "unknown key solver.etaa; did you mean solver.eta?"),
         (KL_CONFIG, {"DRSUM_SOLVER_ETA": "5"}, "DRSUM_SOLVER_ETA"),
         (MISSPELT_KEY, {}, "problem.synthtic; did you mean problem.synthetic?"),
+        (KL_CONFIG, {"T": "0"}, "solver.t must be >= 1"),
+        (KL_CONFIG, {"K": "0"}, "solver.k must be >= 1"),
+        (KL_CONFIG, {"WORKERS": "0"}, "solver.workers must be >= 1"),
+        (KL_CONFIG, {"TAU": "0"}, "solver.tau must be >= 1"),
+        (KL_CONFIG, {"OUTPUT_RULE": "bogus"}, "solver.output_rule"),
+        (KL_CONFIG, {"ETA": "-1"}, "solver.eta must be >= 0"),
+        (KL_CONFIG, {"PROBLEM__HIDDEN": "0"}, "problem.hidden must be >= 1"),
+        (str(CONFIGS / "fairness_wasserstein.ini"),
+         {"PROBLEM__MU_CONVEXIFY": "-1"}, "problem.mu_convexify must be >= 0"),
+        (str(CONFIGS / "fairness_wasserstein.ini"),
+         {"PROBLEM__EPS_SLACK": "-1"}, "problem.eps_slack must be >= 0"),
     ], ids=["x0_length", "x0_length_dr_logistic", "workers_over_m",
             "unknown_schedule", "zeta_over_sqrt_m", "ramp_under_workers",
             "negative_gamma", "negative_cond", "unreachable_min_gap",
@@ -566,7 +596,10 @@ class TestConfigErrors:
             "nan_mu_convexify", "nan_eta", "nan_gamma", "nan_eps_radius",
             "nan_x0", "inf_eta", "inf_gamma", "inf_alpha",
             "negative_data_seed", "zero_m", "negative_m", "zero_d",
-            "unknown_env_key", "env_without_separator", "unknown_file_key"])
+            "unknown_env_key", "env_without_separator", "unknown_file_key",
+            "zero_t", "zero_k", "zero_workers", "zero_tau",
+            "unknown_output_rule", "negative_eta", "zero_hidden",
+            "negative_mu_convexify", "negative_eps_slack"])
     def test_invalid_value_exit_1_names_key(self, tmp_path, monkeypatch,
                                             capsys, config, overrides, key):
         # a name given whole is set as it is; else it is DRSUM_<name>, or
@@ -647,8 +680,10 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "kl-equivalence" in out
 
-    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
-    def test_broken_jacobian_exit_3(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic",
+                                      "fairness_wasserstein"])
+    def test_broken_jacobian_exit_3(self, tmp_path, monkeypatch, capsys,
+                                    kind):
         text = QUAD_CHI2.format(out=tmp_path / "c").replace(
             "reduction = chi2", "reduction = chi2\ninject_jacobian_fault = true"
         ).replace("m = 16", "m = 8")
@@ -657,6 +692,10 @@ class TestCheck:
                 "source = synthetic",
                 "source = synthetic\nsynthetic = two_group_bias")
         cfg = write_cfg(tmp_path, text)
+        if kind == "fairness_wasserstein":
+            # the constraint rows read the broken family's scores
+            monkeypatch.setenv("DRSUM_PROBLEM__INJECT_JACOBIAN_FAULT", "true")
+            cfg = str(CONFIGS / "fairness_wasserstein.ini")
         assert main(["check", cfg]) == 3
         captured = capsys.readouterr()
         assert "jacobian-check" in captured.err
@@ -809,15 +848,21 @@ DR_LOGISTIC_WORKLOAD = str(REPO / "perfbench" / "workloads" / "drlogistic_m20.in
 PROJECTION_MODULES = ("scipy.optimize", "scipy.special")
 
 
+def src_env(**overrides):
+    """os.environ with overrides and src/ first on PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def fresh_interpreter(code, *args):
     """Run code in a new python with src/ on the path; returns its stdout.
     The test process itself has loaded scipy, so its sys.modules tells
     nothing about what drsum imports."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", code, *args], cwd=REPO,
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

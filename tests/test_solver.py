@@ -263,7 +263,7 @@ class TestEstimatorRecursion:
         assert abs(samples.mean() - exact[0]) <= 4.0 * se + 1e-15
 
 
-class TestRunStage:
+class TestSingleStageSolve:
     """One stage: solve with K = 1."""
 
     def test_single_step_stage(self, quad16):
@@ -301,7 +301,7 @@ class TestRunStage:
         assert x1.shape == x3.shape
 
 
-class TestSolveRestarted:
+class TestMultiStageSolve:
     def test_determinism_of_full_report(self, quad16):
         losses, d, _, _ = quad16
         prob = build_chi2(losses, Chi2Config(gamma=10.0), dim=d)
@@ -604,7 +604,7 @@ class TestBatchDiagnosticsLeaveSolverAlone:
                             fuzzy.g_oracle(np.array([i]), x)):
                 assert np.array_equal(a, b)
 
-    def test_solve_restarted(self):
+    def test_one_worker_constrained_solve(self):
         from drsum.problems import make_synthetic
 
         family = make_synthetic("strongly_convex_quadratic", m=16, d=5, seed=7)
@@ -619,7 +619,7 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         assert closed_form(prob.component_values)
         self.assert_same_run(fast, ref)
 
-    def test_dist_solve(self):
+    def test_four_worker_solve(self):
         from drsum.problems import make_losses, make_synthetic
         from drsum.reductions import KlConfig, build_kl
 
@@ -633,7 +633,7 @@ class TestBatchDiagnosticsLeaveSolverAlone:
         self.assert_same_run(fast, ref)
         assert fast.per_device_counters == ref.per_device_counters
 
-    def test_constrained_solve_restarted(self):
+    def test_wasserstein_stages_solve(self):
         from drsum.problems import make_synthetic
         from drsum.reductions import build_dr_logistic
 

@@ -19,14 +19,11 @@ from .constraints import (
 from .proxlib import (
     AffineTerm,
     BoxTerm,
-    ConstantTerm,
     CustomTerm,
     L1Term,
-    NoClosedFormProxError,
     SimpleTerm,
     SquaredNormTerm,
     ZeroTerm,
-    prox_step,
 )
 from .reductions import (
     Chi2Config,

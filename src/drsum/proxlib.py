@@ -14,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class NoClosedFormProxError(TypeError):
-    """Raised when an object cannot serve as a simple term with a prox."""
-
-
 class SimpleTerm:
     """Base class: convex, lower-semicontinuous term with a prox oracle."""
 
@@ -33,19 +29,6 @@ class ZeroTerm(SimpleTerm):
 
     def value(self, x):
         return 0.0
-
-    def prox(self, v, eta):
-        return np.asarray(v, dtype=float)
-
-
-class ConstantTerm(SimpleTerm):
-    """r = c.  Shifts the objective value, never the iterates."""
-
-    def __init__(self, c):
-        self.c = float(c)
-
-    def value(self, x):
-        return self.c
 
     def prox(self, v, eta):
         return np.asarray(v, dtype=float)
@@ -136,19 +119,3 @@ class CustomTerm(SimpleTerm):
 
     def prox(self, v, eta):
         return np.asarray(self._prox_fn(v, eta), dtype=float)
-
-
-def prox_step(r_simple, eta, x):
-    """One proximal step: argmin_y r(y) + (1/(2*eta)) ||y - x||^2.
-
-    eta must be positive; r_simple must come from the prox library above
-    (or be a CustomTerm carrying its own prox oracle).
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not isinstance(r_simple, SimpleTerm):
-        raise NoClosedFormProxError(
-            f"no closed-form prox for {type(r_simple).__name__}; "
-            "use a term from the prox library or supply a CustomTerm"
-        )
-    return r_simple.prox(np.asarray(x, dtype=float), eta)

@@ -589,6 +589,8 @@ class TestConfigErrors:
          {"PROBLEM__MU_CONVEXIFY": "-1"}, "problem.mu_convexify must be >= 0"),
         (str(CONFIGS / "fairness_wasserstein.ini"),
          {"PROBLEM__EPS_SLACK": "-1"}, "problem.eps_slack must be >= 0"),
+        (str(CONFIGS / "fairness_wasserstein.ini"),
+         {"PROBLEM__RHO": "1.0"}, "unknown key problem.rho"),
     ], ids=["x0_length", "x0_length_dr_logistic", "workers_over_m",
             "unknown_schedule", "zeta_over_sqrt_m", "ramp_under_workers",
             "negative_gamma", "negative_cond", "unreachable_min_gap",
@@ -599,7 +601,7 @@ class TestConfigErrors:
             "unknown_env_key", "env_without_separator", "unknown_file_key",
             "zero_t", "zero_k", "zero_workers", "zero_tau",
             "unknown_output_rule", "negative_eta", "zero_hidden",
-            "negative_mu_convexify", "negative_eps_slack"])
+            "negative_mu_convexify", "negative_eps_slack", "rho"])
     def test_invalid_value_exit_1_names_key(self, tmp_path, monkeypatch,
                                             capsys, config, overrides, key):
         # a name given whole is set as it is; else it is DRSUM_<name>, or
@@ -669,7 +671,7 @@ class TestCheck:
         assert main(["check", cfg]) == 0
         out = capsys.readouterr().out
         assert "jacobian-check" in out and "PASS" in out
-        assert "chi2-equivalence" in out
+        assert re.search(r"^objective +PASS ", out, re.M)
 
     def test_kl_reduction_check_passes(self, tmp_path, capsys):
         text = QUAD_CHI2.format(out=tmp_path / "c").replace(
@@ -678,7 +680,7 @@ class TestCheck:
         cfg = write_cfg(tmp_path, text)
         assert main(["check", cfg]) == 0
         out = capsys.readouterr().out
-        assert "kl-equivalence" in out
+        assert re.search(r"^objective +PASS ", out, re.M)
 
     @pytest.mark.parametrize("kind", ["logistic", "quadratic",
                                       "fairness_wasserstein"])
@@ -700,24 +702,51 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "jacobian-check" in captured.err
 
-    def test_wasserstein_alpha_warning_still_passes(self, tmp_path, capsys):
-        text = FAIRNESS.format(out=tmp_path / "w").replace(
-            "eps_slack = 0.05", "eps_slack = 0.05\nrho = 1.0\ng_r = 10.0")
-        cfg = write_cfg(tmp_path, text)
-        assert main(["check", cfg]) == 0
-        out = capsys.readouterr().out
-        assert "sandwich" in out
-        assert "alpha-condition" in out
-        assert "warning" in out
-
-    @pytest.mark.parametrize("name", ["robust_logistic",
+    @pytest.mark.parametrize("name", ["chi2_quadratic", "kl_distributed",
+                                      "robust_logistic",
                                       "fairness_wasserstein"])
     def test_wasserstein_configs_check_jacobians_and_rows(self, name,
                                                           capsys):
         assert main(["check", str(CONFIGS / f"{name}.ini")]) == 0
         out = capsys.readouterr().out
         assert re.search(r"^jacobian-check +PASS ", out, re.M)
-        assert re.search(r"^constraint-rows +PASS ", out, re.M)
+        assert re.search(r"^objective +PASS ", out, re.M)
+        if name in ("robust_logistic", "fairness_wasserstein"):
+            assert re.search(r"^constraint-rows +PASS ", out, re.M)
+
+    @pytest.mark.parametrize("name", ["chi2_quadratic", "kl_distributed",
+                                      "robust_logistic",
+                                      "fairness_wasserstein"])
+    def test_objective_catches_an_outer_map_offset(self, name, monkeypatch,
+                                                   capsys):
+        # an outer map whose value gains 0.1 while its derivative stays
+        # right passes the jacobian check, but not the objective row
+        from dataclasses import replace
+
+        import drsum.cli
+        import drsum.reductions
+
+        def offset(build):
+            def faulty(*args, **kwargs):
+                problem = build(*args, **kwargs)
+                outer = problem.f_outer
+
+                def f_outer(u):
+                    value, slope = outer(u)
+                    return value + 0.1, slope
+
+                return replace(problem, f_outer=f_outer)
+            return faulty
+
+        for module, attr in ((drsum.cli, "build_chi2"),
+                             (drsum.cli, "build_kl"),
+                             (drsum.reductions, "build_wasserstein")):
+            monkeypatch.setattr(module, attr, offset(getattr(module, attr)))
+        assert main(["check", str(CONFIGS / f"{name}.ini")]) == 3
+        captured = capsys.readouterr()
+        assert re.search(r"^jacobian-check +PASS ", captured.out, re.M)
+        assert re.search(r"^objective +FAIL ", captured.out, re.M)
+        assert "failed checks: objective" in captured.err
 
     @pytest.mark.parametrize("fault", ["rows", "values_only"])
     def test_constraint_rows_catches_a_faulty_batch(self, fault, monkeypatch,

@@ -29,7 +29,7 @@ from drsum.problems import (
     make_losses,
     make_synthetic,
 )
-from drsum.proxlib import L1Term, SquaredNormTerm, prox_step
+from drsum.proxlib import L1Term, SquaredNormTerm
 from drsum.reductions import (
     Chi2Config,
     KlConfig,
@@ -89,7 +89,7 @@ def test_penalty_sandwich_fuzzed(values, alpha, gamma):
        st.floats(min_value=0.0, max_value=3.0),
        st.floats(min_value=0.01, max_value=2.0))
 def test_soft_threshold_shrinks_toward_zero(x, lam, eta):
-    out = prox_step(L1Term(lam), eta, np.array([x]))[0]
+    out = L1Term(lam).prox(np.array([x]), eta)[0]
     assert abs(out) <= abs(x) + 1e-12
     assert out * x >= 0.0  # never crosses the origin
 

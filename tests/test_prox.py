@@ -1,27 +1,23 @@
 import numpy as np
-import pytest
 
 from drsum.proxlib import (
     AffineTerm,
     BoxTerm,
-    ConstantTerm,
     CustomTerm,
     L1Term,
-    NoClosedFormProxError,
     SquaredNormTerm,
     ZeroTerm,
-    prox_step,
 )
 
 
 def test_zero_term_is_identity():
     x = np.array([3.0, -2.0])
-    out = prox_step(ZeroTerm(), 0.1, x)
+    out = ZeroTerm().prox(x, 0.1)
     assert np.array_equal(out, x)
 
 
 def test_box_projection():
-    out = prox_step(BoxTerm(lo=[0.0, 0.0], hi=[1.0, 1.0]), 0.7, np.array([2.0, -0.5]))
+    out = BoxTerm(lo=[0.0, 0.0], hi=[1.0, 1.0]).prox(np.array([2.0, -0.5]), 0.7)
     assert np.array_equal(out, np.array([1.0, 0.0]))
 
 
@@ -33,7 +29,7 @@ def test_soft_threshold_against_grid_minimization():
     expected = grid[np.argmin(objective)]
     assert abs(expected - 0.7) < 1e-5
 
-    out = prox_step(L1Term(lam), eta, np.array([x]))
+    out = L1Term(lam).prox(np.array([x]), eta)
     assert abs(out[0] - 0.7) < 1e-12
 
 
@@ -43,38 +39,20 @@ def test_squared_norm_prox_matches_grid():
     grid = np.linspace(-3.0, 3.0, 600_001)
     objective = 0.5 * w * (grid - center[0]) ** 2 + (grid - 2.0) ** 2 / (2 * eta)
     expected = grid[np.argmin(objective)]
-    out = prox_step(SquaredNormTerm(w, center), eta, np.array([2.0]))
+    out = SquaredNormTerm(w, center).prox(np.array([2.0]), eta)
     assert abs(out[0] - expected) < 1e-5
 
 
 def test_affine_prox():
     slope = np.array([2.0, -1.0])
-    out = prox_step(AffineTerm(slope), 0.25, np.array([1.0, 1.0]))
+    out = AffineTerm(slope).prox(np.array([1.0, 1.0]), 0.25)
     assert np.allclose(out, np.array([0.5, 1.25]))
-
-
-def test_constant_term_value_only():
-    term = ConstantTerm(4.2)
-    assert term.value(np.zeros(3)) == 4.2
-    assert np.array_equal(term.prox(np.ones(3), 0.1), np.ones(3))
 
 
 def test_custom_term_roundtrip():
     term = CustomTerm(lambda x: float(np.sum(x)), lambda v, eta: v * 0.0)
     assert term.value(np.array([1.0, 2.0])) == 3.0
-    assert np.array_equal(prox_step(term, 1.0, np.ones(2)), np.zeros(2))
-
-
-def test_unsupported_r_raises():
-    with pytest.raises(NoClosedFormProxError):
-        prox_step(lambda x: np.sum(x**4), 0.1, np.ones(2))
-
-
-def test_nonpositive_eta_rejected():
-    with pytest.raises(ValueError):
-        prox_step(ZeroTerm(), 0.0, np.ones(2))
-    with pytest.raises(ValueError):
-        prox_step(ZeroTerm(), -1.0, np.ones(2))
+    assert np.array_equal(term.prox(np.ones(2), 1.0), np.zeros(2))
 
 
 def test_prox_nonexpansive_all_terms():
@@ -82,7 +60,6 @@ def test_prox_nonexpansive_all_terms():
     rng = np.random.default_rng(42)
     terms = [
         ZeroTerm(),
-        ConstantTerm(1.0),
         AffineTerm(np.array([1.0, -2.0, 0.5])),
         SquaredNormTerm(1.7, center=np.array([0.3, -0.4, 1.0])),
         L1Term(0.8),
@@ -93,6 +70,6 @@ def test_prox_nonexpansive_all_terms():
             a = 5.0 * rng.standard_normal(3)
             b = 5.0 * rng.standard_normal(3)
             eta = float(rng.uniform(0.01, 3.0))
-            pa = prox_step(term, eta, a)
-            pb = prox_step(term, eta, b)
+            pa = term.prox(a, eta)
+            pb = term.prox(b, eta)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
